@@ -201,73 +201,85 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
 // Crash-safe engine overhead: the resilient run_matrix_checked path with
 // every feature disabled must cost <1% (or sub-millisecond noise) over the
 // legacy run_matrix baseline — robustness that taxes every healthy run
-// would never stay on by default. The enabled pass (checkpointing on)
-// is informational: it prices what a crash-safe campaign actually pays.
+// would never stay on by default. The enabled pass prices what a crash-safe
+// campaign actually pays: checkpointing on at flush_every = 1 (the chaos
+// gate's setting), gated at <10% (or sub-ms noise) by scripts/check.sh.
 struct CheckpointTimings {
   double baseline_ms = 0;  ///< legacy run_matrix, serial
   double disabled_ms = 0;  ///< run_matrix_checked, all features off
-  double enabled_ms = 0;   ///< checkpointing on (flush every 8 cells)
-  bool identical = true;   ///< all three result sets bitwise equal
-  double disabled_delta_ms() const { return disabled_ms - baseline_ms; }
-  double disabled_overhead_percent() const {
-    return baseline_ms > 0 ? (disabled_ms - baseline_ms) / baseline_ms * 100.0
-                           : 0.0;
-  }
-  double enabled_overhead_percent() const {
-    return baseline_ms > 0 ? (enabled_ms - baseline_ms) / baseline_ms * 100.0
-                           : 0.0;
-  }
+  double enabled_ms = 0;   ///< checkpointing on (fflush after every cell)
+  /// Overheads over baseline, each the median over rounds of the round's
+  /// own difference, so a host that speeds up or slows down between
+  /// rounds cancels out.
+  double disabled_overhead_percent = 0;
+  double disabled_delta_ms = 0;
+  double enabled_overhead_percent = 0;
+  double enabled_delta_ms = 0;
+  bool identical = true;  ///< all three result sets bitwise equal
 };
 
 CheckpointTimings bench_checkpoint(int runs) {
   CheckpointTimings t;
   const auto cells = full_matrix(runs);
-  constexpr int kPasses = 5;  // best-of: single-digit-ms deltas vs VM jitter
-  const auto best_of = [](auto&& pass) {
-    double best = pass();  // first pass doubles as warm-up
-    for (int i = 0; i < kPasses; ++i) best = std::min(best, pass());
-    return best;
-  };
-
-  std::printf("checkpoint overhead: %zu cells x %d runs, best of %d\n",
-              cells.size(), runs, kPasses + 1);
-
-  std::vector<core::OverheadSeries> baseline;
-  t.baseline_ms = best_of([&] {
-    const auto t0 = Clock::now();
-    baseline = core::run_matrix(cells, 1);
-    return ms_between(t0, Clock::now());
-  });
-  std::printf("  legacy run_matrix  ... %8.1f ms\n", t.baseline_ms);
-
-  core::MatrixResult disabled;
-  core::MatrixOptions disabled_opts;
-  disabled_opts.jobs = 1;
-  t.disabled_ms = best_of([&] {
-    const auto t0 = Clock::now();
-    disabled = core::run_matrix_checked(cells, disabled_opts);
-    return ms_between(t0, Clock::now());
-  });
-  std::printf("  engine, all off    ... %8.1f ms   (%+.2f%%, %+.2f ms)\n",
-              t.disabled_ms, t.disabled_overhead_percent(),
-              t.disabled_delta_ms());
+  // Medians over interleaved rounds: host speed drifts and jumps (VM
+  // steal), so each round times all three variants back to back and the
+  // medians ignore the rare rounds that ran on a fast or slow host. A
+  // best-of would pick exactly those outliers.
+  constexpr int kRounds = 40;
+  std::printf("checkpoint overhead: %zu cells x %d runs, median of %d "
+              "interleaved rounds\n",
+              cells.size(), runs, kRounds);
 
   const char* ck_path = "BENCH_checkpoint_scratch.json";
+  std::vector<core::OverheadSeries> baseline;
+  core::MatrixResult disabled;
   core::MatrixResult enabled;
-  t.enabled_ms = best_of([&] {
-    std::remove(ck_path);
-    core::MatrixOptions options;
-    options.jobs = 1;
-    options.checkpoint.path = ck_path;
-    options.checkpoint.flush_every = 8;
+  core::MatrixOptions disabled_opts;
+  disabled_opts.jobs = 1;
+  core::MatrixOptions enabled_opts = disabled_opts;
+  enabled_opts.checkpoint.path = ck_path;
+  enabled_opts.checkpoint.flush_every = 1;
+  const auto timed = [](auto&& pass) {
     const auto t0 = Clock::now();
-    enabled = core::run_matrix_checked(cells, options);
+    pass();
     return ms_between(t0, Clock::now());
-  });
+  };
+  std::vector<double> baseline_ms, disabled_ms, enabled_ms;
+  for (int round = 0; round < kRounds; ++round) {
+    baseline_ms.push_back(
+        timed([&] { baseline = core::run_matrix(cells, 1); }));
+    disabled_ms.push_back(timed(
+        [&] { disabled = core::run_matrix_checked(cells, disabled_opts); }));
+    std::remove(ck_path);
+    enabled_ms.push_back(timed(
+        [&] { enabled = core::run_matrix_checked(cells, enabled_opts); }));
+  }
   std::remove(ck_path);
-  std::remove((std::string{ck_path} + ".tmp").c_str());
-  std::printf("  checkpointing on   ... %8.1f ms   (%+.2f%%)\n", t.enabled_ms,
-              t.enabled_overhead_percent());
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return (v[(v.size() - 1) / 2] + v[v.size() / 2]) / 2;
+  };
+  const auto paired = [&](const std::vector<double>& variant,
+                          double* percent, double* delta_ms) {
+    std::vector<double> pct, delta;
+    for (int r = 0; r < kRounds; ++r) {
+      delta.push_back(variant[r] - baseline_ms[r]);
+      pct.push_back(delta.back() / baseline_ms[r] * 100.0);
+    }
+    *percent = median(pct);
+    *delta_ms = median(delta);
+  };
+  t.baseline_ms = median(baseline_ms);
+  t.disabled_ms = median(disabled_ms);
+  t.enabled_ms = median(enabled_ms);
+  paired(disabled_ms, &t.disabled_overhead_percent, &t.disabled_delta_ms);
+  paired(enabled_ms, &t.enabled_overhead_percent, &t.enabled_delta_ms);
+  std::printf("  legacy run_matrix  ... %8.1f ms\n", t.baseline_ms);
+  std::printf("  engine, all off    ... %8.1f ms   (%+.2f%%, %+.2f ms)\n",
+              t.disabled_ms, t.disabled_overhead_percent,
+              t.disabled_delta_ms);
+  std::printf("  checkpointing on   ... %8.1f ms   (%+.2f%%, %+.2f ms)\n",
+              t.enabled_ms, t.enabled_overhead_percent, t.enabled_delta_ms);
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!identical(baseline[i], disabled.series[i]) ||
@@ -558,10 +570,11 @@ void write_json(const char* path, unsigned hw, const MatrixTimings& m,
   std::fprintf(f, "    \"disabled_ms\": %.3f,\n", k.disabled_ms);
   std::fprintf(f, "    \"enabled_ms\": %.3f,\n", k.enabled_ms);
   std::fprintf(f, "    \"disabled_overhead_percent\": %.3f,\n",
-               k.disabled_overhead_percent());
-  std::fprintf(f, "    \"disabled_delta_ms\": %.3f,\n", k.disabled_delta_ms());
+               k.disabled_overhead_percent);
+  std::fprintf(f, "    \"disabled_delta_ms\": %.3f,\n", k.disabled_delta_ms);
   std::fprintf(f, "    \"enabled_overhead_percent\": %.3f,\n",
-               k.enabled_overhead_percent());
+               k.enabled_overhead_percent);
+  std::fprintf(f, "    \"enabled_delta_ms\": %.3f,\n", k.enabled_delta_ms);
   std::fprintf(f, "    \"identical\": %s\n", k.identical ? "true" : "false");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"capture_scan\": {\n");
@@ -636,11 +649,14 @@ int main(int argc, char** argv) {
                  "FAIL: checked-engine results differ from run_matrix\n");
     return 1;
   }
-  // The hard <1% gate (with sub-ms noise slack) lives in scripts/check.sh;
-  // the shape check here flags drift on any direct bench run.
+  // The hard <1% and <10% gates (with sub-ms noise slack) live in
+  // scripts/check.sh; the shape checks here flag drift on any direct run.
   benchutil::shape_check(
-      k.disabled_overhead_percent() < 1.0 || k.disabled_delta_ms() < 1.0,
+      k.disabled_overhead_percent < 1.0 || k.disabled_delta_ms < 1.0,
       "disabled crash-safe engine within 1% (or <1 ms) of run_matrix");
+  benchutil::shape_check(
+      k.enabled_overhead_percent < 10.0 || k.enabled_delta_ms < 1.0,
+      "checkpointing at flush_every=1 within 10% (or <1 ms) of run_matrix");
   if (!m.identical) {
     std::fprintf(stderr, "FAIL: parallel results differ from serial\n");
     return 1;

@@ -126,6 +126,25 @@ if ! awk -v pct="$CK_PCT" -v delta="$CK_DELTA" \
 fi
 echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs run_matrix"
 
+step "resilience: checkpoint enabled-overhead gate (<10% or sub-ms noise)"
+# Checkpointing at flush_every = 1 (the chaos gate's setting) appends one
+# journal record per cell; it must cost under 10% over run_matrix, with the
+# same sub-millisecond absolute slack as the disabled gate.
+CK_ON_PCT=$(sed -n 's/.*"enabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
+  build-release/BENCH_perf_matrix.json | head -n1)
+CK_ON_DELTA=$(sed -n 's/.*"enabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
+  build-release/BENCH_perf_matrix.json | head -n1)
+if [[ -z "$CK_ON_PCT" || -z "$CK_ON_DELTA" ]]; then
+  echo "check.sh: FAIL — enabled checkpoint overhead fields missing from BENCH_perf_matrix.json" >&2
+  exit 1
+fi
+if ! awk -v pct="$CK_ON_PCT" -v delta="$CK_ON_DELTA" \
+    'BEGIN { exit (pct + 0 < 10.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
+  echo "check.sh: FAIL — checkpointing at flush_every=1 costs ${CK_ON_PCT}% (${CK_ON_DELTA} ms) over run_matrix" >&2
+  exit 1
+fi
+echo "checkpoint overhead gate OK: enabled engine ${CK_ON_PCT}% (${CK_ON_DELTA} ms) vs run_matrix"
+
 step "kernel: Release gate (calendar/heap identity + throughput floor)"
 # The calendar queue must reproduce the binary-heap reference bit-for-bit
 # across the full 88-cell matrix, and the cancellable schedule_after path

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/fnv1a.h"
+#include "core/journal.h"
 #include "core/parallel_runner.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -58,7 +59,7 @@ const obs::Counter& samples_counter() {
 const obs::Counter& checkpoint_flushes_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "campaign.checkpoint_flushes", "writes",
-      "atomic campaign-checkpoint rewrites");
+      "campaign checkpoint journal fflushes that pushed appended records");
   return c;
 }
 const obs::Counter& progress_errors_counter() {
@@ -69,34 +70,10 @@ const obs::Counter& progress_errors_counter() {
 }
 
 // ---------------------------------------------------------------------------
-// Spec hashing: FNV-1a over the population-defining fields, bit patterns
-// for doubles (same discipline as cell_config_hash). The shard count and
-// everything in CampaignOptions are excluded on purpose: they change how
-// the campaign executes, never what it measures.
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class SpecHasher {
- public:
-  void u64(std::uint64_t v) {
-    const auto* p = reinterpret_cast<const unsigned char*>(&v);
-    for (std::size_t i = 0; i < sizeof v; ++i) {
-      h_ ^= p[i];
-      h_ *= kFnvPrime;
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
+// Spec hashing: FNV-1a (core/fnv1a.h) over the population-defining fields,
+// bit patterns for doubles (same discipline as cell_config_hash). The shard
+// count and everything in CampaignOptions are excluded on purpose: they
+// change how the campaign executes, never what it measures.
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
@@ -167,7 +144,7 @@ bool read_sketch(const Value* v, stats::QuantileSketch* expected) {
 // Spec hash.
 
 std::uint64_t campaign_spec_hash(const CampaignSpec& spec) {
-  SpecHasher h;
+  Fnv1a h;
   h.u64(0xB14CA4BA16ULL);  // format salt
   h.u64(spec.seed);
   h.u64(spec.clients);
@@ -203,10 +180,7 @@ std::uint64_t campaign_spec_hash(const CampaignSpec& spec) {
 }
 
 std::string campaign_spec_hash_hex(const CampaignSpec& spec) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(campaign_spec_hash(spec)));
-  return buf;
+  return hex16(campaign_spec_hash(spec));
 }
 
 // ---------------------------------------------------------------------------
@@ -508,124 +482,51 @@ bool CampaignAggregate::from_json(const obs::json::Value& v,
 }
 
 // ---------------------------------------------------------------------------
-// Campaign checkpoint: one record per completed shard, same atomic
-// temp+rename persistence as the matrix checkpoint. Records re-serialize
-// from the canonical aggregate encoding on every flush, so a resumed
-// checkpoint file converges to exactly what an uninterrupted run writes.
+// Campaign checkpoint: the matrix checkpoint's journal (core/journal.h),
+// with the spec hash, client count and shard count in the header and one
+// record per completed shard.
 
 namespace {
 
-class CampaignCheckpoint {
- public:
-  CampaignCheckpoint(std::string path, const CampaignSpec& spec,
-                     std::size_t shards, int flush_every)
-      : path_{std::move(path)},
-        spec_hash_{campaign_spec_hash_hex(spec)},
-        clients_{spec.clients},
-        shards_{shards},
-        flush_every_{flush_every < 1 ? 1 : flush_every} {}
+std::string checkpoint_header(const CampaignSpec& spec, std::size_t shards) {
+  Value v = Value::object();
+  v.add("format", Value::string(kCampaignCheckpointFormat));
+  v.add("version", Value::integer(kCampaignCheckpointVersion));
+  v.add("spec_hash", Value::string(campaign_spec_hash_hex(spec)));
+  v.add("clients", u64_json(spec.clients));
+  v.add("shards", u64_json(shards));
+  return v.dump();
+}
 
-  void preload(std::size_t shard, CampaignAggregate state) {
-    std::lock_guard<std::mutex> lock{mu_};
-    records_.insert_or_assign(shard, std::move(state));
-  }
-
-  void add(std::size_t shard, const CampaignAggregate& state) {
-    std::string contents;
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      records_.insert_or_assign(shard, state);
-      if (++unflushed_ < flush_every_) return;
-      unflushed_ = 0;
-      contents = render_locked();
-    }
-    write(contents);
-  }
-
-  bool flush() {
-    std::string contents;
-    {
-      std::lock_guard<std::mutex> lock{mu_};
-      unflushed_ = 0;
-      contents = render_locked();
-    }
-    return write(contents);
-  }
-
- private:
-  std::string render_locked() const {
-    Value v = Value::object();
-    v.add("format", Value::string(kCampaignCheckpointFormat));
-    v.add("version", Value::integer(kCampaignCheckpointVersion));
-    v.add("spec_hash", Value::string(spec_hash_));
-    v.add("clients", u64_json(clients_));
-    v.add("shards", u64_json(shards_));
-    Value records = Value::array();
-    for (const auto& [shard, state] : records_) {
-      Value r = Value::object();
-      r.add("shard", u64_json(shard));
-      r.add("state", state.to_json());
-      records.push(std::move(r));
-    }
-    v.add("records", std::move(records));
-    return v.dump();
-  }
-
-  bool write(const std::string& contents) {
-    BNM_PROF_SCOPE("campaign.checkpoint_flush");
-    if (!write_file_atomic(path_, contents)) return false;
-    checkpoint_flushes_counter().add();
-    return true;
-  }
-
-  std::string path_;
-  std::string spec_hash_;
-  std::uint64_t clients_;
-  std::size_t shards_;
-  int flush_every_;
-  mutable std::mutex mu_;
-  int unflushed_ = 0;
-  std::map<std::size_t, CampaignAggregate> records_;  ///< by shard index
-};
+std::string shard_record(std::size_t shard, const CampaignAggregate& state) {
+  Value r = Value::object();
+  r.add("shard", u64_json(shard));
+  r.add("state", state.to_json());
+  return r.dump();
+}
 
 /// Load a campaign checkpoint and return per-shard aggregates. Forgiving
-/// like CheckpointReader: anything unusable degrades to "no records".
+/// like CheckpointReader: a header for another spec, layout or version
+/// gives "no records", and records stop at the first one that is torn,
+/// corrupt or does not decode.
 std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
     const std::string& path, const CampaignSpec& spec, std::size_t shards,
     std::size_t profile_count) {
   std::map<std::size_t, CampaignAggregate> out;
-  const std::optional<std::string> text = read_file_contents(path);
-  if (!text) return out;
-  const std::optional<Value> doc = obs::json::parse(*text);
-  if (!doc || !doc->is_object()) return out;
-  const Value* format = doc->find("format");
-  const Value* version = doc->find("version");
-  const Value* hash = doc->find("spec_hash");
-  const Value* clients = doc->find("clients");
-  const Value* shards_v = doc->find("shards");
-  const Value* records = doc->find("records");
-  if (!format || !format->is_string() ||
-      format->as_string() != kCampaignCheckpointFormat || !version ||
-      !version->is_int() || version->as_int() != kCampaignCheckpointVersion ||
-      !hash || !hash->is_string() ||
-      hash->as_string() != campaign_spec_hash_hex(spec) || !clients ||
-      !clients->is_int() ||
-      clients->as_int() != static_cast<std::int64_t>(spec.clients) ||
-      !shards_v || !shards_v->is_int() ||
-      shards_v->as_int() != static_cast<std::int64_t>(shards) || !records ||
-      !records->is_array()) {
+  std::optional<Journal> journal = read_journal(path);
+  if (!journal ||
+      journal->header.dump() != checkpoint_header(spec, shards)) {
     return out;
   }
-  for (const Value& r : records->items()) {
-    if (!r.is_object()) continue;
+  for (const Value& r : journal->records) {
     const Value* shard = r.find("shard");
     const Value* state = r.find("state");
-    if (!shard || !shard->is_int() || shard->as_int() < 0 ||
-        shard->as_int() >= static_cast<std::int64_t>(shards) || !state) {
-      continue;
-    }
     CampaignAggregate agg{spec.grid, profile_count};
-    if (!CampaignAggregate::from_json(*state, &agg)) continue;
+    if (!shard || !shard->is_int() || shard->as_int() < 0 ||
+        shard->as_int() >= static_cast<std::int64_t>(shards) || !state ||
+        !CampaignAggregate::from_json(*state, &agg)) {
+      break;
+    }
     out.insert_or_assign(static_cast<std::size_t>(shard->as_int()),
                          std::move(agg));
   }
@@ -637,7 +538,7 @@ struct CampaignState {
   std::mutex mu;
   CampaignResult* result = nullptr;
   const CampaignOptions* options = nullptr;
-  CampaignCheckpoint* checkpoint = nullptr;  ///< nullptr = off
+  JournalWriter* checkpoint = nullptr;  ///< nullptr = off
   std::size_t done = 0;
   std::chrono::steady_clock::time_point started;
 };
@@ -680,7 +581,10 @@ void finish_shard(CampaignState& st, std::size_t shard,
   shards_completed_counter().add();
   clients_simulated_counter().add(agg.clients);
   samples_counter().add(agg.samples);
-  if (st.checkpoint) st.checkpoint->add(shard, agg);
+  if (st.checkpoint) {
+    BNM_PROF_SCOPE("campaign.checkpoint_flush");
+    st.checkpoint->append(shard_record(shard, agg));
+  }
   if (st.options->trace) {
     const auto since = [&](std::chrono::steady_clock::time_point t) {
       return sim::Duration::nanos(
@@ -727,29 +631,30 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.profile_labels = sampler.profile_labels();
   result.shards = shards;
 
-  std::unique_ptr<CampaignCheckpoint> checkpoint;
+  std::optional<JournalWriter> checkpoint;
   std::vector<bool> resumed(shards, false);
   if (!options.checkpoint.empty()) {
-    checkpoint = std::make_unique<CampaignCheckpoint>(
-        options.checkpoint, spec, shards, options.flush_every);
+    std::vector<std::string> carried;
     if (options.resume) {
-      std::map<std::size_t, CampaignAggregate> stored =
-          load_campaign_checkpoint(options.checkpoint, spec, shards,
-                                   sampler.profile_count());
-      for (auto& [shard, agg] : stored) {
+      for (auto& [shard, agg] :
+           load_campaign_checkpoint(options.checkpoint, spec, shards,
+                                    sampler.profile_count())) {
         result.aggregate.merge(agg);
         resumed[shard] = true;
         ++result.shards_resumed;
-        shards_resumed_counter().add();
-        checkpoint->preload(shard, std::move(agg));
+        carried.push_back(shard_record(shard, agg));
       }
+      shards_resumed_counter().add(result.shards_resumed);
     }
+    checkpoint.emplace(options.checkpoint, checkpoint_header(spec, shards),
+                       carried, options.flush_every,
+                       checkpoint_flushes_counter());
   }
 
   CampaignState st;
   st.result = &result;
   st.options = &options;
-  st.checkpoint = checkpoint.get();
+  st.checkpoint = checkpoint ? &*checkpoint : nullptr;
   st.done = result.shards_resumed;
   st.started = std::chrono::steady_clock::now();
 
@@ -801,10 +706,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     pool.wait_idle();
   }
 
-  if (checkpoint && !result.cancelled && result.shards_run > 0) {
-    checkpoint->flush();  // final rewrite covers any flush_every remainder
-  }
-  return result;
+  return result;  // ~JournalWriter flushes any flush_every remainder
 }
 
 // ---------------------------------------------------------------------------

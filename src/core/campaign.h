@@ -24,11 +24,12 @@
 //     whether the campaign ran on 1 shard serially or N shards on a pool,
 //     and whether it ran straight through or was killed and resumed.
 //     scripts/check.sh gates both identities on every run.
-//   * Checkpoint/resume reuses core/checkpoint.h's atomic temp+rename
-//     persistence: one record per completed shard, keyed by a stable hash
-//     of every population-affecting spec field. tools/campaign --kill-after
-//     exercises the crash path the same way tools/chaos_matrix does for
-//     matrices.
+//   * Checkpoint/resume shares the matrix checkpoint's append-only journal
+//     (core/journal.h): a header keyed by a stable hash of every
+//     population-affecting spec field, then one checksummed line per
+//     completed shard, appended before the shard is announced.
+//     tools/campaign --kill-after exercises the crash path the same way
+//     tools/chaos_matrix does for matrices.
 //
 // DESIGN.md §3h documents the architecture and the sketch's error bound;
 // docs/BENCH_SCHEMAS.md documents the report and checkpoint formats.
@@ -55,7 +56,7 @@ namespace bnm::core {
 
 inline constexpr const char* kCampaignCheckpointFormat =
     "bnm-campaign-checkpoint";
-inline constexpr int kCampaignCheckpointVersion = 1;
+inline constexpr int kCampaignCheckpointVersion = 2;
 inline constexpr const char* kCampaignReportFormat = "bnm-campaign-report";
 inline constexpr int kCampaignReportVersion = 1;
 
@@ -222,7 +223,7 @@ struct CampaignOptions {
   CampaignProgress progress;
   std::string checkpoint;  ///< empty = checkpointing off
   bool resume = false;     ///< load `checkpoint` and skip stored shards
-  int flush_every = 1;     ///< completed shards per atomic rewrite
+  int flush_every = 1;     ///< appended shard records per journal fflush
   const std::atomic<bool>* cancel = nullptr;
   /// Optional span sink: one "campaign" span per executed shard (wall time
   /// mapped onto the trace's epoch). The trace must outlive run_campaign.

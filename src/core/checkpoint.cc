@@ -1,8 +1,10 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
+#include "core/fnv1a.h"
+#include "core/journal.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 
@@ -12,43 +14,16 @@ namespace {
 using obs::json::Value;
 
 // ---------------------------------------------------------------------------
-// Config hashing: FNV-1a over the bit patterns of every behaviour-affecting
-// field. Doubles are hashed by bit pattern (memcpy), not by value, so any
-// representable change — including the sign of zero — changes the hash.
+// Config hashing: FNV-1a (core/fnv1a.h) over the bit patterns of every
+// behaviour-affecting field.
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+void dur(Fnv1a& h, sim::Duration d) { h.i64(d.ns()); }
+void window(Fnv1a& h, const net::TimeWindow& w) {
+  h.i64(w.begin.ns_since_epoch());
+  h.i64(w.end.ns_since_epoch());
+}
 
-class Fnv {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= kFnvPrime;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void b(bool v) { u64(v ? 1 : 0); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void dur(sim::Duration d) { i64(d.ns()); }
-  void tp(sim::TimePoint t) { i64(t.ns_since_epoch()); }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = kFnvOffset;
-};
-
-void hash_fault_plan(Fnv& h, const std::optional<net::FaultPlan>& plan) {
+void hash_fault_plan(Fnv1a& h, const std::optional<net::FaultPlan>& plan) {
   h.b(plan.has_value());
   if (!plan) return;
   h.str(plan->name);
@@ -63,46 +38,40 @@ void hash_fault_plan(Fnv& h, const std::optional<net::FaultPlan>& plan) {
   h.f64(plan->corrupt_probability);
   h.f64(plan->duplicate_probability);
   h.u64(plan->blackholes.size());
-  for (const net::TimeWindow& w : plan->blackholes) {
-    h.tp(w.begin);
-    h.tp(w.end);
-  }
+  for (const net::TimeWindow& w : plan->blackholes) window(h, w);
   h.u64(plan->flaps.size());
-  for (const net::TimeWindow& w : plan->flaps) {
-    h.tp(w.begin);
-    h.tp(w.end);
-  }
+  for (const net::TimeWindow& w : plan->flaps) window(h, w);
   h.u64(plan->drop_data_segments.size());
   for (std::uint64_t n : plan->drop_data_segments) h.u64(n);
   h.u64(plan->max_events);
 }
 
-void hash_testbed(Fnv& h, const Testbed::Config& t) {
+void hash_testbed(Fnv1a& h, const Testbed::Config& t) {
   h.u64(t.seed);
-  h.dur(t.server_delay);
+  dur(h, t.server_delay);
   h.f64(t.bandwidth_bps);
-  h.dur(t.link_propagation);
-  h.dur(t.capture_jitter);
+  dur(h, t.link_propagation);
+  dur(h, t.capture_jitter);
   h.u64(static_cast<std::uint64_t>(t.client_os));
   h.u64(t.http_port);
   h.u64(t.tcp_echo_port);
   h.u64(t.udp_echo_port);
   h.u64(t.ws_port);
   h.f64(t.link_loss_probability);
-  h.dur(t.server_jitter);
+  dur(h, t.server_jitter);
   h.b(t.allow_reorder);
   h.f64(t.cross_traffic_mbps);
   const net::TcpConfig& tcp = t.tcp;
   h.u64(tcp.mss);
   h.u64(tcp.send_window);
-  h.dur(tcp.delayed_ack);
-  h.dur(tcp.rto_initial);
-  h.dur(tcp.rto_max);
+  dur(h, tcp.delayed_ack);
+  dur(h, tcp.rto_initial);
+  dur(h, tcp.rto_max);
   h.u64(tcp.max_retransmissions);
   h.u64(tcp.dupack_threshold);
   h.b(tcp.congestion_control);
   h.u64(tcp.initial_cwnd_segments);
-  h.dur(tcp.time_wait);
+  dur(h, tcp.time_wait);
   hash_fault_plan(h, t.faults_to_server);
   hash_fault_plan(h, t.faults_from_server);
 }
@@ -149,17 +118,61 @@ std::string printable(const std::string& s) {
   return out;
 }
 
-Value sample_to_json(const OverheadSample& s) {
-  Value a = Value::array();
-  a.push(Value::number(s.d1_ms));
-  a.push(Value::number(s.d2_ms));
-  a.push(Value::number(s.browser_rtt1_ms));
-  a.push(Value::number(s.browser_rtt2_ms));
-  a.push(Value::number(s.net_rtt1_ms));
-  a.push(Value::number(s.net_rtt2_ms));
-  a.push(Value::integer(s.connections_opened1));
-  a.push(Value::integer(s.connections_opened2));
-  return a;
+/// The canonical series encoding, streamed straight into `out`: journal
+/// records and matrix reports render every cell through it without
+/// building a Value tree, and series_to_json parses its output.
+void series_json_to(std::string& out, const OverheadSeries& series) {
+  using obs::json::escape_to;
+  using obs::json::integer_to;
+  const SampleAccounting& acc = series.accounting;
+  out += "{\"case_label\":\"";
+  escape_to(out, series.case_label);
+  out += "\",\"method_name\":\"";
+  escape_to(out, series.method_name);
+  out += "\",\"failures\":";
+  integer_to(out, series.failures);
+  out += ",\"first_error\":\"";
+  escape_to(out, printable(series.first_error));
+  out += "\",\"accounting\":{\"timeouts\":";
+  integer_to(out, acc.timeouts);
+  out += ",\"transport_errors\":";
+  integer_to(out, acc.transport_errors);
+  out += ",\"degraded\":";
+  integer_to(out, acc.degraded);
+  out += ",\"http_retries\":";
+  integer_to(out, static_cast<std::int64_t>(acc.http_retries));
+  out += ",\"http_timeouts\":";
+  integer_to(out, static_cast<std::int64_t>(acc.http_timeouts));
+  out += "},\"samples\":[";
+  for (std::size_t i = 0; i < series.samples.size(); ++i) {
+    const OverheadSample& x = series.samples[i];
+    out += i == 0 ? "[" : ",[";
+    for (double d : {x.d1_ms, x.d2_ms, x.browser_rtt1_ms, x.browser_rtt2_ms,
+                     x.net_rtt1_ms, x.net_rtt2_ms}) {
+      obs::json::number_to(out, d);
+      out += ',';
+    }
+    integer_to(out, x.connections_opened1);
+    out += ',';
+    integer_to(out, x.connections_opened2);
+    out += ']';
+  }
+  out += "]}";
+}
+
+/// One cell record: the shape shared by journal lines and report results.
+std::string record_json(std::size_t cell, const std::string& config_hash,
+                        const OverheadSeries& series) {
+  std::string out;
+  out.reserve(320 + 160 * series.samples.size());  // one allocation
+  out += "{\"cell\":";
+  obs::json::integer_to(out, static_cast<std::int64_t>(cell));
+  out += ",\"config_hash\":\"";
+  out += config_hash;  // 16 hex digits: nothing to escape
+  out += "\",\"series\":";
+  series_json_to(out, series);
+  out += '}';
+  return out;
 }
 
 bool sample_from_json(const Value& v, OverheadSample* out) {
@@ -179,36 +192,6 @@ bool sample_from_json(const Value& v, OverheadSample* out) {
   return true;
 }
 
-bool write_atomically(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) return false;
-  const std::size_t n = std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool write_ok = n == contents.size() && std::fclose(f) == 0;
-  if (!write_ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  std::string out;
-  char buf[1 << 14];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  const bool err = std::ferror(f) != 0;
-  std::fclose(f);
-  if (err) return std::nullopt;
-  return out;
-}
-
 // --- metrics (docs/OBSERVABILITY.md catalog) -------------------------------
 
 const obs::Counter& cells_written_counter() {
@@ -221,29 +204,34 @@ const obs::Counter& cells_written_counter() {
 const obs::Counter& flushes_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "checkpoint.flushes", "flushes",
-      "atomic checkpoint rewrites (temp file + rename)");
+      "checkpoint journal fflushes that pushed appended records to the file");
   return c;
 }
 
 const obs::Counter& bytes_written_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "checkpoint.bytes_written", "bytes",
-      "checkpoint JSON bytes persisted across all flushes");
+      "checkpoint journal bytes written: header, carried and appended records");
   return c;
 }
 
 }  // namespace
 
 bool write_file_atomic(const std::string& path, const std::string& contents) {
-  return write_atomically(path, contents);
-}
-
-std::optional<std::string> read_file_contents(const std::string& path) {
-  return read_file(path);
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (!f) return false;
+  const std::size_t n = std::fwrite(contents.data(), 1, contents.size(), f);
+  const bool write_ok = n == contents.size() && std::fclose(f) == 0;
+  if (!write_ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 std::uint64_t cell_config_hash(const ExperimentConfig& config) {
-  Fnv h;
+  Fnv1a h;
   h.u64(static_cast<std::uint64_t>(config.browser));
   h.u64(static_cast<std::uint64_t>(config.os));
   h.u64(static_cast<std::uint64_t>(config.kind));
@@ -267,48 +255,25 @@ std::uint64_t cell_config_hash(const ExperimentConfig& config) {
     h.str(p.java_version);
     h.str(p.browser_version);
   }
-  h.dur(config.inter_run_gap_min);
-  h.dur(config.inter_run_gap_max);
-  h.dur(config.sample_deadline);
-  h.dur(config.http_request_timeout);
+  dur(h, config.inter_run_gap_min);
+  dur(h, config.inter_run_gap_max);
+  dur(h, config.sample_deadline);
+  dur(h, config.http_request_timeout);
   h.i64(config.http_max_retries);
-  h.dur(config.http_retry_backoff);
-  h.dur(config.probe_timeout);
+  dur(h, config.http_retry_backoff);
+  dur(h, config.probe_timeout);
   hash_testbed(h, config.testbed);
   return h.value();
 }
 
 std::string cell_config_hash_hex(const ExperimentConfig& config) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(cell_config_hash(config)));
-  return buf;
+  return hex16(cell_config_hash(config));
 }
 
 obs::json::Value series_to_json(const OverheadSeries& series) {
-  Value v = Value::object();
-  v.add("case_label", Value::string(series.case_label));
-  v.add("method_name", Value::string(series.method_name));
-  v.add("failures", Value::integer(series.failures));
-  v.add("first_error", Value::string(printable(series.first_error)));
-  Value acc = Value::object();
-  acc.add("timeouts", Value::integer(series.accounting.timeouts));
-  acc.add("transport_errors",
-          Value::integer(series.accounting.transport_errors));
-  acc.add("degraded", Value::integer(series.accounting.degraded));
-  acc.add("http_retries",
-          Value::integer(static_cast<std::int64_t>(
-              series.accounting.http_retries)));
-  acc.add("http_timeouts",
-          Value::integer(static_cast<std::int64_t>(
-              series.accounting.http_timeouts)));
-  v.add("accounting", std::move(acc));
-  Value samples = Value::array();
-  for (const OverheadSample& s : series.samples) {
-    samples.push(sample_to_json(s));
-  }
-  v.add("samples", std::move(samples));
-  return v;
+  std::string text;
+  series_json_to(text, series);
+  return *obs::json::parse(text);  // our own encoding always parses
 }
 
 std::optional<OverheadSeries> series_from_json(const obs::json::Value& v) {
@@ -352,135 +317,87 @@ std::optional<OverheadSeries> series_from_json(const obs::json::Value& v) {
 // ---------------------------------------------------------------------------
 // Writer.
 
-CheckpointWriter::CheckpointWriter(std::string path, std::size_t total_cells,
-                                   int flush_every)
-    : path_{std::move(path)},
-      total_cells_{total_cells},
-      flush_every_{flush_every < 1 ? 1 : flush_every} {}
+namespace {
 
-void CheckpointWriter::add(std::size_t cell, const ExperimentConfig& config,
-                           const OverheadSeries& series) {
-  bool do_flush = false;
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    CheckpointRecord& rec = records_[cell];
-    rec.cell = cell;
-    rec.config_hash = cell_config_hash_hex(config);
-    rec.series = series;
-    if (++unflushed_ >= flush_every_) {
-      unflushed_ = 0;
-      do_flush = true;
-    }
+std::string header_json(std::size_t total_cells) {
+  Value h = Value::object();
+  h.add("format", Value::string(kCheckpointFormat));
+  h.add("version", Value::integer(kCheckpointVersion));
+  h.add("cells", Value::integer(static_cast<std::int64_t>(total_cells)));
+  return h.dump();
+}
+
+std::vector<std::string> records_json(
+    const std::vector<CheckpointRecord>& records) {
+  std::vector<std::string> out;
+  out.reserve(records.size());
+  for (const CheckpointRecord& r : records) {
+    out.push_back(record_json(r.cell, r.config_hash, r.series));
   }
-  cells_written_counter().add();
-  if (do_flush) flush();
-}
-
-void CheckpointWriter::preload(std::size_t cell, std::string config_hash,
-                               OverheadSeries series) {
-  std::lock_guard<std::mutex> lock{mu_};
-  CheckpointRecord& rec = records_[cell];
-  rec.cell = cell;
-  rec.config_hash = std::move(config_hash);
-  rec.series = std::move(series);
-}
-
-std::size_t CheckpointWriter::records() const {
-  std::lock_guard<std::mutex> lock{mu_};
-  return records_.size();
-}
-
-std::string CheckpointWriter::render_locked() const {
-  Value root = Value::object();
-  root.add("format", Value::string(kCheckpointFormat));
-  root.add("version", Value::integer(kCheckpointVersion));
-  root.add("cells", Value::integer(static_cast<std::int64_t>(total_cells_)));
-  Value records = Value::array();
-  for (const auto& [cell, rec] : records_) {  // std::map: sorted by cell
-    Value r = Value::object();
-    r.add("cell", Value::integer(static_cast<std::int64_t>(cell)));
-    r.add("config_hash", Value::string(rec.config_hash));
-    r.add("series", series_to_json(rec.series));
-    records.push(std::move(r));
-  }
-  root.add("records", std::move(records));
-  std::string out = root.dump();
-  out += '\n';
   return out;
 }
 
-bool CheckpointWriter::flush() {
-  BNM_PROF_SCOPE("checkpoint.flush");
-  std::string contents;
+}  // namespace
+
+CheckpointWriter::CheckpointWriter(std::string path, std::size_t total_cells,
+                                   int flush_every,
+                                   const std::vector<CheckpointRecord>& carried)
+    : path_{std::move(path)},
+      journal_{std::make_unique<JournalWriter>(
+          path_, header_json(total_cells), records_json(carried), flush_every,
+          flushes_counter(), &bytes_written_counter())} {}
+
+CheckpointWriter::~CheckpointWriter() = default;
+
+void CheckpointWriter::add(std::size_t cell, const ExperimentConfig& config,
+                           const OverheadSeries& series) {
   {
-    std::lock_guard<std::mutex> lock{mu_};
-    contents = render_locked();
+    BNM_PROF_SCOPE("checkpoint.flush");
+    journal_->append(record_json(cell, cell_config_hash_hex(config), series));
   }
-  if (!write_atomically(path_, contents)) return false;
-  flushes_counter().add();
-  bytes_written_counter().add(contents.size());
-  return true;
+  cells_written_counter().add();
 }
+
+std::size_t CheckpointWriter::records() const { return journal_->records(); }
 
 // ---------------------------------------------------------------------------
 // Reader.
 
 std::optional<CheckpointReader> CheckpointReader::load(const std::string& path,
                                                        std::string* error) {
-  const auto set_error = [&](const std::string& what) {
+  const auto fail = [&](const std::string& what) {
     if (error) *error = what;
+    return std::nullopt;
   };
-  std::optional<std::string> text = read_file(path);
-  if (!text) {
-    set_error("cannot read " + path);
-    return std::nullopt;
-  }
-  std::string parse_error;
-  std::optional<Value> doc = obs::json::parse(*text, &parse_error);
-  if (!doc || doc->type() != Value::Type::kObject) {
-    set_error("not a JSON object: " + parse_error);
-    return std::nullopt;
-  }
+  std::optional<Journal> journal = read_journal(path, error);
+  if (!journal) return std::nullopt;
+  const Value& header = journal->header;
   std::string format;
   std::int64_t version = 0, cells = 0;
-  if (!read_string(doc->find("format"), &format) ||
+  if (!read_string(header.find("format"), &format) ||
       format != kCheckpointFormat) {
-    set_error("missing/unknown format marker");
-    return std::nullopt;
+    return fail("missing/unknown format marker");
   }
-  if (!read_int(doc->find("version"), &version) ||
+  if (!read_int(header.find("version"), &version) ||
       version != kCheckpointVersion) {
-    set_error("unsupported checkpoint version");
-    return std::nullopt;
+    return fail("unsupported checkpoint version");
   }
-  if (!read_int(doc->find("cells"), &cells) || cells < 0) {
-    set_error("missing cell count");
-    return std::nullopt;
-  }
-  const Value* records = doc->find("records");
-  if (!records || records->type() != Value::Type::kArray) {
-    set_error("missing records array");
-    return std::nullopt;
+  if (!read_int(header.find("cells"), &cells) || cells < 0) {
+    return fail("missing cell count");
   }
   CheckpointReader reader;
   reader.total_cells_ = static_cast<std::size_t>(cells);
-  for (const Value& r : records->items()) {
-    if (r.type() != Value::Type::kObject) {
-      set_error("malformed record");
-      return std::nullopt;
-    }
+  // A checksummed record that does not decode ends the intact prefix just
+  // like a torn line does.
+  for (const Value& r : journal->records) {
     std::int64_t cell = 0;
     CheckpointRecord rec;
     const Value* series = r.find("series");
+    std::optional<OverheadSeries> parsed;
     if (!read_int(r.find("cell"), &cell) || cell < 0 ||
-        !read_string(r.find("config_hash"), &rec.config_hash) || !series) {
-      set_error("malformed record");
-      return std::nullopt;
-    }
-    std::optional<OverheadSeries> parsed = series_from_json(*series);
-    if (!parsed) {
-      set_error("malformed series in record");
-      return std::nullopt;
+        !read_string(r.find("config_hash"), &rec.config_hash) || !series ||
+        !(parsed = series_from_json(*series))) {
+      break;
     }
     rec.cell = static_cast<std::size_t>(cell);
     rec.series = std::move(*parsed);
@@ -502,30 +419,23 @@ const OverheadSeries* CheckpointReader::lookup(
 
 std::string matrix_report_json(const std::vector<ExperimentConfig>& cells,
                                const std::vector<OverheadSeries>& results) {
-  Value root = Value::object();
-  root.add("format", Value::string("bnm-matrix-report"));
-  root.add("version", Value::integer(1));
-  root.add("cells", Value::integer(static_cast<std::int64_t>(cells.size())));
-  Value out = Value::array();
-  const std::size_t n = cells.size() < results.size() ? cells.size()
-                                                      : results.size();
+  const std::size_t n = std::min(cells.size(), results.size());
+  std::string text = "{\"format\":\"bnm-matrix-report\",\"version\":1,"
+                     "\"cells\":";
+  obs::json::integer_to(text, static_cast<std::int64_t>(cells.size()));
+  text += ",\"results\":[";
   for (std::size_t i = 0; i < n; ++i) {
-    Value r = Value::object();
-    r.add("cell", Value::integer(static_cast<std::int64_t>(i)));
-    r.add("config_hash", Value::string(cell_config_hash_hex(cells[i])));
-    r.add("series", series_to_json(results[i]));
-    out.push(std::move(r));
+    if (i > 0) text += ',';
+    text += record_json(i, cell_config_hash_hex(cells[i]), results[i]);
   }
-  root.add("results", std::move(out));
-  std::string text = root.dump();
-  text += '\n';
+  text += "]}\n";
   return text;
 }
 
 bool write_matrix_report(const std::string& path,
                          const std::vector<ExperimentConfig>& cells,
                          const std::vector<OverheadSeries>& results) {
-  return write_atomically(path, matrix_report_json(cells, results));
+  return write_file_atomic(path, matrix_report_json(cells, results));
 }
 
 }  // namespace bnm::core

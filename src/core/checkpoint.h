@@ -8,25 +8,32 @@
 //     fields that derive the testbed seed, plus the testbed/fault knobs).
 //     A resumed run skips a cell only when both match, so editing the
 //     matrix definition between runs silently re-runs what changed.
-//   * Atomic persistence: the writer rewrites the whole checkpoint to
-//     `<path>.tmp` and rename(2)s it over `<path>`. A crash at any instant
-//     leaves either the previous complete checkpoint or the new one —
-//     never a torn file.
+//   * Append-only journal (core/journal.h, docs/BENCH_SCHEMAS.md): line 1
+//     is a header (format, version, cell count); each further line is one
+//     record, a space, and the 16-hex FNV-1a of the record's bytes.
+//     Opening the writer is the run's only whole-file write (header plus
+//     carried-over records to `<path>.tmp`, rename(2)d over `<path>`; on
+//     resume this compacts the file). After that each completed cell
+//     renders and appends just its own record, so persistence costs the
+//     same for the first cell and the last. With flush_every = 1 the record
+//     is fflush()ed before add() returns, which is before the engine
+//     announces the cell. A kill can tear only the last line; the reader
+//     keeps every record before the first torn or checksum-failing line.
 //   * Bit-identity: cell results are deterministic, and the JSON encoding
 //     (obs/json.h, %.17g doubles) round-trips every finite double exactly,
 //     so a killed-and-resumed run produces a final matrix report that is
 //     byte-identical to an uninterrupted run's. tools/chaos_matrix and
 //     scripts/check.sh gate this on every run.
 //
-// The reader is deliberately forgiving: a missing, truncated, or corrupt
-// checkpoint degrades to "no records" (the run starts over) instead of
-// failing — a half-written file must never wedge the campaign it was meant
-// to protect.
+// The reader is deliberately forgiving: a missing or unreadable checkpoint,
+// one from another format version, or one whose header is torn degrades to
+// "no records" (the run starts over) instead of failing — a half-written
+// file must never wedge the campaign it was meant to protect.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,7 +44,7 @@
 namespace bnm::core {
 
 inline constexpr const char* kCheckpointFormat = "bnm-matrix-checkpoint";
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
 
 /// Stable 64-bit FNV-1a hash over every config field that can change a
 /// cell's results: the seed-deriving case fields, repetition plan, timing
@@ -47,14 +54,9 @@ inline constexpr int kCheckpointVersion = 1;
 std::uint64_t cell_config_hash(const ExperimentConfig& config);
 
 /// Write `contents` to `path` via the atomic temp-file + rename(2) protocol
-/// every persistence path in this module uses. Shared with the campaign
-/// layer (core/campaign.h), whose checkpoints carry shard aggregates rather
-/// than cell series. Returns false (old file intact) on I/O failure.
+/// that reports and the journal's opening write use. Returns false (old
+/// file intact) on I/O failure.
 bool write_file_atomic(const std::string& path, const std::string& contents);
-
-/// Slurp a file; nullopt when it cannot be read. The forgiving-reader
-/// counterpart of write_file_atomic for resume paths.
-std::optional<std::string> read_file_contents(const std::string& path);
 
 /// cell_config_hash as fixed-width lowercase hex (the on-disk key).
 std::string cell_config_hash_hex(const ExperimentConfig& config);
@@ -73,49 +75,40 @@ struct CheckpointRecord {
   OverheadSeries series;
 };
 
-/// Accumulates completed-cell records and persists them atomically.
+class JournalWriter;
+
+/// Appends completed-cell records to the checkpoint journal.
 /// Thread-safe: matrix pool workers call add() concurrently.
 class CheckpointWriter {
  public:
-  /// `flush_every` completed cells trigger one atomic rewrite (1 = after
-  /// every cell, the crash-safest and the chaos-gate default).
+  /// Open the journal at `path`: the header plus `carried` (records kept
+  /// from a prior checkpoint on resume) replace the file atomically. Every
+  /// `flush_every` appended records share one fflush (1 = each record is
+  /// in the file before add() returns; the chaos-gate default).
   CheckpointWriter(std::string path, std::size_t total_cells,
-                   int flush_every = 1);
+                   int flush_every = 1,
+                   const std::vector<CheckpointRecord>& carried = {});
+  ~CheckpointWriter();  ///< flushes pending records
 
-  /// Record a completed cell and flush if the cadence says so.
+  /// Render and append one completed cell's record.
   void add(std::size_t cell, const ExperimentConfig& config,
            const OverheadSeries& series);
 
-  /// Seed a record taken from a prior checkpoint (resume path) without
-  /// triggering the flush cadence or the cells_written metric — the record
-  /// keeps its original hash and survives the next rewrite verbatim.
-  void preload(std::size_t cell, std::string config_hash,
-               OverheadSeries series);
-
-  /// Unconditional atomic rewrite (write <path>.tmp, rename over <path>).
-  /// Returns false (and keeps the old file intact) on I/O failure.
-  bool flush();
-
   const std::string& path() const { return path_; }
-  std::size_t records() const;
+  std::size_t records() const;  ///< carried + added
 
  private:
-  std::string render_locked() const;  ///< caller holds mu_
-
-  mutable std::mutex mu_;
   std::string path_;
-  std::size_t total_cells_;
-  int flush_every_;
-  int unflushed_ = 0;
-  std::map<std::size_t, CheckpointRecord> records_;
+  std::unique_ptr<JournalWriter> journal_;
 };
 
 /// Parsed checkpoint with hash-checked record lookup.
 class CheckpointReader {
  public:
-  /// Parse `path`. nullopt when the file is absent, unparsable, or not a
-  /// checkpoint (detail in *error when given) — resuming from nothing is
-  /// always safe, so corruption degrades to a fresh run, never a failure.
+  /// Parse `path`. nullopt when the file is absent, its header is torn or
+  /// names another format or version (detail in *error when given) —
+  /// resuming from nothing is always safe. Records are the journal's intact
+  /// prefix: a torn or corrupt line drops it and everything after it.
   static std::optional<CheckpointReader> load(const std::string& path,
                                               std::string* error = nullptr);
 

@@ -448,14 +448,12 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
       };
   const WatchedCellRunner& cell = runner ? runner : default_runner;
 
-  // Resume: restore hash-matching cells, then keep their records alive in
-  // the writer so every rewrite of the checkpoint file stays complete.
+  // Resume: restore hash-matching cells and carry their records into the
+  // freshly opened journal, which drops stale and torn records.
   std::unique_ptr<CheckpointWriter> writer;
   std::vector<char> resumed(cells.size(), 0);
   if (!options.checkpoint.path.empty()) {
-    writer = std::make_unique<CheckpointWriter>(options.checkpoint.path,
-                                                cells.size(),
-                                                options.checkpoint.flush_every);
+    std::vector<CheckpointRecord> carried;
     if (options.checkpoint.resume) {
       std::optional<CheckpointReader> reader =
           CheckpointReader::load(options.checkpoint.path);
@@ -467,11 +465,14 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
           result.series[i].config = cells[i];
           resumed[i] = 1;
           ++result.cells_resumed;
-          writer->preload(i, cell_config_hash_hex(cells[i]), *stored);
+          carried.push_back({i, cell_config_hash_hex(cells[i]), *stored});
         }
         RunnerMetrics::get().cells_resumed.add(result.cells_resumed);
       }
     }
+    writer = std::make_unique<CheckpointWriter>(
+        options.checkpoint.path, cells.size(), options.checkpoint.flush_every,
+        carried);
   }
 
   WatchdogHost host;
@@ -520,8 +521,7 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
             [](const CellError& a, const CellError& b) {
               return a.cell < b.cell;
             });
-  if (writer) writer->flush();
-  return result;
+  return result;  // ~CheckpointWriter flushes any flush_every remainder
 }
 
 }  // namespace bnm::core

@@ -155,7 +155,7 @@ struct WatchdogPolicy {
 struct CheckpointPolicy {
   std::string path;
   bool resume = false;  ///< load `path` first and skip hash-matching cells
-  int flush_every = 1;  ///< completed cells per atomic rewrite
+  int flush_every = 1;  ///< appended cell records per journal fflush
 };
 
 struct MatrixOptions {

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -86,6 +87,23 @@ void escape_to(std::string& out, std::string_view s) {
   }
 }
 
+void integer_to(std::string& out, std::int64_t i) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, i).ptr);
+}
+
+void number_to(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";  // JSON has no NaN/Inf
+    return;
+  }
+  // Same bytes as printf("%.17g"), several times faster.
+  char buf[40];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, d,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
+
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -104,19 +122,11 @@ void dump_to(const Value& v, std::string& out) {
       out += v.as_bool() ? "true" : "false";
       break;
     case Value::Type::kInt:
-      out += std::to_string(v.as_int());
+      integer_to(out, v.as_int());
       break;
-    case Value::Type::kDouble: {
-      double d = v.as_double();
-      if (std::isfinite(d)) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-        out += buf;
-      } else {
-        out += "null";  // JSON has no NaN/Inf
-      }
+    case Value::Type::kDouble:
+      number_to(out, v.as_double());
       break;
-    }
     case Value::Type::kString:
       out += '"';
       escape_to(out, v.as_string());

@@ -100,4 +100,10 @@ std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 void escape_to(std::string& out, std::string_view s);
 std::string escape(std::string_view s);
 
+/// Number spellings dump() uses, for emitters that stream JSON text:
+/// integers in decimal; finite doubles as printf("%.17g") (exact round
+/// trip), non-finite ones as null.
+void integer_to(std::string& out, std::int64_t i);
+void number_to(std::string& out, double d);
+
 }  // namespace bnm::obs::json

@@ -1,14 +1,20 @@
 // Campaign engine contracts (core/campaign.h): shard-layout-independent
 // client sampling, byte-identical reports across shard counts and job
-// counts, checkpoint/resume identity after a mid-campaign cancellation,
+// counts, checkpoint/resume identity after a mid-campaign cancellation or
+// a torn journal tail, shards persisted before they are announced,
 // aggregate JSON round trips, and the campaign.* metrics family.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/campaign.h"
+#include "core/journal.h"
 #include "obs/metrics.h"
 #include "sim/trace.h"
 
@@ -151,6 +157,64 @@ TEST(Campaign, ResumeIgnoresCheckpointFromDifferentSpec) {
   EXPECT_EQ(result.shards_resumed, 0u);
   EXPECT_EQ(result.shards_run, result.shards);
 
+  std::remove(ck.c_str());
+}
+
+TEST(CampaignSpecHash, GoldenValue) {
+  EXPECT_EQ(campaign_spec_hash_hex(small_spec()), "59a73d0ced6e7ef0");
+}
+
+TEST(Campaign, ShardIsPersistedBeforeItIsAnnounced) {
+  const std::string ck = "test_campaign_announced_ck.json";
+  std::remove(ck.c_str());
+  std::vector<std::string> violations;  // progress calls are serialized
+  CampaignOptions opts;
+  opts.jobs = 4;
+  opts.checkpoint = ck;
+  opts.flush_every = 1;
+  opts.progress = [&](std::size_t done, std::size_t) {
+    const std::optional<Journal> journal = read_journal(ck);
+    const std::size_t on_disk = journal ? journal->records.size() : 0;
+    if (on_disk < done) {
+      violations.push_back(std::to_string(on_disk) + " records on disk at " +
+                           std::to_string(done) + " done");
+    }
+  };
+  const CampaignResult result = run_campaign(small_spec(48, 12), opts);
+  EXPECT_EQ(result.shards_run, 12u);
+  EXPECT_EQ(result.progress_errors, 0u);
+  EXPECT_TRUE(violations.empty()) << violations.front();
+  std::remove(ck.c_str());
+}
+
+TEST(Campaign, ResumeRecompactsATornJournal) {
+  const std::string ck = "test_campaign_torn_ck.json";
+  std::remove(ck.c_str());
+  const CampaignSpec spec = small_spec(30, 3);
+  CampaignOptions opts;
+  opts.jobs = 1;
+  opts.checkpoint = ck;
+  const std::string clean = campaign_report_json(spec, run_campaign(spec, opts));
+
+  // Tear the last shard's record in half, as a kill mid-append would.
+  std::string bytes;
+  {
+    std::ifstream in{ck, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{in}, {});
+  }
+  const std::size_t last = bytes.rfind('\n', bytes.size() - 2) + 1;
+  {
+    std::ofstream out{ck, std::ios::binary | std::ios::trunc};
+    out << bytes.substr(0, last + (bytes.size() - last) / 2);
+  }
+  opts.resume = true;
+  const CampaignResult resumed = run_campaign(spec, opts);
+  EXPECT_EQ(resumed.shards_resumed, 2u);
+  EXPECT_EQ(resumed.shards_run, 1u);
+  EXPECT_EQ(campaign_report_json(spec, resumed), clean);
+  const std::optional<Journal> journal = read_journal(ck);
+  ASSERT_TRUE(journal.has_value());
+  EXPECT_EQ(journal->records.size(), 3u);
   std::remove(ck.c_str());
 }
 

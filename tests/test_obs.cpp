@@ -7,8 +7,11 @@
 // because the no-allocation test replaces the global operator new, which
 // must not leak into the tier1 binary.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <string>
 #include <thread>
@@ -444,6 +447,31 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_TRUE(a->items()[4].is_null());
   // dump() round-trips our own output byte-for-byte.
   EXPECT_EQ(v->dump(), "{\"a\":[1,2.5,\"x\\n\",true,null]}");
+}
+
+TEST(Json, DumpsDoublesExactlyAsPrintf17g) {
+  // Every report, checkpoint and bench digest depends on these bytes.
+  const auto printf17g = [](double d) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+    return std::string{buf};
+  };
+  std::vector<double> values{0.0,    -0.0,  0.1,   1.5,   3.0,    100.25,
+                              1e-17,  1e16,  1e17,  1e21,  5e-324, -3.5,
+                              1.7976931348623157e308, 12345678.000000001};
+  std::uint64_t bits = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 20000; ++i) {
+    bits ^= bits << 13;  // xorshift64: arbitrary bit patterns
+    bits ^= bits >> 7;
+    bits ^= bits << 17;
+    double d = 0;
+    std::memcpy(&d, &bits, sizeof d);
+    if (std::isfinite(d)) values.push_back(d);
+    values.push_back(static_cast<double>(bits % 10000000) / 1000.0);
+  }
+  for (double d : values) {
+    ASSERT_EQ(bnm::obs::json::Value::number(d).dump(), printf17g(d)) << d;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Checkpoint/resume contract: stable config hashing, exact series
-// round-trips (including awkward doubles), golden file bytes, resume
-// bit-identity, and graceful degradation on corrupt checkpoints. Plus the
+// round-trips (including awkward doubles), golden journal bytes, resume
+// bit-identity, graceful degradation on torn, corrupt or version-1
+// checkpoints, and cells persisted before they are announced. Plus the
 // FaultPlan construction-time validation that protects the same campaigns.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -167,17 +169,20 @@ TEST(CheckpointFile, GoldenBytes) {
   s.samples.push_back(a);
 
   const ExperimentConfig cfg = demo_config();
+  EXPECT_EQ(cell_config_hash_hex(cfg), "5edc60e7758ddaa9");
   CheckpointWriter writer{tmp.path(), 3};
   writer.add(1, cfg, s);
 
+  // Journal v2: a header line, then one record line carrying the FNV-1a of
+  // its JSON bytes. The record is in the file as soon as add() returns.
   const std::string expected =
-      std::string{"{\"format\":\"bnm-matrix-checkpoint\",\"version\":1,"} +
-      "\"cells\":3,\"records\":[{\"cell\":1,\"config_hash\":\"" +
-      cell_config_hash_hex(cfg) +
-      "\",\"series\":{\"case_label\":\"C (U)\",\"method_name\":\"XHR GET\","
+      "{\"format\":\"bnm-matrix-checkpoint\",\"version\":2,\"cells\":3}\n"
+      "{\"cell\":1,\"config_hash\":\"5edc60e7758ddaa9\","
+      "\"series\":{\"case_label\":\"C (U)\",\"method_name\":\"XHR GET\","
       "\"failures\":0,\"first_error\":\"\",\"accounting\":{\"timeouts\":0,"
       "\"transport_errors\":0,\"degraded\":0,\"http_retries\":0,"
-      "\"http_timeouts\":0},\"samples\":[[1.5,0,0,0,100.25,0,1,0]]}}]}\n";
+      "\"http_timeouts\":0},\"samples\":[[1.5,0,0,0,100.25,0,1,0]]}} "
+      "5dbd08c4e7393631\n";
   EXPECT_EQ(slurp(tmp.path()), expected);
 
   // And the reader accepts its own golden bytes.
@@ -230,7 +235,7 @@ TEST(CheckpointFile, ResumeIsBitIdenticalToCleanRun) {
   EXPECT_EQ(matrix_report_json(cells, resumed.series),
             matrix_report_json(cells, clean.series));
 
-  // The rewritten checkpoint also carries all four cells now.
+  // The recompacted journal also carries all four cells now.
   std::optional<CheckpointReader> reader =
       CheckpointReader::load(partial_ck.path());
   ASSERT_TRUE(reader.has_value());
@@ -298,6 +303,136 @@ TEST(CheckpointFile, CorruptOrMissingCheckpointDegradesToFreshRun) {
   error.clear();
   EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
   EXPECT_NE(error.find("format"), std::string::npos);
+}
+
+std::vector<ExperimentConfig> seeded_cells(int n) {
+  std::vector<ExperimentConfig> cells;
+  for (int i = 0; i < n; ++i) {
+    ExperimentConfig cfg = demo_config();
+    cfg.seed = 42 + static_cast<std::uint64_t>(i);
+    cells.push_back(cfg);
+  }
+  return cells;
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << bytes;
+}
+
+TEST(CheckpointJournal, TornTailKeepsEveryEarlierRecord) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(3);
+  OverheadSeries s;
+  s.case_label = "C (U)";
+  s.samples.resize(2);
+  TempFile ck{"torn"};
+  {
+    CheckpointWriter writer{ck.path(), cells.size()};
+    for (std::size_t i = 0; i < cells.size(); ++i) writer.add(i, cells[i], s);
+  }
+  const std::string whole = slurp(ck.path());
+  ASSERT_EQ(whole.back(), '\n');
+  const std::size_t last = whole.rfind('\n', whole.size() - 2) + 1;
+
+  // A kill can stop the append anywhere inside the last record line,
+  // including just before its newline.
+  for (std::size_t cut = last; cut < whole.size(); ++cut) {
+    spit(ck.path(), whole.substr(0, cut));
+    std::optional<CheckpointReader> reader = CheckpointReader::load(ck.path());
+    ASSERT_TRUE(reader.has_value()) << "cut at " << cut;
+    EXPECT_EQ(reader->records(), 2u) << "cut at " << cut;
+    EXPECT_NE(reader->lookup(0, cells[0]), nullptr) << "cut at " << cut;
+    EXPECT_NE(reader->lookup(1, cells[1]), nullptr) << "cut at " << cut;
+    EXPECT_EQ(reader->lookup(2, cells[2]), nullptr) << "cut at " << cut;
+  }
+}
+
+TEST(CheckpointJournal, CorruptMiddleRecordResumesToCleanReport) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(4);
+  MatrixOptions options;
+  options.jobs = 1;  // records land in cell order
+
+  TempFile clean_ck{"clean_journal"};
+  TempFile clean_report{"clean_report"};
+  options.checkpoint.path = clean_ck.path();
+  const MatrixResult clean = run_matrix_checked(cells, options);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(write_matrix_report(clean_report.path(), cells, clean.series));
+
+  // Flip one byte inside the second of four records: its checksum fails,
+  // so only the first record survives.
+  TempFile ck{"flipped"};
+  std::string bytes = slurp(clean_ck.path());
+  const std::size_t second = bytes.find('\n', bytes.find('\n') + 1) + 1;
+  bytes[second + 20] ^= 0x01;
+  spit(ck.path(), bytes);
+  std::optional<CheckpointReader> reader = CheckpointReader::load(ck.path());
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(reader->records(), 1u);
+
+  // Resume recompacts the journal and re-runs everything after the flip.
+  TempFile resumed_report{"resumed_report"};
+  options.checkpoint.path = ck.path();
+  options.checkpoint.resume = true;
+  const MatrixResult resumed = run_matrix_checked(cells, options);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resumed.cells_resumed, 1u);
+  EXPECT_EQ(resumed.cells_run, 3u);
+  ASSERT_TRUE(write_matrix_report(resumed_report.path(), cells, resumed.series));
+  EXPECT_EQ(slurp(resumed_report.path()), slurp(clean_report.path()));
+  EXPECT_EQ(slurp(ck.path()), slurp(clean_ck.path()));
+}
+
+TEST(CheckpointJournal, Version1FileGivesZeroRecordsAndAFreshRun) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(1);
+  TempFile ck{"v1"};
+  spit(ck.path(),
+       "{\"format\":\"bnm-matrix-checkpoint\",\"version\":1,\"cells\":1,"
+       "\"records\":[{\"cell\":0,\"config_hash\":\"" +
+           cell_config_hash_hex(cells[0]) +
+           "\",\"series\":{\"case_label\":\"STALE\",\"method_name\":\"\","
+           "\"failures\":0,\"first_error\":\"\",\"accounting\":{"
+           "\"timeouts\":0,\"transport_errors\":0,\"degraded\":0,"
+           "\"http_retries\":0,\"http_timeouts\":0},\"samples\":[]}}]}\n");
+  std::string error;
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_NE(error.find("version"), std::string::npos);
+
+  MatrixOptions options;
+  options.jobs = 1;
+  options.checkpoint.path = ck.path();
+  options.checkpoint.resume = true;
+  const MatrixResult result = run_matrix_checked(cells, options);
+  EXPECT_EQ(result.cells_resumed, 0u);
+  EXPECT_EQ(result.cells_run, 1u);
+  EXPECT_NE(result.series[0].case_label, "STALE");
+  std::optional<CheckpointReader> reader = CheckpointReader::load(ck.path());
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(reader->records(), 1u);
+}
+
+TEST(CheckpointJournal, CellIsPersistedBeforeItIsAnnounced) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(16);
+  TempFile ck{"announced"};
+  std::mutex mu;
+  std::vector<std::string> violations;
+  MatrixOptions options;
+  options.jobs = 4;
+  options.checkpoint.path = ck.path();
+  options.checkpoint.flush_every = 1;
+  options.progress = [&](std::size_t done, std::size_t) {
+    std::optional<CheckpointReader> reader = CheckpointReader::load(ck.path());
+    const std::size_t on_disk = reader ? reader->records() : 0;
+    if (on_disk < done) {
+      std::lock_guard<std::mutex> lock{mu};
+      violations.push_back(std::to_string(on_disk) + " records on disk at " +
+                           std::to_string(done) + " done");
+    }
+  };
+  const MatrixResult result = run_matrix_checked(cells, options);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.progress_errors, 0u);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST(FaultPlanValidation, RejectsIllFormedPlansOnConstruction) {

@@ -7,13 +7,18 @@
 //   bench_schema_check BENCH_perf_matrix.json BENCH_obs_overhead.json ...
 //
 // The schema each file is checked against is chosen by its basename.
+// Checkpoints (CHECKPOINT_*.json) are journals, checked line by line:
+// header schema, per-record schema and each record's checksum.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/fnv1a.h"
 #include "obs/json.h"
 
 namespace {
@@ -150,6 +155,7 @@ std::vector<Field> perf_matrix_schema() {
            {"disabled_overhead_percent", FieldType::kNumber, true, {}},
            {"disabled_delta_ms", FieldType::kNumber, true, {}},
            {"enabled_overhead_percent", FieldType::kNumber, true, {}},
+           {"enabled_delta_ms", FieldType::kNumber, true, {}},
            {"identical", FieldType::kBool, true, {}},
        }},
       {"capture_scan",
@@ -337,18 +343,24 @@ std::vector<Field> cell_record() {
   };
 }
 
-std::vector<Field> checkpoint_schema(const char* records_key) {
+// Matrix checkpoint journal header (line 1 of CHECKPOINT_*.json).
+std::vector<Field> checkpoint_header() {
   return {
       {"format", FieldType::kString, true, {}},
       {"version", FieldType::kInt, true, {}},
       {"cells", FieldType::kInt, true, {}},
-      {records_key,
-       FieldType::kArray,
-       true,
-       {
-           {"", FieldType::kObject, true, cell_record()},
-       }},
   };
+}
+
+std::vector<Field> matrix_report_schema() {
+  std::vector<Field> fields = checkpoint_header();
+  fields.push_back({"results",
+                    FieldType::kArray,
+                    true,
+                    {
+                        {"", FieldType::kObject, true, cell_record()},
+                    }});
+  return fields;
 }
 
 // ---- Campaign schemas --------------------------------------------------
@@ -443,25 +455,21 @@ std::vector<Field> campaign_aggregate() {
   };
 }
 
-std::vector<Field> campaign_checkpoint_schema() {
+// Campaign checkpoint journal: header line, then one record per shard.
+std::vector<Field> campaign_checkpoint_header() {
   return {
       {"format", FieldType::kString, true, {}},
       {"version", FieldType::kInt, true, {}},
       {"spec_hash", FieldType::kString, true, {}},
       {"clients", FieldType::kInt, true, {}},
       {"shards", FieldType::kInt, true, {}},
-      {"records",
-       FieldType::kArray,
-       true,
-       {
-           {"",
-            FieldType::kObject,
-            true,
-            {
-                {"shard", FieldType::kInt, true, {}},
-                {"state", FieldType::kObject, true, campaign_aggregate()},
-            }},
-       }},
+  };
+}
+
+std::vector<Field> campaign_shard_record() {
+  return {
+      {"shard", FieldType::kInt, true, {}},
+      {"state", FieldType::kObject, true, campaign_aggregate()},
   };
 }
 
@@ -656,9 +664,70 @@ const char* basename_of(const char* path) {
   return slash ? slash + 1 : path;
 }
 
+std::optional<std::string> read_text(const char* path) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) {
+    std::fprintf(stderr, "schema: cannot read %s\n", path);
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Parse `text` as one JSON object and check it against `schema`.
+void check_document(std::string_view text, const std::vector<Field>& schema,
+                    const std::string& where) {
+  std::string parse_error;
+  const auto doc = bnm::obs::json::parse(text, &parse_error);
+  if (!doc) {
+    error(where, "parse failed: " + parse_error);
+  } else if (!doc->is_object()) {
+    error(where, "top level is not an object");
+  } else {
+    check_object(*doc, schema, where);
+  }
+}
+
+// Checkpoint journals (core/journal.h): line 1 is the header object; every
+// further line is a record object, a space, and the 16-hex FNV-1a of the
+// object's bytes. The files checked here were closed cleanly, so a torn or
+// checksum-failing line is an error, not a tail to ignore.
+void check_journal(std::string_view text, const std::vector<Field>& header,
+                   const std::vector<Field>& record, const std::string& where) {
+  if (text.empty() || text.back() != '\n') {
+    error(where, "journal does not end with a newline");
+    return;
+  }
+  std::size_t line_no = 1;
+  for (std::size_t eol = text.find('\n'); eol != std::string_view::npos;
+       eol = text.find('\n'), ++line_no) {
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol + 1);
+    const std::string at = where + ":" + std::to_string(line_no);
+    if (line_no == 1) {
+      check_document(line, header, at);
+      continue;
+    }
+    constexpr std::size_t kSum = 16;
+    if (line.size() < kSum + 2 || line[line.size() - kSum - 1] != ' ') {
+      error(at, "record line lacks its checksum");
+      continue;
+    }
+    const std::string_view object = line.substr(0, line.size() - kSum - 1);
+    if (line.substr(line.size() - kSum) !=
+        bnm::core::hex16(bnm::core::fnv1a(object))) {
+      error(at, "record checksum mismatch");
+      continue;
+    }
+    check_document(object, record, at);
+  }
+}
+
 int check_file(const char* path) {
   const char* base = basename_of(path);
   std::vector<Field> schema;
+  std::vector<Field> record;  // non-empty: `path` is a checkpoint journal
   if (!std::strcmp(base, "BENCH_perf_matrix.json")) {
     schema = perf_matrix_schema();
   } else if (!std::strcmp(base, "BENCH_payload_copy.json")) {
@@ -677,43 +746,29 @@ int check_file(const char* path) {
     schema = campaign_report_schema();
   } else if (has_prefix(base, "CHECKPOINT_campaign")) {
     // Must precede the bare CHECKPOINT prefix (matrix checkpoints).
-    schema = campaign_checkpoint_schema();
+    schema = campaign_checkpoint_header();
+    record = campaign_shard_record();
   } else if (has_prefix(base, "CHECKPOINT")) {
-    schema = checkpoint_schema("records");
+    schema = checkpoint_header();
+    record = cell_record();
   } else if (has_prefix(base, "REPORT_matrix")) {
-    schema = checkpoint_schema("results");
+    schema = matrix_report_schema();
   } else {
     std::fprintf(stderr, "schema: no schema registered for %s\n", base);
     return 1;
   }
 
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "schema: cannot read %s\n", path);
-    return 1;
+  const std::optional<std::string> text = read_text(path);
+  if (!text) return 1;
+  const int before = g_errors;
+  if (record.empty()) {
+    check_document(*text, schema, base);
+  } else {
+    check_journal(*text, schema, record, base);
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-
-  std::string parse_error;
-  auto doc = bnm::obs::json::parse(ss.str(), &parse_error);
-  if (!doc) {
-    std::fprintf(stderr, "schema: %s: parse failed: %s\n", path,
-                 parse_error.c_str());
-    return 1;
-  }
-  if (!doc->is_object()) {
-    std::fprintf(stderr, "schema: %s: top level is not an object\n", path);
-    return 1;
-  }
-
-  int before = g_errors;
-  check_object(*doc, schema, base);
-  if (g_errors == before) {
-    std::printf("schema: %s OK\n", base);
-    return 0;
-  }
-  return 1;
+  if (g_errors != before) return 1;
+  std::printf("schema: %s OK\n", base);
+  return 0;
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 //      flows x 8k packets, request/ACK pairs with RFC 7323 timestamps)
 //      pushed through PassiveRttEstimator::observe — packets/sec is the
 //      number the Release gate in scripts/check.sh enforces a floor on.
-//   2. Report identity: the same stream consumed by two independent
-//      estimators must serialize byte-identical reports ("identical" —
-//      the determinism claim the offline-pcap gate builds on).
+//   2. Report: report_json timed on the headline estimator (report_ms,
+//      report_packets_per_sec), and the same stream consumed by a second,
+//      independent estimator must serialize a byte-identical report
+//      ("identical" — the determinism claim the offline-pcap gate builds
+//      on).
 //   3. Yield: fraction of data packets that produced an RTT sample (every
 //      echoed anchor, minus coarse-clock duplicates), sanity that the
 //      throughput number measures real matching work, not early-outs.
@@ -89,15 +91,17 @@ std::vector<Observation> synthesize(int flows, int packets_per_flow) {
   return stream;
 }
 
+double per_sec(std::uint64_t n, double ms) {
+  return ms > 0 ? static_cast<double>(n) / (ms / 1e3) : 0;
+}
+
 struct Headline {
   std::uint64_t packets = 0;
   int flows = 0;
   double wall_ms = 0;
   std::uint64_t samples = 0;
   std::uint64_t duplicate_tsvals = 0;
-  double packets_per_sec() const {
-    return wall_ms > 0 ? static_cast<double>(packets) / (wall_ms / 1e3) : 0;
-  }
+  double packets_per_sec() const { return per_sec(packets, wall_ms); }
 };
 
 Headline bench_headline(const std::vector<Observation>& stream, int flows,
@@ -121,8 +125,8 @@ Headline bench_headline(const std::vector<Observation>& stream, int flows,
   return h;
 }
 
-void write_json(const char* path, const Headline& h, bool identical,
-                std::size_t report_bytes, double yield) {
+void write_json(const char* path, const Headline& h, double report_ms,
+                bool identical, std::size_t report_bytes, double yield) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path);
@@ -137,6 +141,9 @@ void write_json(const char* path, const Headline& h, bool identical,
   std::fprintf(f, "  \"duplicate_tsvals\": %" PRIu64 ",\n",
                h.duplicate_tsvals);
   std::fprintf(f, "  \"sample_yield\": %.4f,\n", yield);
+  std::fprintf(f, "  \"report_ms\": %.3f,\n", report_ms);
+  std::fprintf(f, "  \"report_packets_per_sec\": %.1f,\n",
+               per_sec(h.packets, report_ms));
   std::fprintf(f, "  \"report_bytes\": %zu,\n", report_bytes);
   std::fprintf(f, "  \"identical_reports\": %s\n", identical ? "true" : "false");
   std::fprintf(f, "}\n");
@@ -172,6 +179,15 @@ int main(int argc, char** argv) {
   passive::PassiveRttEstimator est;
   const Headline h = bench_headline(stream, flows, est);
 
+  std::printf("report: rendering the headline estimator ... ");
+  std::fflush(stdout);
+  const auto t0 = Clock::now();
+  const std::string r1 = est.report_json("passive_scale");
+  const double report_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  std::printf("%.1f ms   (%.0f packets/s)\n", report_ms,
+              per_sec(h.packets, report_ms));
+
   // Same stream, fresh estimator: reports must agree byte for byte.
   std::printf("report identity: re-consuming the stream ... ");
   std::fflush(stdout);
@@ -179,7 +195,6 @@ int main(int argc, char** argv) {
   for (const Observation& ob : stream) {
     est2.observe(ob.packet, ob.at, ob.packet.payload.size());
   }
-  const std::string r1 = est.report_json("passive_scale");
   const std::string r2 = est2.report_json("passive_scale");
   const bool identical = r1 == r2;
   std::printf("%s (%zu-byte reports)\n", identical ? "identical" : "DIFFER",
@@ -192,7 +207,8 @@ int main(int argc, char** argv) {
   benchutil::shape_check(h.duplicate_tsvals > 0,
                          "coarse-clock duplicate path exercised");
 
-  write_json("BENCH_passive_scale.json", h, identical, r1.size(), yield);
+  write_json("BENCH_passive_scale.json", h, report_ms, identical, r1.size(),
+             yield);
 
   if (!identical) {
     std::fprintf(stderr, "FAIL: passive reports differ across replays\n");

@@ -1,6 +1,8 @@
 #include "net/pcap_reader.h"
 
+#include <algorithm>
 #include <fstream>
+#include <utility>
 
 #include "net/pcap_writer.h"
 
@@ -8,13 +10,27 @@ namespace bnm::net {
 
 namespace {
 
-bool read_u32le(std::istream& in, std::uint32_t& v) {
-  unsigned char b[4];
-  if (!in.read(reinterpret_cast<char*>(b), 4)) return false;
-  v = static_cast<std::uint32_t>(b[0]) | (static_cast<std::uint32_t>(b[1]) << 8) |
-      (static_cast<std::uint32_t>(b[2]) << 16) |
-      (static_cast<std::uint32_t>(b[3]) << 24);
-  return true;
+/// The rest of `in` in one buffer. in_avail() is the whole rest of an
+/// in-memory stream, so one read usually takes everything; a stream that
+/// reports less is read in doubling chunks.
+std::vector<std::uint8_t> read_all(std::istream& in) {
+  std::vector<std::uint8_t> bytes;
+  while (in && in.peek() != std::istream::traits_type::eof()) {
+    const std::size_t have = bytes.size();
+    const std::streamsize chunk = std::max<std::streamsize>(
+        {in.rdbuf()->in_avail(), static_cast<std::streamsize>(have), 4096});
+    bytes.resize(have + static_cast<std::size_t>(chunk));
+    in.read(reinterpret_cast<char*>(bytes.data() + have), chunk);
+    bytes.resize(have + static_cast<std::size_t>(in.gcount()));
+  }
+  return bytes;
+}
+
+std::uint32_t u32le(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
 std::uint16_t u16be(const unsigned char* p) {
@@ -100,58 +116,40 @@ std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
 
 PcapReader::Result PcapReader::read(std::istream& in) {
   Result result;
+  const auto fail = [&result](Error error) {
+    result.error = error;
+    return std::move(result);
+  };
+  // One buffer for the whole stream; every record's payload aliases it.
+  const Payload stream{read_all(in)};
+  const unsigned char* p = stream.data();
+  const std::size_t size = stream.size();
+  constexpr std::size_t kFileHeader = 24;
+  constexpr std::size_t kRecordHeader = 16;
 
-  std::uint32_t magic = 0;
-  if (!read_u32le(in, magic)) {
-    result.error = Error::kTruncated;
-    return result;
-  }
-  if (magic != 0xa1b2c3d4) {
-    // Big-endian or nanosecond variants are not produced by PcapWriter.
-    result.error = Error::kBadMagic;
-    return result;
-  }
-  std::uint32_t v_zone, v_sigfigs, v_snaplen;
-  std::uint32_t version = 0;
-  if (!read_u32le(in, version) || !read_u32le(in, v_zone) ||
-      !read_u32le(in, v_sigfigs) || !read_u32le(in, v_snaplen) ||
-      !read_u32le(in, result.link_type)) {
-    result.error = Error::kTruncated;
-    return result;
-  }
+  // Big-endian or nanosecond variants are not produced by PcapWriter.
+  if (size >= 4 && u32le(p) != 0xa1b2c3d4) return fail(Error::kBadMagic);
+  if (size < kFileHeader) return fail(Error::kTruncated);
+  result.link_type = u32le(p + 20);
   if (result.link_type != PcapWriter::kLinkTypeRaw) {
-    result.error = Error::kUnsupportedLinkType;
-    return result;
+    return fail(Error::kUnsupportedLinkType);
   }
 
-  for (;;) {
-    std::uint32_t ts_sec, ts_usec, incl_len, orig_len = 0;
-    if (!read_u32le(in, ts_sec)) break;  // clean EOF
-    if (!read_u32le(in, ts_usec) || !read_u32le(in, incl_len) ||
-        !read_u32le(in, orig_len)) {
-      result.error = Error::kTruncated;
-      return result;
-    }
-    std::vector<std::uint8_t> bytes(incl_len);
-    if (!in.read(reinterpret_cast<char*>(bytes.data()),
-                 static_cast<std::streamsize>(incl_len))) {
-      result.error = Error::kTruncated;
-      return result;
-    }
-    (void)orig_len;
-    // One buffer per frame; the parsed packet's payload aliases it.
-    const Payload frame{std::move(bytes)};
-    const auto packet = parse_frame(frame);
-    if (!packet) {
-      result.error = Error::kBadIpHeader;
-      return result;
-    }
-    PcapRecord rec;
-    rec.timestamp = sim::TimePoint::from_ns(
-        static_cast<std::int64_t>(ts_sec) * 1'000'000'000 +
-        static_cast<std::int64_t>(ts_usec) * 1'000);
-    rec.packet = *packet;
-    result.records.push_back(std::move(rec));
+  // Every length is checked against the bytes at hand before it is used,
+  // so a hostile incl_len costs nothing. Fewer than 4 bytes at a record
+  // boundary (not even a timestamp) is a clean end of file.
+  for (std::size_t off = kFileHeader; size - off >= 4;) {
+    if (size - off < kRecordHeader) return fail(Error::kTruncated);
+    const std::size_t incl_len = u32le(p + off + 8);
+    if (incl_len > size - off - kRecordHeader) return fail(Error::kTruncated);
+    auto packet = parse_frame(stream.subview(off + kRecordHeader, incl_len));
+    if (!packet) return fail(Error::kBadIpHeader);
+    const std::int64_t ts_sec = u32le(p + off);
+    const std::int64_t ts_usec = u32le(p + off + 4);
+    result.records.push_back(PcapRecord{
+        sim::TimePoint::from_ns(ts_sec * 1'000'000'000 + ts_usec * 1'000),
+        std::move(*packet)});
+    off += kRecordHeader + incl_len;
   }
   return result;
 }

@@ -38,8 +38,12 @@ class PcapReader {
   };
 
   /// Parse a whole pcap stream. Transport payloads are preserved;
-  /// timestamps become TimePoints relative to the epoch.
+  /// timestamps become TimePoints relative to the epoch. The rest of the
+  /// stream is read into one buffer: every record's payload is a zero-copy
+  /// view of it and keeps it alive, so records outlive the stream.
+  /// Lengths are bounds-checked against the bytes read before use.
   static Result read(std::istream& in);
+  /// read() over a file; an unopenable file is kTruncated.
   static Result read_file(const std::string& path);
 
   /// Parse one on-wire IPv4 frame (header + transport + payload) into a

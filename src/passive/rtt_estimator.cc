@@ -1,7 +1,6 @@
 #include "passive/rtt_estimator.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "obs/json.h"
@@ -24,60 +23,53 @@ bool seq_lt(std::uint32_t a, std::uint32_t b) {
 // Sweep cadence for anchor eviction: amortized, content-deterministic.
 constexpr std::uint64_t kEvictEvery = 4096;
 
-const obs::Counter& m_packets() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.packets_scanned", "packets", "observations fed to the matcher");
-  return c;
-}
-const obs::Counter& m_ts_packets() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.ts_packets", "packets", "observations carrying RFC 7323 TS");
-  return c;
-}
-const obs::Counter& m_anchors() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.anchors", "anchors", "TSval anchors stored (first sight)");
-  return c;
-}
-const obs::Counter& m_dup_tsvals() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.duplicate_tsvals", "packets",
-      "repeat TSvals at coarse clock granularity (not re-anchored)");
-  return c;
-}
-const obs::Counter& m_retx_poisoned() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.retransmit_poisoned", "anchors",
-      "anchors poisoned by the Karn's-rule analogue");
-  return c;
-}
-const obs::Counter& m_suppressed() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.suppressed_samples", "samples",
-      "echoes of poisoned anchors (discarded, never emitted)");
-  return c;
-}
-const obs::Counter& m_samples() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.samples", "samples", "RTT samples emitted");
-  return c;
-}
-const obs::Counter& m_unmatched() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.unmatched_echoes", "packets",
-      "TSecr with no stored anchor (unidirectional visibility / evicted)");
-  return c;
-}
-const obs::Counter& m_evicted() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.evicted_anchors", "anchors",
-      "anchors aged out of the matching window");
-  return c;
-}
-const obs::Counter& m_half_flows() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "passive.half_flows", "flows", "directional (src,dst) pairs observed");
-  return c;
+// One row per PassiveCounters field, in report order: its report_json key
+// and the `passive.*` registry counter it is published to.
+struct CounterField {
+  std::uint64_t PassiveCounters::*field;
+  const char* key;
+  const char* metric;
+  const char* unit;
+  const char* help;
+};
+constexpr CounterField kCounterFields[] = {
+    {&PassiveCounters::packets, "packets", "passive.packets_scanned",
+     "packets", "observations fed to the matcher"},
+    {&PassiveCounters::ts_packets, "ts_packets", "passive.ts_packets",
+     "packets", "observations carrying RFC 7323 TS"},
+    {&PassiveCounters::anchors, "anchors", "passive.anchors", "anchors",
+     "TSval anchors stored (first sight)"},
+    {&PassiveCounters::duplicate_tsvals, "duplicate_tsvals",
+     "passive.duplicate_tsvals", "packets",
+     "repeat TSvals at coarse clock granularity (not re-anchored)"},
+    {&PassiveCounters::retransmit_poisoned, "retransmit_poisoned",
+     "passive.retransmit_poisoned", "anchors",
+     "anchors poisoned by the Karn's-rule analogue"},
+    {&PassiveCounters::suppressed_samples, "suppressed_samples",
+     "passive.suppressed_samples", "samples",
+     "echoes of poisoned anchors (discarded, never emitted)"},
+    {&PassiveCounters::samples, "samples", "passive.samples", "samples",
+     "RTT samples emitted"},
+    {&PassiveCounters::unmatched_echoes, "unmatched_echoes",
+     "passive.unmatched_echoes", "packets",
+     "TSecr with no stored anchor (unidirectional visibility / evicted)"},
+    {&PassiveCounters::evicted, "evicted", "passive.evicted_anchors",
+     "anchors", "anchors aged out of the matching window"},
+    {&PassiveCounters::half_flows, "half_flows", "passive.half_flows", "flows",
+     "directional (src,dst) pairs observed"},
+};
+
+/// The registry counters of kCounterFields, index for index.
+const std::vector<obs::Counter>& counter_metrics() {
+  static const std::vector<obs::Counter> metrics = [] {
+    std::vector<obs::Counter> m;
+    for (const CounterField& f : kCounterFields) {
+      m.push_back(obs::MetricsRegistry::instance().counter(f.metric, f.unit,
+                                                           f.help));
+    }
+    return m;
+  }();
+  return metrics;
 }
 
 }  // namespace
@@ -208,92 +200,99 @@ void PassiveRttEstimator::consume(const std::vector<net::PcapRecord>& records) {
 }
 
 void PassiveRttEstimator::publish_metrics() {
-  m_packets().add(counters_.packets - published_.packets);
-  m_ts_packets().add(counters_.ts_packets - published_.ts_packets);
-  m_anchors().add(counters_.anchors - published_.anchors);
-  m_dup_tsvals().add(counters_.duplicate_tsvals - published_.duplicate_tsvals);
-  m_retx_poisoned().add(counters_.retransmit_poisoned -
-                        published_.retransmit_poisoned);
-  m_suppressed().add(counters_.suppressed_samples -
-                     published_.suppressed_samples);
-  m_samples().add(counters_.samples - published_.samples);
-  m_unmatched().add(counters_.unmatched_echoes - published_.unmatched_echoes);
-  m_evicted().add(counters_.evicted - published_.evicted);
-  m_half_flows().add(counters_.half_flows - published_.half_flows);
+  const std::vector<obs::Counter>& metrics = counter_metrics();
+  for (std::size_t i = 0; i < metrics.size(); ++i) {
+    const auto field = kCounterFields[i].field;
+    metrics[i].add(counters_.*field - published_.*field);
+  }
   published_ = counters_;
 }
 
 std::string PassiveRttEstimator::report_json(const std::string& label) const {
-  using obs::json::Value;
-  Value root = Value::object();
-  root.add("schema", Value::string("bnm.passive.report.v1"));
-  root.add("label", Value::string(label));
-  root.add("quantum_ns",
-           Value::integer(config_.timestamp_quantum.ns()));
+  using obs::json::escape_to;
+  using obs::json::integer_to;
 
-  Value counters = Value::object();
-  counters.add("packets", Value::integer(
-                              static_cast<std::int64_t>(counters_.packets)));
-  counters.add("ts_packets",
-               Value::integer(static_cast<std::int64_t>(counters_.ts_packets)));
-  counters.add("anchors",
-               Value::integer(static_cast<std::int64_t>(counters_.anchors)));
-  counters.add("duplicate_tsvals",
-               Value::integer(static_cast<std::int64_t>(
-                   counters_.duplicate_tsvals)));
-  counters.add("retransmit_poisoned",
-               Value::integer(static_cast<std::int64_t>(
-                   counters_.retransmit_poisoned)));
-  counters.add("suppressed_samples",
-               Value::integer(static_cast<std::int64_t>(
-                   counters_.suppressed_samples)));
-  counters.add("samples",
-               Value::integer(static_cast<std::int64_t>(counters_.samples)));
-  counters.add("unmatched_echoes",
-               Value::integer(static_cast<std::int64_t>(
-                   counters_.unmatched_echoes)));
-  counters.add("evicted",
-               Value::integer(static_cast<std::int64_t>(counters_.evicted)));
-  counters.add("half_flows",
-               Value::integer(static_cast<std::int64_t>(counters_.half_flows)));
-  root.add("counters", std::move(counters));
-
-  // Per-flow summaries, keyed and ordered by "from > to" label so the
-  // serialization never depends on hash-map iteration order.
-  std::map<std::string, std::vector<double>> per_flow;
+  // Group samples by (from, to) once: each flow's endpoint strings, its
+  // "from > to" label and the text its samples open with are rendered once.
+  struct Flow {
+    std::string label;
+    std::string head;  ///< a sample object up to its anchor_ns value
+    std::vector<double> rtts;
+  };
+  std::vector<Flow> flows;
+  std::vector<std::size_t> flow_of;  // sample index -> flows index
+  flow_of.reserve(samples_.size());
+  std::unordered_map<HalfFlowKey, std::size_t, HalfFlowKeyHash> index;
   for (const PassiveSample& s : samples_) {
-    per_flow[s.from.to_string() + " > " + s.to.to_string()].push_back(
-        static_cast<double>(s.rtt.ns()));
+    const auto [it, fresh] =
+        index.try_emplace(HalfFlowKey{s.from, s.to}, flows.size());
+    if (fresh) {  // endpoint strings are digits, dots and a colon
+      const std::string from = s.from.to_string();
+      const std::string to = s.to.to_string();
+      flows.push_back({from + " > " + to,
+                       "{\"from\":\"" + from + "\",\"to\":\"" + to +
+                           "\",\"anchor_ns\":",
+                       {}});
+    }
+    flows[it->second].rtts.push_back(static_cast<double>(s.rtt.ns()));
+    flow_of.push_back(it->second);
   }
-  Value flows = Value::array();
-  for (auto& [flow_label, rtts] : per_flow) {
+  // Flow summaries are ordered by label string, so the serialization never
+  // depends on hash-map iteration order ("10.0.0.10:80" < "10.0.0.9:80").
+  std::vector<Flow*> by_label;
+  by_label.reserve(flows.size());
+  for (Flow& f : flows) by_label.push_back(&f);
+  std::sort(by_label.begin(), by_label.end(),
+            [](const Flow* a, const Flow* b) { return a->label < b->label; });
+
+  std::string out;
+  out.reserve(512 + 128 * flows.size() + 128 * samples_.size());
+  out += "{\"schema\":\"bnm.passive.report.v1\",\"label\":\"";
+  escape_to(out, label);
+  out += "\",\"quantum_ns\":";
+  integer_to(out, config_.timestamp_quantum.ns());
+  out += ",\"counters\":{";
+  for (const CounterField& f : kCounterFields) {
+    out += '"';
+    out += f.key;
+    out += "\":";
+    integer_to(out, static_cast<std::int64_t>(counters_.*f.field));
+    out += ',';
+  }
+  out.back() = '}';
+
+  out += ",\"flows\":[";
+  for (std::size_t i = 0; i < by_label.size(); ++i) {
+    std::vector<double>& rtts = by_label[i]->rtts;
     std::sort(rtts.begin(), rtts.end());
-    Value f = Value::object();
-    f.add("flow", Value::string(flow_label));
-    f.add("samples", Value::integer(static_cast<std::int64_t>(rtts.size())));
-    f.add("min_rtt_ns",
-          Value::integer(static_cast<std::int64_t>(rtts.front())));
-    f.add("median_rtt_ns",
-          Value::integer(static_cast<std::int64_t>(
-              stats::quantile_sorted(rtts, 0.5))));
-    f.add("max_rtt_ns", Value::integer(static_cast<std::int64_t>(rtts.back())));
-    flows.push(std::move(f));
+    out += i == 0 ? "{\"flow\":\"" : ",{\"flow\":\"";
+    escape_to(out, by_label[i]->label);
+    out += "\",\"samples\":";
+    integer_to(out, static_cast<std::int64_t>(rtts.size()));
+    out += ",\"min_rtt_ns\":";
+    integer_to(out, static_cast<std::int64_t>(rtts.front()));
+    out += ",\"median_rtt_ns\":";
+    integer_to(out,
+               static_cast<std::int64_t>(stats::quantile_sorted(rtts, 0.5)));
+    out += ",\"max_rtt_ns\":";
+    integer_to(out, static_cast<std::int64_t>(rtts.back()));
+    out += '}';
   }
-  root.add("flows", std::move(flows));
 
-  Value samples = Value::array();
-  for (const PassiveSample& s : samples_) {
-    Value v = Value::object();
-    v.add("from", Value::string(s.from.to_string()));
-    v.add("to", Value::string(s.to.to_string()));
-    v.add("anchor_ns", Value::integer(s.anchor_at.ns_since_epoch()));
-    v.add("rtt_ns", Value::integer(s.rtt.ns()));
-    v.add("tsval", Value::integer(static_cast<std::int64_t>(s.tsval)));
-    v.add("first", Value::boolean(s.first_on_flow));
-    samples.push(std::move(v));
+  out += "],\"samples\":[";
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    const PassiveSample& s = samples_[i];
+    if (i != 0) out += ',';
+    out += flows[flow_of[i]].head;
+    integer_to(out, s.anchor_at.ns_since_epoch());
+    out += ",\"rtt_ns\":";
+    integer_to(out, s.rtt.ns());
+    out += ",\"tsval\":";
+    integer_to(out, static_cast<std::int64_t>(s.tsval));
+    out += s.first_on_flow ? ",\"first\":true}" : ",\"first\":false}";
   }
-  root.add("samples", std::move(samples));
-  return root.dump();
+  out += "]}";
+  return out;
 }
 
 }  // namespace bnm::passive

@@ -108,7 +108,8 @@ class PassiveRttEstimator {
 
   /// Canonical machine report: a deterministic function of the observed
   /// packet stream (counters, per-flow summaries, every sample in
-  /// microseconds). Compact obs::json serialization — the live-vs-offline
+  /// microseconds). Streamed into one string, no obs::json::Value tree;
+  /// the bytes are pinned by a literal-bytes test, and the live-vs-offline
   /// byte-identity gate compares these strings.
   std::string report_json(const std::string& label) const;
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "net/capture.h"
@@ -135,6 +136,110 @@ TEST(PcapReader, FileRoundTrip) {
 TEST(PcapReader, MissingFileErrors) {
   const auto result = PcapReader::read_file("/nonexistent/nope.pcap");
   EXPECT_FALSE(result.ok());
+}
+
+// --- stream reader: hostile lengths, truncation, aliasing ------------------
+
+std::string le32(std::uint32_t v) {
+  std::string b(4, '\0');
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return b;
+}
+
+std::string global_header() {
+  return le32(0xa1b2c3d4) + le32(0x00040002) + le32(0) + le32(0) +
+         le32(65535) + le32(PcapWriter::kLinkTypeRaw);
+}
+
+TEST(PcapReader, HostileInclLenIsTruncationNotAnAllocation) {
+  // One record header claiming a 4 GiB frame in a 40-byte file: the reader
+  // must notice the missing bytes before it sizes anything by incl_len.
+  const std::string bytes = global_header() + le32(0) + le32(0) +
+                            le32(0xFFFFFFFFu) + le32(0xFFFFFFFFu);
+  ASSERT_EQ(bytes.size(), 40u);
+  std::stringstream in{bytes};
+  const auto result = PcapReader::read(in);
+  EXPECT_EQ(result.error, PcapReader::Error::kTruncated);
+  EXPECT_TRUE(result.records.empty());
+}
+
+/// Three records (TCP with timestamps, UDP, bare TCP) written by PcapWriter.
+std::vector<Packet> three_packets() {
+  Packet ts = sample_tcp();
+  ts.ts.present = true;
+  ts.ts.tsval = 0x01020304;
+  ts.ts.tsecr = 0x0a0b0c0d;
+  Packet bare = sample_tcp();
+  bare.payload = to_bytes("HTTP/1.1 200 OK\r\n\r\nhello");
+  return {ts, sample_udp(), bare};
+}
+
+std::string three_record_pcap() {
+  sim::Simulation sim{5};
+  PacketCapture cap{sim};
+  for (const Packet& p : three_packets()) {
+    cap.record(CaptureDirection::kOutbound, p);
+  }
+  std::stringstream buf;
+  PcapWriter::write(cap, buf);
+  return buf.str();
+}
+
+TEST(PcapReader, TruncationAtEveryByteOffset) {
+  const std::string full = three_record_pcap();
+  // Record end offsets, from each record header's incl_len.
+  std::vector<std::size_t> ends;
+  for (std::size_t off = 24; off < full.size();) {
+    std::uint32_t incl = 0;
+    for (int i = 3; i >= 0; --i) {
+      incl = (incl << 8) | static_cast<unsigned char>(full[off + 8 + i]);
+    }
+    off += 16 + incl;
+    ends.push_back(off);
+  }
+  ASSERT_EQ(ends.size(), 3u);
+  ASSERT_EQ(ends.back(), full.size());
+
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    SCOPED_TRACE("prefix length " + std::to_string(len));
+    // What the reader must report for this prefix: a short global header
+    // or a cut inside a record is truncation; 0-3 stray bytes after the
+    // last whole record (too few for a timestamp) read as a clean end.
+    PcapReader::Error want_error = PcapReader::Error::kTruncated;
+    std::size_t want_records = 0;
+    if (len >= 24) {
+      std::size_t whole = 0;
+      std::size_t last_end = 24;
+      while (whole < ends.size() && ends[whole] <= len) last_end = ends[whole++];
+      want_records = whole;
+      if (len - last_end < 4) want_error = PcapReader::Error::kNone;
+    }
+    std::stringstream in{full.substr(0, len)};
+    const auto result = PcapReader::read(in);
+    EXPECT_EQ(result.error, want_error);
+    EXPECT_EQ(result.records.size(), want_records);
+  }
+}
+
+TEST(PcapReader, RecordsOutliveTheirSourceStream) {
+  PcapReader::Result result;
+  {
+    auto in = std::make_unique<std::stringstream>(three_record_pcap());
+    result = PcapReader::read(*in);
+  }  // the stream and its buffer are gone; the records must not care
+  ASSERT_TRUE(result.ok());
+  const std::vector<Packet> written = three_packets();
+  ASSERT_EQ(result.records.size(), written.size());
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const Packet& got = result.records[i].packet;
+    EXPECT_EQ(got.protocol, written[i].protocol);
+    EXPECT_EQ(got.src, written[i].src);
+    EXPECT_EQ(got.dst, written[i].dst);
+    EXPECT_EQ(got.ts, written[i].ts);
+    EXPECT_EQ(got.payload, written[i].payload);
+    EXPECT_EQ(got.payload.as_string(), written[i].payload.as_string());
+  }
 }
 
 }  // namespace

@@ -594,6 +594,8 @@ std::vector<Field> passive_scale_schema() {
       {"samples", FieldType::kInt, true, {}},
       {"duplicate_tsvals", FieldType::kInt, true, {}},
       {"sample_yield", FieldType::kNumber, true, {}},
+      {"report_ms", FieldType::kNumber, true, {}},
+      {"report_packets_per_sec", FieldType::kNumber, true, {}},
       {"report_bytes", FieldType::kInt, true, {}},
       {"identical_reports", FieldType::kBool, true, {}},
   };

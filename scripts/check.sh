@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus an AddressSanitizer pass, a perf gate, the
-# observability gates (obs tests, obs_overhead A/B, bench-JSON schemas),
-# the Release kernel gate (calendar-vs-heap bit-identity across the full
-# matrix + a scheduler events/sec floor), the campaign gates (100k-client
-# Release throughput floor, O(shards) aggregation memory, shard-count and
-# kill/resume report byte-identity) and the passive gates (TSval-matcher
-# packets/sec floor + offline-pcap report byte-identity vs the live tap).
+# Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes, a
+# perf gate, the observability gates (obs tests, obs_overhead A/B,
+# bench-JSON schemas), the Release kernel gate (calendar-vs-heap
+# bit-identity across the full matrix + a scheduler events/sec floor), the
+# campaign gates (100k-client Release throughput floor, O(shards)
+# aggregation memory, shard-count and kill/resume report byte-identity) and
+# the passive gates (TSval-matcher packets/sec floor + offline-pcap report
+# byte-identity vs the live tap).
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
-#                             # then Release perf_matrix (arena A/B gate) and
+#                             # TSan build + the threaded suites, then
+#                             # Release perf_matrix (arena A/B gate) and
 #                             # obs_overhead (overhead/determinism gates) runs
 #                             # plus schema validation of every BENCH_*.json
-#   scripts/check.sh --fast   # plain build + ctest only (skip ASan/perf/obs)
+#   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
-# build-asan/ (ASan) and build-release/ (perf); all incremental across
-# invocations.
+# build-asan/ (ASan), build-tsan/ (TSan) and build-release/ (perf); all
+# incremental across invocations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,6 +86,21 @@ cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bn
 step "asan: ctest"
 ctest --test-dir build-asan --output-on-failure
 
+step "tsan: configure (BNM_SANITIZE=thread)"
+# shellcheck disable=SC2046
+cmake -B build-tsan -S . $(gen_for build-tsan) -DBNM_SANITIZE=thread
+
+step "tsan: build tests"
+cmake --build build-tsan -j --target bnm_tests bnm_resilience_tests bnm_campaign_tests
+
+step "tsan: ctest (job runner, pool, watchdog thread, campaign)"
+# The runner's lock, its pool and the watchdog thread race for real on a
+# multi-core host; these suites drive all three at jobs > 1. No
+# suppressions: a report fails the step.
+ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign'
+ctest --test-dir build-tsan --output-on-failure \
+  -R 'ParallelRunner|ThreadPool|CheckedRunner'
+
 step "perf: configure (Release)"
 # shellcheck disable=SC2046
 cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
@@ -106,11 +123,12 @@ if ! grep -q '"identical": true' build-release/BENCH_perf_matrix.json; then
 fi
 
 step "resilience: checkpoint disabled-overhead gate (<1% or sub-ms noise)"
-# The crash-safe engine with every feature off must not tax healthy runs:
-# under 1% over legacy run_matrix, with a sub-millisecond absolute slack
-# because the full-matrix baseline is only ~30-60 ms and percentages of it
-# sit inside single-core VM jitter. perf_matrix already hard-fails when the
-# checked engine's results are not bit-identical to run_matrix's.
+# The job runner with every feature off must not tax healthy runs: under
+# 1% over a bare loop of run_experiment calls (one arena, reset per cell),
+# with a sub-millisecond absolute slack because the full-matrix baseline is
+# only ~30-60 ms and percentages of it sit inside single-core VM jitter.
+# perf_matrix already hard-fails when the checked engine's results are not
+# bit-identical to the bare loop's.
 CK_PCT=$(sed -n 's/.*"disabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
   build-release/BENCH_perf_matrix.json | head -n1)
 CK_DELTA=$(sed -n 's/.*"disabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
@@ -121,15 +139,15 @@ if [[ -z "$CK_PCT" || -z "$CK_DELTA" ]]; then
 fi
 if ! awk -v pct="$CK_PCT" -v delta="$CK_DELTA" \
     'BEGIN { exit (pct + 0 < 1.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over run_matrix" >&2
+  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over the bare loop" >&2
   exit 1
 fi
-echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs run_matrix"
+echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs the bare loop"
 
 step "resilience: checkpoint enabled-overhead gate (<10% or sub-ms noise)"
 # Checkpointing at flush_every = 1 (the chaos gate's setting) appends one
-# journal record per cell; it must cost under 10% over run_matrix, with the
-# same sub-millisecond absolute slack as the disabled gate.
+# journal record per cell; it must cost under 10% over the bare loop, with
+# the same sub-millisecond absolute slack as the disabled gate.
 CK_ON_PCT=$(sed -n 's/.*"enabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
   build-release/BENCH_perf_matrix.json | head -n1)
 CK_ON_DELTA=$(sed -n 's/.*"enabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
@@ -140,10 +158,10 @@ if [[ -z "$CK_ON_PCT" || -z "$CK_ON_DELTA" ]]; then
 fi
 if ! awk -v pct="$CK_ON_PCT" -v delta="$CK_ON_DELTA" \
     'BEGIN { exit (pct + 0 < 10.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — checkpointing at flush_every=1 costs ${CK_ON_PCT}% (${CK_ON_DELTA} ms) over run_matrix" >&2
+  echo "check.sh: FAIL — checkpointing at flush_every=1 costs ${CK_ON_PCT}% (${CK_ON_DELTA} ms) over the bare loop" >&2
   exit 1
 fi
-echo "checkpoint overhead gate OK: enabled engine ${CK_ON_PCT}% (${CK_ON_DELTA} ms) vs run_matrix"
+echo "checkpoint overhead gate OK: enabled engine ${CK_ON_PCT}% (${CK_ON_DELTA} ms) vs the bare loop"
 
 step "kernel: Release gate (calendar/heap identity + throughput floor)"
 # The calendar queue must reproduce the binary-heap reference bit-for-bit
@@ -342,4 +360,4 @@ echo "campaign chaos gate OK: killed after 3 shards, resumed byte-identical"
   "$CAMP_DIR"/CHECKPOINT_campaign.json "$CAMP_DIR"/REPORT_campaign_*.json
 
 echo
-echo "check.sh: tier-1 + ASan + perf + obs + resilience + campaign + passive OK"
+echo "check.sh: tier-1 + ASan + TSan + perf + obs + resilience + campaign + passive OK"

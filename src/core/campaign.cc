@@ -533,24 +533,15 @@ std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
   return out;
 }
 
-/// Shared completion state for the serial and pooled paths.
-struct CampaignState {
-  std::mutex mu;
-  CampaignResult* result = nullptr;
-  const CampaignOptions* options = nullptr;
-  JournalWriter* checkpoint = nullptr;  ///< nullptr = off
-  std::size_t done = 0;
-  std::chrono::steady_clock::time_point started;
-};
-
-/// Simulate clients [first, last) into a fresh aggregate. Runs with an
-/// arena scope active; the arena is rewound wholesale after every client
-/// (the testbed dies with run_experiment; the aggregate uses the global
-/// allocator).
+/// Simulate clients [first, last) into a fresh aggregate. The runner's
+/// arena is rewound wholesale after every client (the testbed dies with
+/// run_experiment; the aggregate uses the global allocator). The runner
+/// always installs a scope, but Arena::current() is null while arenas are
+/// globally disabled (Campaign.ReportByteIdenticalArenaOnAndOff).
 CampaignAggregate run_shard_clients(const CampaignSampler& sampler,
                                     const CampaignSpec& spec,
-                                    std::uint64_t first, std::uint64_t last,
-                                    sim::Arena& arena) {
+                                    std::uint64_t first, std::uint64_t last) {
+  sim::Arena* arena = sim::Arena::current();
   CampaignAggregate agg{spec.grid, sampler.profile_count()};
   for (std::uint64_t client = first; client < last; ++client) {
     std::size_t profile_index = 0;
@@ -562,52 +553,9 @@ CampaignAggregate run_shard_clients(const CampaignSampler& sampler,
       ++agg.failed_clients;  // poisoned client, not a poisoned campaign
       client_failures_counter().add();
     }
-    arena.reset();
+    if (arena != nullptr) arena->reset();
   }
   return agg;
-}
-
-/// Fold one executed shard into the result: merge, checkpoint, metrics,
-/// trace span, then the guarded progress callback — checkpoint strictly
-/// before progress so a --kill-after harness that dies inside the callback
-/// finds the shard durable on resume.
-void finish_shard(CampaignState& st, std::size_t shard,
-                  const CampaignAggregate& agg,
-                  std::chrono::steady_clock::time_point shard_start) {
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock{st.mu};
-  st.result->aggregate.merge(agg);
-  ++st.result->shards_run;
-  shards_completed_counter().add();
-  clients_simulated_counter().add(agg.clients);
-  samples_counter().add(agg.samples);
-  if (st.checkpoint) {
-    BNM_PROF_SCOPE("campaign.checkpoint_flush");
-    st.checkpoint->append(shard_record(shard, agg));
-  }
-  if (st.options->trace) {
-    const auto since = [&](std::chrono::steady_clock::time_point t) {
-      return sim::Duration::nanos(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t - st.started)
-              .count());
-    };
-    st.options->trace->emit_span(
-        sim::TimePoint::epoch() + since(shard_start), since(now) - since(shard_start),
-        "campaign", "shard",
-        {{"shard", static_cast<std::int64_t>(shard)},
-         {"clients", static_cast<std::int64_t>(agg.clients)},
-         {"samples", static_cast<std::int64_t>(agg.samples)},
-         {"failed_clients", static_cast<std::int64_t>(agg.failed_clients)}});
-  }
-  ++st.done;
-  if (st.options->progress) {
-    try {
-      st.options->progress(st.done, st.result->shards);
-    } catch (...) {
-      ++st.result->progress_errors;
-      progress_errors_counter().add();
-    }
-  }
 }
 
 }  // namespace
@@ -632,7 +580,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.shards = shards;
 
   std::optional<JournalWriter> checkpoint;
-  std::vector<bool> resumed(shards, false);
+  std::vector<char> resumed(shards, 0);
   if (!options.checkpoint.empty()) {
     std::vector<std::string> carried;
     if (options.resume) {
@@ -640,7 +588,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
            load_campaign_checkpoint(options.checkpoint, spec, shards,
                                     sampler.profile_count())) {
         result.aggregate.merge(agg);
-        resumed[shard] = true;
+        resumed[shard] = 1;
         ++result.shards_resumed;
         carried.push_back(shard_record(shard, agg));
       }
@@ -651,61 +599,58 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                        checkpoint_flushes_counter());
   }
 
-  CampaignState st;
-  st.result = &result;
-  st.options = &options;
-  st.checkpoint = checkpoint ? &*checkpoint : nullptr;
-  st.done = result.shards_resumed;
-  st.started = std::chrono::steady_clock::now();
-
-  const auto shard_range = [&](std::size_t shard) {
-    const std::uint64_t first = spec.clients * shard / shards;
-    const std::uint64_t last = spec.clients * (shard + 1) / shards;
-    return std::pair<std::uint64_t, std::uint64_t>{first, last};
+  // A shard is one runner unit: simulate its clients, then merge,
+  // checkpoint and trace it under the campaign's lock. The runner tells
+  // progress only after the unit returns, so a --kill-after harness that
+  // dies inside the callback finds the shard durable on resume.
+  std::mutex mu;
+  const auto started = std::chrono::steady_clock::now();
+  const auto since_start = [&](std::chrono::steady_clock::time_point t) {
+    return sim::Duration::nanos(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - started)
+            .count());
   };
-  const auto cancel_requested = [&] {
-    return options.cancel &&
-           options.cancel->load(std::memory_order_acquire);
-  };
-
-  const int jobs = resolve_jobs(options.jobs, shards);
-  if (jobs == 1) {
-    sim::Arena arena;
-    sim::ArenaScope scope{&arena};
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (resumed[shard]) continue;
-      if (cancel_requested()) {
-        result.cancelled = true;
-        break;
-      }
-      const auto [first, last] = shard_range(shard);
-      const auto t0 = std::chrono::steady_clock::now();
-      const CampaignAggregate agg =
-          run_shard_clients(sampler, spec, first, last, arena);
-      finish_shard(st, shard, agg, t0);
-    }
-  } else {
-    ThreadPool pool{jobs};
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      if (resumed[shard]) continue;
-      pool.submit([&, shard] {
-        if (cancel_requested()) {
-          std::lock_guard<std::mutex> lock{st.mu};
-          result.cancelled = true;
-          return;  // graceful drain: in-flight shards finish
-        }
-        thread_local sim::Arena worker_arena;
-        sim::ArenaScope scope{&worker_arena};
-        const auto [first, last] = shard_range(shard);
+  MatrixOptions policy;
+  policy.jobs = options.jobs;
+  policy.progress = options.progress;
+  policy.cancel = options.cancel;
+  const MatrixResult run = run_units(
+      resumed, policy, [&](std::size_t shard, CellWatchdog*) {
         const auto t0 = std::chrono::steady_clock::now();
-        const CampaignAggregate agg =
-            run_shard_clients(sampler, spec, first, last, worker_arena);
-        finish_shard(st, shard, agg, t0);
+        const CampaignAggregate agg = run_shard_clients(
+            sampler, spec, spec.clients * shard / shards,
+            spec.clients * (shard + 1) / shards);
+        const auto t1 = std::chrono::steady_clock::now();
+        std::lock_guard<std::mutex> lock{mu};
+        result.aggregate.merge(agg);
+        shards_completed_counter().add();
+        clients_simulated_counter().add(agg.clients);
+        samples_counter().add(agg.samples);
+        if (checkpoint) {
+          BNM_PROF_SCOPE("campaign.checkpoint_flush");
+          checkpoint->append(shard_record(shard, agg));
+        }
+        if (options.trace) {
+          options.trace->emit_span(
+              sim::TimePoint::epoch() + since_start(t0),
+              since_start(t1) - since_start(t0), "campaign", "shard",
+              {{"shard", static_cast<std::int64_t>(shard)},
+               {"clients", static_cast<std::int64_t>(agg.clients)},
+               {"samples", static_cast<std::int64_t>(agg.samples)},
+               {"failed_clients",
+                static_cast<std::int64_t>(agg.failed_clients)}});
+        }
       });
-    }
-    pool.wait_idle();
+  progress_errors_counter().add(run.progress_errors);
+  if (!run.quarantined.empty()) {
+    // A shard-level failure would leave its clients out of the report.
+    const CellError& e = run.quarantined.front();
+    throw std::runtime_error("campaign shard " + std::to_string(e.cell) +
+                             " failed: " + e.what);
   }
-
+  result.shards_run = run.cells_run;
+  result.progress_errors = run.progress_errors;
+  result.cancelled = run.cancelled;
   return result;  // ~JournalWriter flushes any flush_every remainder
 }
 

@@ -1,4 +1,4 @@
-// Fleet-scale measurement campaigns over the crash-safe engine.
+// Fleet-scale measurement campaigns over the job runner.
 //
 // A matrix run (parallel_runner.h) answers "what do these exact cells
 // produce?" and keeps every sample. A *campaign* answers the population
@@ -12,11 +12,14 @@
 //     capabilities, and per-client path conditions (log-normal RTT,
 //     bandwidth choices, a lossy fraction). Client k's configuration is a
 //     pure function of (spec, k) — never of the shard layout.
-//   * Clients are partitioned into contiguous shards. Each shard folds its
-//     clients into a CampaignAggregate: per-method and per-profile
-//     stats::QuantileSketch grids, fixed-bucket overhead histograms (the
-//     same bounds as the registry's experiment.browser_overhead_us), and
-//     resilience counters. Aggregate state is a few hundred KB regardless
+//   * Clients are partitioned into contiguous shards, and each shard is one
+//     unit of the job runner (core::run_units, parallel_runner.h): on the
+//     calling thread when the resolved jobs == 1, on a ThreadPool
+//     otherwise, with the runner's cancel and progress contract. Each
+//     shard folds its clients into a CampaignAggregate: per-method and
+//     per-profile stats::QuantileSketch grids, fixed-bucket overhead
+//     histograms (the same bounds as the registry's
+//     experiment.browser_overhead_us), and resilience counters. Aggregate state is a few hundred KB regardless
 //     of client count, so campaign memory is O(shards), not
 //     O(clients · samples).
 //   * Shard aggregates merge with exact integer/extremum arithmetic —
@@ -212,8 +215,9 @@ struct CampaignAggregate {
   static bool from_json(const obs::json::Value& v, CampaignAggregate* out);
 };
 
-/// Shard-level completion callback: (shards done, shards total). Same
-/// guarded contract as MatrixProgress: a throwing callback is absorbed and
+/// Shard-level completion callback: (shards done, shards total). The job
+/// runner calls it exactly as it calls MatrixProgress: after the shard is
+/// merged and checkpointed, and a throwing callback is absorbed and
 /// counted, never wedges the campaign.
 using CampaignProgress =
     std::function<void(std::size_t done, std::size_t total)>;
@@ -240,9 +244,11 @@ struct CampaignResult {
   bool cancelled = false;
 };
 
-/// Run the campaign: sample the population, execute shards (serial when
-/// resolved jobs == 1, ThreadPool otherwise), checkpoint completed shards,
-/// and merge everything into one aggregate.
+/// Run the campaign: sample the population, execute shards on the job
+/// runner, checkpoint completed shards, and merge everything into one
+/// aggregate. A shard that fails as a whole (rather than per client, which
+/// counts in failed_clients) makes run_campaign throw after the other
+/// shards drain, naming the shard.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 

@@ -1,4 +1,4 @@
-// Crash-safe matrix execution: checkpoint/resume for run_matrix.
+// Crash-safe matrix execution: checkpoint/resume for run_matrix_checked.
 //
 // A long matrix run (the paper's 88 cells x 50 reps; the ROADMAP's
 // million-client campaigns) must survive being killed. The contract here:

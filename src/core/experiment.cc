@@ -149,7 +149,7 @@ Experiment::WindowTimes Experiment::network_rtt_in_window(
 
 OverheadSeries Experiment::run() {
   // Route the packet path through the simulation's bump arena unless an
-  // outer scope (e.g. a run_matrix worker's private arena) is already
+  // outer scope (e.g. a job-runner worker's private arena) is already
   // active. Everything arena-allocated below dies with testbed_, before the
   // arena is reset or destroyed.
   sim::ArenaScope arena_scope{

@@ -4,6 +4,7 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -30,13 +31,13 @@ struct RunnerMetrics {
       obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
       return RunnerMetrics{
           reg.counter("runner.retries", "attempts",
-                      "cell attempts retried after a failure or watchdog trip"),
+                      "unit attempts retried after a failure or watchdog trip"),
           reg.counter("runner.quarantined", "cells",
-                      "cells quarantined after exhausting their attempts"),
+                      "units quarantined after exhausting their attempts"),
           reg.counter("runner.watchdog_wall_trips", "trips",
-                      "cell attempts cancelled by the wall-clock watchdog"),
+                      "unit attempts cancelled by the wall-clock watchdog"),
           reg.counter("runner.watchdog_budget_trips", "trips",
-                      "cell attempts cancelled by the simulated-event budget"),
+                      "unit attempts cancelled by the simulated-event budget"),
           reg.counter("runner.progress_errors", "throws",
                       "progress-callback exceptions absorbed by the runner"),
           reg.counter("runner.cells_resumed", "cells",
@@ -83,17 +84,6 @@ void ThreadPool::wait_idle() {
   idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-std::size_t ThreadPool::cancel() {
-  std::size_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    dropped = queue_.size();
-    queue_.clear();
-    if (in_flight_ == 0) idle_.notify_all();
-  }
-  return dropped;
-}
-
 std::vector<TaskFailure> ThreadPool::failures() const {
   std::lock_guard<std::mutex> lock{mu_};
   return failures_;
@@ -125,124 +115,24 @@ void ThreadPool::worker_loop() {
   }
 }
 
-int resolve_jobs(int jobs, std::size_t cells) {
+int resolve_jobs(int jobs, std::size_t units) {
   if (jobs <= 0) {
     jobs = static_cast<int>(std::thread::hardware_concurrency());
   }
   jobs = std::max(jobs, 1);
-  if (cells > 0) {
+  if (units > 0) {
     jobs = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs), cells));
+        std::min<std::size_t>(static_cast<std::size_t>(jobs), units));
   }
   return jobs;
 }
 
-namespace {
-
-OverheadSeries run_cell_guarded(const ExperimentConfig& config,
-                                const CellRunner& cell) {
-  BNM_PROF_SCOPE("matrix.cell");
-  try {
-    return cell(config);
-  } catch (const std::exception& e) {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    failed.first_error = std::string{"uncaught exception: "} + e.what();
-    return failed;
-  } catch (...) {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    failed.first_error = "uncaught exception (non-standard)";
-    return failed;
-  }
-}
-
-/// Invoke the user's progress callback without letting it take the run
-/// down: the exception is counted and (optionally) recorded, and the
-/// matrix keeps draining. Caller already holds whatever lock serializes
-/// progress invocations.
-void call_progress_guarded(const MatrixProgress& progress, std::size_t done,
-                           std::size_t total,
-                           std::size_t* error_count = nullptr,
-                           std::string* first_error = nullptr) {
-  if (!progress) return;
-  try {
-    progress(done, total);
-  } catch (const std::exception& e) {
-    RunnerMetrics::get().progress_errors.add();
-    if (error_count) ++*error_count;
-    if (first_error && first_error->empty()) *first_error = e.what();
-  } catch (...) {
-    RunnerMetrics::get().progress_errors.add();
-    if (error_count) ++*error_count;
-    if (first_error && first_error->empty()) {
-      *first_error = "non-standard exception";
-    }
-  }
-}
-
-}  // namespace
-
-std::vector<OverheadSeries> run_matrix_with(
-    const std::vector<ExperimentConfig>& cells, int jobs,
-    const CellRunner& cell, MatrixProgress progress) {
-  std::vector<OverheadSeries> results(cells.size());
-  if (cells.empty()) return results;
-
-  jobs = resolve_jobs(jobs, cells.size());
-  if (jobs == 1) {
-    // Degenerate serial path: same per-cell computation on the calling
-    // thread — the reference the parallel path must match byte for byte.
-    // One arena serves every cell, rewound wholesale between cells (the
-    // cell's testbed — and with it everything arena-allocated — is gone by
-    // the time run_cell_guarded returns; the result series itself uses the
-    // global allocator).
-    sim::Arena arena;
-    sim::ArenaScope scope{&arena};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      results[i] = run_cell_guarded(cells[i], cell);
-      arena.reset();
-      call_progress_guarded(progress, i + 1, cells.size());
-    }
-    return results;
-  }
-
-  ThreadPool pool{jobs};
-  std::mutex progress_mu;
-  std::size_t done = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    pool.submit([&, i] {
-      // Each worker thread keeps a private arena: matrix shards bump their
-      // own slabs instead of contending on the global allocator, and a
-      // wholesale reset between cells replaces per-packet frees.
-      thread_local sim::Arena worker_arena;
-      sim::ArenaScope scope{&worker_arena};
-      results[i] = run_cell_guarded(cells[i], cell);
-      worker_arena.reset();
-      std::lock_guard<std::mutex> lock{progress_mu};
-      call_progress_guarded(progress, ++done, cells.size());
-    });
-  }
-  pool.wait_idle();
-  return results;
-}
-
-std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
-                                       int jobs, MatrixProgress progress) {
-  return run_matrix_with(
-      cells, jobs,
-      [](const ExperimentConfig& config) { return run_experiment(config); },
-      std::move(progress));
-}
-
 // ---------------------------------------------------------------------------
-// The crash-safe engine.
+// The job runner.
 
 namespace {
 
-/// One shared deadline thread per run_matrix_checked invocation: workers
+/// One shared deadline thread per run_units invocation: workers
 /// arm their attempt's CellWatchdog with a steady-clock deadline; the host
 /// wakes at the earliest one and sets wall_expired (one-shot). Lazy — a run
 /// with no wall limit never spawns the thread.
@@ -319,30 +209,31 @@ class WatchdogHost {
   bool stop_ = false;
 };
 
-/// Shared mutable state of one engine invocation.
-struct EngineState {
-  const std::vector<ExperimentConfig>* cells = nullptr;
-  const MatrixOptions* options = nullptr;
-  const WatchedCellRunner* runner = nullptr;
-  MatrixResult* result = nullptr;
-  CheckpointWriter* writer = nullptr;  ///< nullptr = checkpointing off
-  WatchdogHost* host = nullptr;        ///< nullptr = no wall watchdog
+/// Shared mutable state of one run_units invocation.
+struct Runner {
+  const MatrixOptions& options;
+  const UnitFn& unit;
+  std::size_t units = 0;
+  WatchdogHost* host = nullptr;  ///< nullptr = no wall watchdog
+  MatrixResult& result;
 
-  std::mutex mu;  ///< guards result->quarantined/retries/..., done
+  std::mutex mu;  ///< guards result and done
   std::size_t done = 0;
+
+  /// Run unit i under the attempt/retry/quarantine policy, then announce
+  /// it. Called on a worker (or the calling thread when jobs == 1) with an
+  /// arena scope already active.
+  void run(std::size_t i);
 };
 
-bool cancel_requested(const EngineState& st) {
-  return st.options->cancel != nullptr &&
-         st.options->cancel->load(std::memory_order_acquire);
-}
-
-/// Run one cell under the attempt/retry/quarantine policy. Called on a
-/// worker (or the calling thread when jobs == 1) with an arena scope
-/// already active.
-void run_cell_checked(EngineState& st, std::size_t i) {
-  const ExperimentConfig& config = (*st.cells)[i];
-  const WatchdogPolicy& wd = st.options->watchdog;
+void Runner::run(std::size_t i) {
+  if (options.cancel != nullptr &&
+      options.cancel->load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock{mu};
+    result.cancelled = true;
+    return;  // graceful drain: skip, let in-flight units finish
+  }
+  const WatchdogPolicy& wd = options.watchdog;
   const int max_attempts = std::max(wd.max_attempts, 1);
   const bool watched = wd.wall_limit.count() > 0 || wd.event_budget > 0;
   const RunnerMetrics& metrics = RunnerMetrics::get();
@@ -350,26 +241,18 @@ void run_cell_checked(EngineState& st, std::size_t i) {
   std::string last_what;
   std::string last_where;
   bool completed = false;
-
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 1;; ++attempt) {
     CellWatchdog watchdog;
     watchdog.event_budget = wd.event_budget;
     std::uint64_t token = 0;
-    const bool armed = st.host != nullptr && wd.wall_limit.count() > 0;
-    if (armed) {
-      token = st.host->arm(&watchdog,
-                           std::chrono::steady_clock::now() + wd.wall_limit);
+    if (host != nullptr) {
+      token = host->arm(&watchdog,
+                        std::chrono::steady_clock::now() + wd.wall_limit);
     }
     try {
-      BNM_PROF_SCOPE("matrix.cell");
-      OverheadSeries series =
-          (*st.runner)(config, watched ? &watchdog : nullptr);
-      if (armed) st.host->disarm(token);
-      st.result->series[i] = std::move(series);
+      unit(i, watched ? &watchdog : nullptr);
       completed = true;
-      break;
     } catch (const CellAbortError& e) {
-      if (armed) st.host->disarm(token);
       last_what = e.what();
       last_where = e.where();
       if (last_where == "watchdog.wall_clock") {
@@ -378,140 +261,83 @@ void run_cell_checked(EngineState& st, std::size_t i) {
         metrics.watchdog_budget_trips.add();
       }
     } catch (const std::exception& e) {
-      if (armed) st.host->disarm(token);
       last_what = e.what();
       last_where = "cell";
     } catch (...) {
-      if (armed) st.host->disarm(token);
       last_what = "non-standard exception";
       last_where = "cell";
     }
-    if (attempt < max_attempts) {
-      metrics.retries.add();
-      {
-        std::lock_guard<std::mutex> lock{st.mu};
-        ++st.result->retries;
-      }
-      if (wd.backoff_base.count() > 0) {
-        std::this_thread::sleep_for(wd.backoff_base * (1 << (attempt - 1)));
-      }
+    if (host != nullptr) host->disarm(token);
+    if (completed || attempt == max_attempts) break;
+    metrics.retries.add();
+    {
+      std::lock_guard<std::mutex> lock{mu};
+      ++result.retries;
+    }
+    if (wd.backoff_base.count() > 0) {
+      std::this_thread::sleep_for(wd.backoff_base * (1 << (attempt - 1)));
     }
   }
+  if (!completed) metrics.quarantined.add();
 
-  if (completed) {
-    // Persist before announcing: a crash inside the progress callback (the
-    // chaos harness's hard-kill point) must find the cell already on disk.
-    if (st.writer != nullptr) st.writer->add(i, config, st.result->series[i]);
-  } else {
-    OverheadSeries failed;
-    failed.config = config;
-    failed.failures = config.runs;
-    // Same first_error shape as run_matrix's run_cell_guarded for a plain
-    // throw, so the engine with watchdogs off stays byte-identical to the
-    // legacy path even on deterministically-failing cells; watchdog trips
-    // name the guard instead.
-    if (last_where == "cell") {
-      failed.first_error = last_what == "non-standard exception"
-                               ? "uncaught exception (non-standard)"
-                               : "uncaught exception: " + last_what;
-    } else {
-      failed.first_error = last_where + ": " + last_what;
-    }
-    st.result->series[i] = std::move(failed);
-    metrics.quarantined.add();
-    std::lock_guard<std::mutex> lock{st.mu};
-    st.result->quarantined.push_back(
+  std::lock_guard<std::mutex> lock{mu};
+  if (!completed) {
+    result.quarantined.push_back(
         CellError{i, last_what, last_where, max_attempts});
-    // Quarantined cells are deliberately NOT checkpointed: a resumed run
-    // gets a fresh set of attempts at them.
   }
-
-  std::lock_guard<std::mutex> lock{st.mu};
-  ++st.result->cells_run;
-  call_progress_guarded(st.options->progress, ++st.done, st.cells->size(),
-                        &st.result->progress_errors,
-                        &st.result->progress_error);
+  ++result.cells_run;
+  ++done;
+  if (!options.progress) return;
+  try {
+    options.progress(done, units);
+  } catch (const std::exception& e) {
+    metrics.progress_errors.add();
+    if (result.progress_errors++ == 0) result.progress_error = e.what();
+  } catch (...) {
+    metrics.progress_errors.add();
+    if (result.progress_errors++ == 0) {
+      result.progress_error = "non-standard exception";
+    }
+  }
 }
 
 }  // namespace
 
-MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
-                                const MatrixOptions& options,
-                                const WatchedCellRunner& runner) {
+MatrixResult run_units(const std::vector<char>& skip,
+                       const MatrixOptions& options, const UnitFn& unit) {
+  const std::size_t units = skip.size();
   MatrixResult result;
-  result.series.resize(cells.size());
-  if (cells.empty()) return result;
-
-  const WatchedCellRunner default_runner =
-      [](const ExperimentConfig& config, CellWatchdog* watchdog) {
-        return run_experiment_watched(config, watchdog);
-      };
-  const WatchedCellRunner& cell = runner ? runner : default_runner;
-
-  // Resume: restore hash-matching cells and carry their records into the
-  // freshly opened journal, which drops stale and torn records.
-  std::unique_ptr<CheckpointWriter> writer;
-  std::vector<char> resumed(cells.size(), 0);
-  if (!options.checkpoint.path.empty()) {
-    std::vector<CheckpointRecord> carried;
-    if (options.checkpoint.resume) {
-      std::optional<CheckpointReader> reader =
-          CheckpointReader::load(options.checkpoint.path);
-      if (reader) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          const OverheadSeries* stored = reader->lookup(i, cells[i]);
-          if (stored == nullptr) continue;
-          result.series[i] = *stored;
-          result.series[i].config = cells[i];
-          resumed[i] = 1;
-          ++result.cells_resumed;
-          carried.push_back({i, cell_config_hash_hex(cells[i]), *stored});
-        }
-        RunnerMetrics::get().cells_resumed.add(result.cells_resumed);
-      }
-    }
-    writer = std::make_unique<CheckpointWriter>(
-        options.checkpoint.path, cells.size(), options.checkpoint.flush_every,
-        carried);
-  }
-
+  if (units == 0) return result;
   WatchdogHost host;
-  EngineState st;
-  st.cells = &cells;
-  st.options = &options;
-  st.runner = &cell;
-  st.result = &result;
-  st.writer = writer.get();
-  st.host = options.watchdog.wall_limit.count() > 0 ? &host : nullptr;
-  st.done = result.cells_resumed;
+  const auto skipped = static_cast<std::size_t>(
+      std::count_if(skip.begin(), skip.end(), [](char s) { return s != 0; }));
+  Runner runner{options, unit, units,
+                options.watchdog.wall_limit.count() > 0 ? &host : nullptr,
+                result, {}, skipped};
 
-  const int jobs = resolve_jobs(options.jobs, cells.size());
+  // Everything a unit allocates from the arena dies with the unit (a cell's
+  // testbed is gone by the time it returns; results use the global
+  // allocator), so the arena is rewound wholesale after every unit.
+  const auto run_in = [&runner](sim::Arena& arena, std::size_t i) {
+    sim::ArenaScope scope{&arena};
+    runner.run(i);
+    arena.reset();
+  };
+  const int jobs = resolve_jobs(options.jobs, units);
   if (jobs == 1) {
     sim::Arena arena;
-    sim::ArenaScope scope{&arena};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (resumed[i]) continue;
-      if (cancel_requested(st)) {
-        result.cancelled = true;
-        break;
-      }
-      run_cell_checked(st, i);
-      arena.reset();
+    for (std::size_t i = 0; i < units; ++i) {
+      if (!skip[i]) run_in(arena, i);
     }
   } else {
     ThreadPool pool{jobs};
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (resumed[i]) continue;
-      pool.submit([&st, i] {
-        if (cancel_requested(st)) {
-          std::lock_guard<std::mutex> lock{st.mu};
-          st.result->cancelled = true;
-          return;  // graceful drain: skip, let in-flight cells finish
-        }
+    for (std::size_t i = 0; i < units; ++i) {
+      if (skip[i]) continue;
+      pool.submit([&run_in, i] {
+        // Each worker thread keeps a private arena: units bump their own
+        // slabs instead of contending on the global allocator.
         thread_local sim::Arena worker_arena;
-        sim::ArenaScope scope{&worker_arena};
-        run_cell_checked(st, i);
-        worker_arena.reset();
+        run_in(worker_arena, i);
       });
     }
     pool.wait_idle();
@@ -521,7 +347,86 @@ MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
             [](const CellError& a, const CellError& b) {
               return a.cell < b.cell;
             });
+  return result;
+}
+
+MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
+                                const MatrixOptions& options,
+                                const WatchedCellRunner& runner) {
+  const WatchedCellRunner default_runner =
+      [](const ExperimentConfig& config, CellWatchdog* watchdog) {
+        return run_experiment_watched(config, watchdog);
+      };
+  const WatchedCellRunner& cell = runner ? runner : default_runner;
+  std::vector<OverheadSeries> series(cells.size());
+
+  // Resume: restore hash-matching cells and carry their records into the
+  // freshly opened journal, which drops stale and torn records.
+  std::unique_ptr<CheckpointWriter> writer;
+  std::vector<char> resumed(cells.size(), 0);
+  std::size_t cells_resumed = 0;
+  if (!options.checkpoint.path.empty()) {
+    std::vector<CheckpointRecord> carried;
+    if (options.checkpoint.resume) {
+      std::optional<CheckpointReader> reader =
+          CheckpointReader::load(options.checkpoint.path);
+      if (reader) {
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+          const OverheadSeries* stored = reader->lookup(i, cells[i]);
+          if (stored == nullptr) continue;
+          series[i] = *stored;
+          series[i].config = cells[i];
+          resumed[i] = 1;
+          ++cells_resumed;
+          carried.push_back({i, cell_config_hash_hex(cells[i]), *stored});
+        }
+        RunnerMetrics::get().cells_resumed.add(cells_resumed);
+      }
+    }
+    writer = std::make_unique<CheckpointWriter>(
+        options.checkpoint.path, cells.size(), options.checkpoint.flush_every,
+        carried);
+  }
+
+  MatrixResult result = run_units(
+      resumed, options, [&](std::size_t i, CellWatchdog* watchdog) {
+        {
+          BNM_PROF_SCOPE("matrix.cell");
+          series[i] = cell(cells[i], watchdog);
+        }
+        // Persist before the runner announces the cell: a crash inside the
+        // progress callback (the chaos harness's hard-kill point) must find
+        // the cell already on disk.
+        if (writer) writer->add(i, cells[i], series[i]);
+      });
+
+  // Quarantined cells are deliberately NOT checkpointed: a resumed run gets
+  // a fresh set of attempts at them. A plain throw reads "uncaught
+  // exception: ..."; a watchdog trip names the guard.
+  for (const CellError& e : result.quarantined) {
+    OverheadSeries failed;
+    failed.config = cells[e.cell];
+    failed.failures = cells[e.cell].runs;
+    if (e.where == "cell") {
+      failed.first_error = e.what == "non-standard exception"
+                               ? "uncaught exception (non-standard)"
+                               : "uncaught exception: " + e.what;
+    } else {
+      failed.first_error = e.where + ": " + e.what;
+    }
+    series[e.cell] = std::move(failed);
+  }
+  result.series = std::move(series);
+  result.cells_resumed = cells_resumed;
   return result;  // ~CheckpointWriter flushes any flush_every remainder
+}
+
+std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
+                                       int jobs, MatrixProgress progress) {
+  MatrixOptions options;
+  options.jobs = jobs;
+  options.progress = std::move(progress);
+  return run_matrix_checked(cells, options).series;
 }
 
 }  // namespace bnm::core

@@ -1,25 +1,26 @@
-// Parallel experiment matrix runner.
+// The job runner behind every engine.
 //
 // The paper's results are a matrix of (browser x OS x method x config)
 // cells, each repeated 50 times. Every Experiment owns an independent
 // Testbed whose seed is derived from its config alone (experiment.cc), so
-// cells share no mutable state and shard cleanly across worker threads:
-// run_matrix(cells, jobs) produces byte-identical results to running the
-// same cells serially, in input order, in 1/jobs the wall-clock time.
+// cells share no mutable state and shard cleanly across worker threads;
+// population campaigns (campaign.h) shard the same way over client ranges.
 //
-// Two entry points share the per-cell machinery:
+// run_units is the one execution loop for both. It runs unit i on the
+// calling thread when the resolved jobs == 1 and on a ThreadPool otherwise,
+// under a per-thread arena reset after every unit, with one contract:
+// per-unit watchdogs (wall-clock deadline + simulated-event budget), retry
+// with exponential backoff, quarantine with a structured CellError after
+// the attempt limit, cooperative cancellation that drains gracefully, and a
+// progress callback that is told about a unit only after the unit returned
+// (so whatever the unit persists is durable first) and whose throws cannot
+// wedge the run. It has two callers:
 //
-//   * run_matrix / run_matrix_with — the minimal fast path: no watchdogs,
-//     no persistence, exceptions folded into the cell's series. This is the
-//     baseline the resilient engine is benchmarked against (bench/
-//     perf_matrix gates the disabled-features overhead of the engine at
-//     <1% versus this path).
-//   * run_matrix_checked — the crash-safe engine: per-cell watchdogs
-//     (wall-clock deadline + simulated-event budget), retry with
-//     exponential backoff, quarantine with a structured CellError after the
-//     attempt limit, checkpoint/resume with bit-identical reports, and
-//     cooperative cancellation that drains gracefully. tools/chaos_matrix
-//     and scripts/check.sh kill and resume it on every CI run.
+//   * run_matrix_checked — a unit is a cell; adds checkpoint/resume with
+//     bit-identical reports. tools/chaos_matrix and scripts/check.sh kill
+//     and resume it on every CI run. run_matrix is this with default
+//     options.
+//   * run_campaign (campaign.h) — a unit is a shard of clients.
 #pragma once
 
 #include <atomic>
@@ -63,10 +64,6 @@ class ThreadPool {
   /// Block until every submitted task has finished.
   void wait_idle();
 
-  /// Graceful drain-on-cancel: discard tasks still queued (returns how
-  /// many); tasks already running finish normally. The pool stays usable.
-  std::size_t cancel();
-
   /// Structured record of every task whose exception the pool swallowed,
   /// in completion order.
   std::vector<TaskFailure> failures() const;
@@ -91,62 +88,43 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Per-cell completion callback: (cells finished so far, total cells).
-/// Invoked under a lock, in completion (not input) order. A progress
-/// callback that throws cannot wedge the run: the exception is caught,
-/// counted (runner.progress_errors), and the matrix keeps draining.
+/// Per-unit completion callback: (units finished so far, total units).
+/// Invoked under the runner's lock, in completion (not input) order, after
+/// the unit returned. A progress callback that throws cannot wedge the run:
+/// the exception is caught, counted (runner.progress_errors), and the run
+/// keeps draining.
 using MatrixProgress = std::function<void(std::size_t done, std::size_t total)>;
 
-/// The function a worker applies to one cell. run_matrix() uses
-/// run_experiment; tests inject faulty runners through run_matrix_with.
-using CellRunner = std::function<OverheadSeries(const ExperimentConfig&)>;
-
-/// Cell runner for the resilient engine: receives the attempt's watchdog
-/// (nullptr when no watchdog is configured) so the cell can be cancelled
-/// mid-flight. run_matrix_checked() defaults to run_experiment_watched.
+/// Cell runner for the matrix: receives the attempt's watchdog (nullptr
+/// when no watchdog is configured) so the cell can be cancelled mid-flight.
+/// run_matrix_checked() defaults to run_experiment_watched; tests inject
+/// faulty runners.
 using WatchedCellRunner =
     std::function<OverheadSeries(const ExperimentConfig&, CellWatchdog*)>;
 
 /// Resolve a jobs request: <= 0 means hardware concurrency, and the answer
-/// is clamped to [1, cells] so a small matrix never spawns idle workers.
-int resolve_jobs(int jobs, std::size_t cells);
+/// is clamped to [1, units] so a small run never spawns idle workers.
+int resolve_jobs(int jobs, std::size_t units);
 
-/// Run every cell and return the series in input order. jobs == 1 (or a
-/// single cell) degenerates to a plain serial loop on the calling thread.
-/// A cell whose runner throws yields a series with failures == runs and
-/// first_error describing the exception; the remaining cells still run.
-std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
-                                       int jobs = 0,
-                                       MatrixProgress progress = nullptr);
-
-/// run_matrix with an injectable cell runner (exception-handling tests,
-/// cached/memoized runners, ...).
-std::vector<OverheadSeries> run_matrix_with(
-    const std::vector<ExperimentConfig>& cells, int jobs,
-    const CellRunner& cell, MatrixProgress progress = nullptr);
-
-// ---------------------------------------------------------------------------
-// The crash-safe engine.
-
-/// Why a cell ended up quarantined after exhausting its attempts.
+/// Why a unit ended up quarantined after exhausting its attempts.
 struct CellError {
-  std::size_t cell = 0;  ///< index into the input matrix
+  std::size_t cell = 0;  ///< index of the unit (matrix cell or campaign shard)
   std::string what;      ///< last attempt's exception message
   /// Which guard gave up: "watchdog.wall_clock", "watchdog.event_budget",
-  /// or "cell" (the cell itself threw).
+  /// or "cell" (the unit itself threw).
   std::string where;
   int attempts = 0;  ///< attempts consumed before quarantine
 };
 
-/// Per-cell watchdog and retry policy. Default-constructed = all guards
-/// off, one attempt, no retries — behaviourally identical to run_matrix.
+/// Per-unit watchdog and retry policy. Default-constructed = all guards
+/// off, one attempt, no retries.
 struct WatchdogPolicy {
-  /// Real-time budget per cell attempt; zero = no wall-clock watchdog.
+  /// Real-time budget per unit attempt; zero = no wall-clock watchdog.
   std::chrono::milliseconds wall_limit{0};
-  /// Simulated-event budget per cell attempt; zero = unlimited.
+  /// Simulated-event budget per unit attempt; zero = unlimited.
   std::uint64_t event_budget = 0;
   /// Total attempts before quarantine (1 = no retries).
-  int max_attempts = 3;
+  int max_attempts = 1;
   /// Backoff before attempt k+1 is backoff_base * 2^(k-1).
   std::chrono::milliseconds backoff_base{10};
 };
@@ -159,12 +137,12 @@ struct CheckpointPolicy {
 };
 
 struct MatrixOptions {
-  int jobs = 0;  ///< as run_matrix: <= 0 means hardware concurrency
+  int jobs = 0;  ///< <= 0 means hardware concurrency
   MatrixProgress progress;
   WatchdogPolicy watchdog;
   CheckpointPolicy checkpoint;
-  /// Cooperative cancellation: when set, cells not yet started are skipped
-  /// and the engine drains gracefully (result.cancelled = true).
+  /// Cooperative cancellation: when set, units not yet started are skipped
+  /// and the runner drains gracefully (result.cancelled = true).
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -184,12 +162,36 @@ struct MatrixResult {
   bool ok() const { return quarantined.empty() && !cancelled; }
 };
 
-/// Run the matrix under the crash-safe engine: watchdogs, retry/backoff,
-/// quarantine, checkpoint/resume, cancellation. With default options the
-/// results are byte-identical to run_matrix(cells) — and the disabled
-/// machinery costs <1% (gated in bench/perf_matrix).
+/// One attempt at unit `i`: run it to completion, persisting whatever it
+/// persists, or throw. `watchdog` is the attempt's CellWatchdog (nullptr
+/// when the policy configures none). The unit runs with an arena scope
+/// active (sim::Arena::current()) that the runner resets after the unit; a
+/// unit may also reset it between pieces of work that leave nothing alive
+/// in it.
+using UnitFn = std::function<void(std::size_t i, CellWatchdog* watchdog)>;
+
+/// The job runner: there are skip.size() units; run every unit i whose
+/// skip[i] is 0, under options' jobs, watchdog, progress and cancel
+/// (options.checkpoint is the caller's business). The done count handed to
+/// progress starts at the number of skipped units. Fills every MatrixResult
+/// field except series and cells_resumed; cells_run counts quarantined
+/// units too.
+MatrixResult run_units(const std::vector<char>& skip,
+                       const MatrixOptions& options, const UnitFn& unit);
+
+/// Run the matrix on the job runner, with checkpoint/resume on top: cell i
+/// is a unit, and its journal record is appended before progress hears of
+/// it. A quarantined cell's series has failures == runs and a first_error
+/// naming the exception or the watchdog that gave up.
 MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
                                 const MatrixOptions& options = {},
                                 const WatchedCellRunner& runner = nullptr);
+
+/// run_matrix_checked with default options (one attempt, no watchdog, no
+/// checkpoint): every cell's series in input order, byte-identical at any
+/// job count.
+std::vector<OverheadSeries> run_matrix(const std::vector<ExperimentConfig>& cells,
+                                       int jobs = 0,
+                                       MatrixProgress progress = nullptr);
 
 }  // namespace bnm::core

@@ -61,7 +61,7 @@ Host::~Host() {
   }
 }
 
-void Host::attach_link(Egress* link, LinkSide host_side) {
+void Host::attach_link(Link* link, LinkSide host_side) {
   link_ = link;
   link_side_ = host_side;
   link->attach(host_side, this);

@@ -55,9 +55,8 @@ class Host : public PacketSink {
   /// cannot outlive the host.
   ~Host() override;
 
-  /// Plug this host into `link` (an in-domain Link or a cross-domain
-  /// DomainLink); the host sits on `host_side`.
-  void attach_link(Egress* link, LinkSide host_side);
+  /// Plug this host into `link`; the host sits on `host_side`.
+  void attach_link(Link* link, LinkSide host_side);
 
   // ---- TCP ----
   /// Active open toward `remote`. The returned connection is in SYN_SENT;
@@ -115,7 +114,7 @@ class Host : public PacketSink {
   std::unique_ptr<FaultInjector> egress_faults_;
   std::unique_ptr<FaultInjector> ingress_faults_;
   std::uint64_t checksum_drops_ = 0;
-  Egress* link_ = nullptr;
+  Link* link_ = nullptr;
   LinkSide link_side_ = LinkSide::kA;
 
   std::unordered_map<FourTuple, std::shared_ptr<TcpConnection>> connections_;

@@ -33,19 +33,7 @@ class PacketSink {
 /// Which end of a duplex link a component sits on.
 enum class LinkSide { kA, kB };
 
-/// Anything a host can transmit through: an in-domain Link or a
-/// cross-domain DomainLink. Hosts hold an Egress* so the same Host code
-/// works whether its peer lives in the same scheduler domain or not.
-class Egress {
- public:
-  virtual ~Egress() = default;
-  /// `sink` receives packets arriving at `side`.
-  virtual void attach(LinkSide side, PacketSink* sink) = 0;
-  /// Enqueue a packet for transmission from `side` toward the other side.
-  virtual void transmit(LinkSide side, Packet packet) = 0;
-};
-
-class Link final : public Egress {
+class Link {
  public:
   using Side = LinkSide;  ///< compat alias; call sites say Link::Side::kA
 
@@ -62,14 +50,13 @@ class Link final : public Egress {
 
   Link(sim::Simulation& sim, Config config);
 
-  void attach(Side side, PacketSink* sink) override;
+  /// `sink` receives packets arriving at `side`.
+  void attach(Side side, PacketSink* sink);
 
-  void transmit(Side side, Packet packet) override;
+  /// Enqueue a packet for transmission from `side` toward the other side.
+  void transmit(Side side, Packet packet);
 
   const Config& config() const { return config_; }
-  /// Propagation delay doubles as the conservative lookahead bound when the
-  /// link is the cut point of a domain partition.
-  sim::Duration lookahead() const { return config_.propagation; }
   std::uint64_t drops(Side side) const;
   std::uint64_t delivered(Side side) const;
 

@@ -14,10 +14,10 @@
 // installed with ArenaScope; allocation sites (Payload buffers,
 // ArenaAllocator-backed containers) consult Arena::current() and fall back
 // to the global allocator when no scope is active, so every component works
-// identically — bit for bit — with the arena on or off. core::run_matrix
-// gives each worker thread a private arena, reset between cells, so
-// parallel matrix shards never touch the global allocator on the packet
-// path and never contend with each other.
+// identically — bit for bit — with the arena on or off. The job runner
+// (core::run_units) gives each worker thread a private arena, reset after
+// every cell or shard, so parallel units never touch the global allocator
+// on the packet path and never contend with each other.
 //
 // Stats: each arena keeps cheap per-instance counters (always on). The
 // process-wide aggregate (ArenaStats, used by bench/perf_matrix) is only

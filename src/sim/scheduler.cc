@@ -253,15 +253,6 @@ std::optional<TimePoint> Scheduler::tier_lower_bound() const {
   return lb;
 }
 
-std::optional<TimePoint> Scheduler::next_event_time() {
-  if (impl_ == QueueImpl::kHeap) {
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().at;
-  }
-  if (!refill_bottom()) return std::nullopt;
-  return bottom_[bottom_pos_].at;
-}
-
 bool Scheduler::fire_one(bool tracing) {
   // Copy the entry out (40 trivially-copyable bytes): the callback may
   // schedule into the bottom tail and reallocate the vector under us. The

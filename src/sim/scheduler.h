@@ -269,12 +269,6 @@ class Scheduler {
   std::size_t run_while(const bool& stop, TimePoint not_after,
                         const RunLimits* limits = nullptr);
 
-  /// Earliest pending event's time (dead entries count — conservative), or
-  /// nullopt when empty. May promote a bucket internally; the observable
-  /// state (ordering, now()) is unchanged. Used by the DomainScheduler to
-  /// compute conservative lookahead windows.
-  std::optional<TimePoint> next_event_time();
-
   /// Number of live (non-cancelled) events still queued.
   std::size_t pending_events() const;
   /// Total events executed so far (for micro-benchmarks and tests).

@@ -2,7 +2,8 @@
 // client sampling, byte-identical reports across shard counts and job
 // counts, checkpoint/resume identity after a mid-campaign cancellation or
 // a torn journal tail, shards persisted before they are announced,
-// aggregate JSON round trips, and the campaign.* metrics family.
+// aggregate JSON round trips, reports unchanged with arenas off, and the
+// campaign.* metrics family.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include "core/campaign.h"
 #include "core/journal.h"
 #include "obs/metrics.h"
+#include "sim/arena.h"
 #include "sim/trace.h"
 
 namespace bnm::core {
@@ -103,39 +105,59 @@ TEST(Campaign, ReportByteIdenticalAcrossShardAndJobCounts) {
   EXPECT_EQ(reference, campaign_report_json(many, run_campaign(many, pooled)));
 }
 
+TEST(Campaign, ReportByteIdenticalArenaOnAndOff) {
+  // With arenas globally disabled the runner's scope is hidden
+  // (Arena::current() is null) and shards fall back to the heap.
+  const CampaignSpec spec = small_spec(30, 3);
+  CampaignOptions serial;
+  serial.jobs = 1;
+  const std::string with_arena =
+      campaign_report_json(spec, run_campaign(spec, serial));
+  sim::Arena::set_enabled(false);
+  const std::string without_arena =
+      campaign_report_json(spec, run_campaign(spec, serial));
+  sim::Arena::set_enabled(true);
+  EXPECT_EQ(with_arena, without_arena);
+}
+
 TEST(Campaign, CancelThenResumeProducesIdenticalReport) {
   const std::string ck = "test_campaign_resume_ck.json";
-  std::remove(ck.c_str());
-
   const CampaignSpec spec = small_spec(60, 6);
   CampaignOptions clean_opts;
   clean_opts.jobs = 1;
   const std::string clean =
       campaign_report_json(spec, run_campaign(spec, clean_opts));
 
-  // First pass: cancel after two shards; the checkpoint keeps them.
-  std::atomic<bool> cancel{false};
-  CampaignOptions first;
-  first.jobs = 1;
-  first.checkpoint = ck;
-  first.cancel = &cancel;
-  first.progress = [&](std::size_t done, std::size_t) {
-    if (done >= 2) cancel.store(true, std::memory_order_release);
-  };
-  const CampaignResult partial = run_campaign(spec, first);
-  EXPECT_TRUE(partial.cancelled);
-  EXPECT_LT(partial.shards_run, partial.shards);
+  // Both sides of the runner's jobs == 1 split: the calling thread's loop
+  // and the pool.
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::remove(ck.c_str());
 
-  // Second pass: resume; stored shards are merged, the rest execute.
-  CampaignOptions second;
-  second.jobs = 1;
-  second.checkpoint = ck;
-  second.resume = true;
-  const CampaignResult full = run_campaign(spec, second);
-  EXPECT_FALSE(full.cancelled);
-  EXPECT_EQ(full.shards_resumed, partial.shards_run);
-  EXPECT_EQ(full.shards_run + full.shards_resumed, full.shards);
-  EXPECT_EQ(clean, campaign_report_json(spec, full));
+    // First pass: cancel after two shards; the checkpoint keeps them.
+    std::atomic<bool> cancel{false};
+    CampaignOptions first;
+    first.jobs = jobs;
+    first.checkpoint = ck;
+    first.cancel = &cancel;
+    first.progress = [&](std::size_t done, std::size_t) {
+      if (done >= 2) cancel.store(true, std::memory_order_release);
+    };
+    const CampaignResult partial = run_campaign(spec, first);
+    EXPECT_TRUE(partial.cancelled);
+    EXPECT_LT(partial.shards_run, partial.shards);
+
+    // Second pass: resume; stored shards are merged, the rest execute.
+    CampaignOptions second;
+    second.jobs = jobs;
+    second.checkpoint = ck;
+    second.resume = true;
+    const CampaignResult full = run_campaign(spec, second);
+    EXPECT_FALSE(full.cancelled);
+    EXPECT_EQ(full.shards_resumed, partial.shards_run);
+    EXPECT_EQ(full.shards_run + full.shards_resumed, full.shards);
+    EXPECT_EQ(clean, campaign_report_json(spec, full));
+  }
 
   std::remove(ck.c_str());
 }

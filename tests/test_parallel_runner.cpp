@@ -1,5 +1,5 @@
-// The parallel matrix runner's contract: parallel output is byte-identical
-// to serial for every cell, jobs=1 degenerates to a plain serial loop, and
+// The job runner's matrix contract: parallel output is byte-identical to
+// serial for every cell, jobs=1 runs every cell on the calling thread, and
 // a throwing cell never wedges the pool.
 #include <gtest/gtest.h>
 
@@ -117,11 +117,14 @@ TEST(ParallelRunner, ThrowingCellDoesNotWedgeThePool) {
   cells.resize(6);
   cells[2].seed = 0xDEAD;  // marks the poisoned cell for the runner below
 
-  const CellRunner faulty = [](const ExperimentConfig& cfg) {
+  const WatchedCellRunner faulty = [](const ExperimentConfig& cfg,
+                                      CellWatchdog* wd) {
     if (cfg.seed == 0xDEAD) throw std::runtime_error("boom");
-    return run_experiment(cfg);
+    return run_experiment_watched(cfg, wd);
   };
-  const auto results = run_matrix_with(cells, /*jobs=*/3, faulty);
+  MatrixOptions options;
+  options.jobs = 3;
+  const auto results = run_matrix_checked(cells, options, faulty).series;
   ASSERT_EQ(results.size(), cells.size());
 
   // The poisoned cell is reported as a full failure with the exception text.

@@ -1,8 +1,8 @@
 // The crash-safe matrix engine's runtime contract: watchdogs cancel hung
 // cells, failed cells retry with backoff and quarantine with a structured
 // error, cancellation drains gracefully, progress callbacks cannot wedge a
-// run, and with everything disabled the engine is byte-identical to the
-// legacy run_matrix path.
+// run, and with everything disabled the engine is byte-identical to
+// running each cell on its own.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -70,16 +70,31 @@ void expect_identical(const OverheadSeries& a, const OverheadSeries& b) {
 
 TEST(CheckedRunner, DisabledEngineMatchesLegacyRunMatrix) {
   auto cells = small_matrix(5);
-  const auto legacy = run_matrix(cells, /*jobs=*/1);
   const MatrixResult checked = run_matrix_checked(cells, with_jobs(1));
-  ASSERT_EQ(checked.series.size(), legacy.size());
+  ASSERT_EQ(checked.series.size(), cells.size());
   EXPECT_TRUE(checked.ok());
   EXPECT_EQ(checked.cells_run, cells.size());
   EXPECT_EQ(checked.retries, 0u);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
-    expect_identical(checked.series[i], legacy[i]);
+    expect_identical(checked.series[i], run_experiment(cells[i]));
   }
+}
+
+TEST(CheckedRunner, DefaultPolicyRunsAFailingCellOnce) {
+  const auto cells = small_matrix(1);
+  std::atomic<int> attempts{0};
+  const WatchedCellRunner throwing = [&](const ExperimentConfig&,
+                                         CellWatchdog*) -> OverheadSeries {
+    ++attempts;
+    throw std::runtime_error("boom");
+  };
+  const MatrixResult result = run_matrix_checked(cells, {}, throwing);
+  EXPECT_EQ(attempts.load(), 1);
+  EXPECT_EQ(result.retries, 0u);
+  ASSERT_EQ(result.quarantined.size(), 1u);
+  EXPECT_EQ(result.quarantined[0].attempts, 1);
+  EXPECT_EQ(result.series[0].first_error, "uncaught exception: boom");
 }
 
 TEST(CheckedRunner, ParallelMatchesSerial) {
@@ -222,62 +237,79 @@ TEST(CheckedRunner, EventBudgetTripsDeterministically) {
 }
 
 TEST(CheckedRunner, CancellationDrainsGracefully) {
-  auto cells = small_matrix(8);
-  std::atomic<bool> cancel{false};
-  std::atomic<int> started{0};
+  const auto cells = small_matrix(8);
+  // Both sides of the runner's jobs == 1 split: the calling thread's loop
+  // and the pool.
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    std::atomic<bool> cancel{false};
+    std::atomic<int> started{0};
 
-  MatrixOptions options;
-  options.jobs = 2;
-  options.cancel = &cancel;
-  const WatchedCellRunner counting = [&](const ExperimentConfig& cfg,
-                                         CellWatchdog* wd) {
-    ++started;
-    return run_experiment_watched(cfg, wd);
-  };
-  options.progress = [&](std::size_t done, std::size_t) {
-    if (done >= 2) cancel.store(true, std::memory_order_release);
-  };
-  const MatrixResult result = run_matrix_checked(cells, options, counting);
+    MatrixOptions options;
+    options.jobs = jobs;
+    options.cancel = &cancel;
+    const WatchedCellRunner counting = [&](const ExperimentConfig& cfg,
+                                           CellWatchdog* wd) {
+      ++started;
+      return run_experiment_watched(cfg, wd);
+    };
+    options.progress = [&](std::size_t done, std::size_t) {
+      if (done >= 2) cancel.store(true, std::memory_order_release);
+    };
+    const MatrixResult result = run_matrix_checked(cells, options, counting);
 
-  EXPECT_TRUE(result.cancelled);
-  EXPECT_LT(result.cells_run, cells.size());
-  EXPECT_EQ(result.cells_run, static_cast<std::size_t>(started.load()));
-  // Cells that did run are complete, not torn.
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (result.series[i].samples.empty()) continue;
-    SCOPED_TRACE("cell " + std::to_string(i));
-    expect_identical(result.series[i], run_experiment(cells[i]));
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_LT(result.cells_run, cells.size());
+    EXPECT_EQ(result.cells_run, static_cast<std::size_t>(started.load()));
+    // Cells that did run are complete, not torn.
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (result.series[i].samples.empty()) continue;
+      SCOPED_TRACE("cell " + std::to_string(i));
+      expect_identical(result.series[i], run_experiment(cells[i]));
+    }
   }
 }
 
 TEST(CheckedRunner, ThrowingProgressDoesNotWedgeTheRun) {
   auto cells = small_matrix(4);
+  const WatchedCellRunner runner = [](const ExperimentConfig& cfg,
+                                      CellWatchdog* wd) {
+    return run_experiment_watched(cfg, wd);
+  };
 
-  // Serial legacy path.
+  // Serial: every cell still runs and is still reported.
   std::size_t calls = 0;
-  const auto serial = run_matrix(cells, 1, [&](std::size_t, std::size_t) {
+  MatrixOptions serial_options;
+  serial_options.jobs = 1;
+  serial_options.progress = [&](std::size_t, std::size_t) {
     ++calls;
     throw std::runtime_error("progress boom");
-  });
+  };
+  const auto serial =
+      run_matrix_checked(cells, serial_options, runner).series;
   EXPECT_EQ(calls, cells.size());  // every cell still reported
   for (std::size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
     expect_identical(serial[i], run_experiment(cells[i]));
   }
 
-  // Parallel legacy path.
+  // Parallel: the same on the pool.
   std::atomic<std::size_t> pcalls{0};
-  const auto parallel = run_matrix(cells, 2, [&](std::size_t, std::size_t) {
+  MatrixOptions parallel_options;
+  parallel_options.jobs = 2;
+  parallel_options.progress = [&](std::size_t, std::size_t) {
     ++pcalls;
     throw std::runtime_error("progress boom");
-  });
+  };
+  const auto parallel =
+      run_matrix_checked(cells, parallel_options, runner).series;
   EXPECT_EQ(pcalls.load(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
     expect_identical(parallel[i], serial[i]);
   }
 
-  // Checked engine: throws are counted and surfaced in the result.
+  // Default runner: throws are counted and surfaced in the result.
   MatrixOptions options;
   options.jobs = 2;
   options.progress = [](std::size_t, std::size_t) {
@@ -291,36 +323,6 @@ TEST(CheckedRunner, ThrowingProgressDoesNotWedgeTheRun) {
     SCOPED_TRACE("cell " + std::to_string(i));
     expect_identical(checked.series[i], serial[i]);
   }
-}
-
-TEST(ThreadPoolResilience, CancelDropsQueuedTasksAndStaysUsable) {
-  ThreadPool pool{1};
-  std::atomic<int> ran{0};
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::milliseconds{1});
-    ++ran;
-  });
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ++ran; });
-
-  // One task is (or is about to be) in flight; cancel drops the queued rest.
-  std::size_t dropped = 0;
-  while (dropped == 0 && ran.load() == 0) {
-    dropped = pool.cancel();
-    if (dropped == 0) std::this_thread::sleep_for(
-        std::chrono::milliseconds{1});
-  }
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_GE(dropped, 1u);
-  EXPECT_EQ(static_cast<std::size_t>(ran.load()), 11u - dropped);
-  EXPECT_TRUE(pool.failures().empty());
-
-  // Still serves new work after the cancel.
-  pool.submit([&] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(static_cast<std::size_t>(ran.load()), 12u - dropped);
 }
 
 }  // namespace

@@ -283,16 +283,6 @@ TEST(Scheduler, StepBatchFiresWholeBucketAndCountsBatches) {
   EXPECT_EQ(s.executed_batches(), 2u);
 }
 
-TEST(Scheduler, NextEventTimeReportsEarliestAcrossTiers) {
-  Scheduler s;
-  EXPECT_FALSE(s.next_event_time().has_value());
-  const Duration horizon = Scheduler::bucket_width() * Scheduler::kBuckets;
-  s.schedule_after(horizon * 2, [] {});  // overflow tier
-  EXPECT_EQ(*s.next_event_time(), TimePoint::epoch() + horizon * 2);
-  s.schedule_after(Duration::micros(3), [] {});  // ring tier
-  EXPECT_EQ(*s.next_event_time(), TimePoint::epoch() + Duration::micros(3));
-}
-
 TEST(Scheduler, CalendarAndHeapFireIdenticalSequences) {
   // The same pseudo-random workload (schedules, nested schedules, cancels)
   // under both queue implementations must fire the identical sequence of

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes, a
+# Tier-1 verification plus AddressSanitizer, UndefinedBehaviorSanitizer
+# and ThreadSanitizer passes, a
 # perf gate, the observability gates (obs tests, obs_overhead A/B,
 # bench-JSON schemas), the Release kernel gate (calendar-vs-heap
 # bit-identity across the full matrix + a scheduler events/sec floor), the
@@ -9,6 +10,7 @@
 # byte-identity vs the live tap).
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
+#                             # UBSan build + the tier1/kernel/obs suites,
 #                             # TSan build + the threaded suites, then
 #                             # Release perf_matrix (arena A/B gate) and
 #                             # obs_overhead (overhead/determinism gates) runs
@@ -16,8 +18,8 @@
 #   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
-# build-asan/ (ASan), build-tsan/ (TSan) and build-release/ (perf); all
-# incremental across invocations.
+# build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
+# build-release/ (perf); all incremental across invocations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,18 +88,33 @@ cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bn
 step "asan: ctest"
 ctest --test-dir build-asan --output-on-failure
 
+step "ubsan: configure (BNM_SANITIZE=undefined)"
+# shellcheck disable=SC2046
+cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
+
+step "ubsan: build tests"
+cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests
+
+step "ubsan: ctest (tier1, kernel, obs)"
+# Placement-new and launder in SmallCallback::emplace, the scheduler's
+# pooled cells and the registry's shard cells, plus everything tier-1
+# drives through them. -fno-sanitize-recover: a report fails the test.
+ctest --test-dir build-ubsan --output-on-failure -L 'tier1|kernel|obs'
+
 step "tsan: configure (BNM_SANITIZE=thread)"
 # shellcheck disable=SC2046
 cmake -B build-tsan -S . $(gen_for build-tsan) -DBNM_SANITIZE=thread
 
 step "tsan: build tests"
-cmake --build build-tsan -j --target bnm_tests bnm_resilience_tests bnm_campaign_tests
+cmake --build build-tsan -j --target bnm_tests bnm_resilience_tests bnm_campaign_tests bnm_obs_tests bnm_kernel_tests
 
-step "tsan: ctest (job runner, pool, watchdog thread, campaign)"
+step "tsan: ctest (job runner, pool, watchdog thread, campaign, registry)"
 # The runner's lock, its pool and the watchdog thread race for real on a
-# multi-core host; these suites drive all three at jobs > 1. No
+# multi-core host; these suites drive all three at jobs > 1. The obs and
+# kernel suites cover the registry's single-writer cells read by
+# concurrent snapshots, and the per-thread scheduler storage. No
 # suppressions: a report fails the step.
-ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign'
+ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign|obs|kernel'
 ctest --test-dir build-tsan --output-on-failure \
   -R 'ParallelRunner|ThreadPool|CheckedRunner'
 
@@ -360,4 +377,4 @@ echo "campaign chaos gate OK: killed after 3 shards, resumed byte-identical"
   "$CAMP_DIR"/CHECKPOINT_campaign.json "$CAMP_DIR"/REPORT_campaign_*.json
 
 echo
-echo "check.sh: tier-1 + ASan + TSan + perf + obs + resilience + campaign + passive OK"
+echo "check.sh: tier-1 + ASan + UBSan + TSan + perf + obs + resilience + campaign + passive OK"

@@ -172,68 +172,92 @@ void HttpClient::open_and_start(const std::shared_ptr<RequestState>& state) {
   connections_total().add(1);
   ++live_count_[state->server];
   auto entry = std::make_shared<PoolEntry>();
+  entry->server = state->server;
+  entry->state = state;
+  entry->attempt = state->attempt;
   entry->busy = true;
   state->entry = entry;
-  const std::uint64_t attempt = state->attempt;
+  PoolEntry* e = entry.get();
   net::TcpCallbacks cbs;
-  cbs.on_connect = [this, entry, state, attempt] {
-    if (state->settled || attempt != state->attempt) {
-      // Attempt abandoned while connecting: don't keep the connection.
-      entry->alive = false;
-      release_slot(state->server, *entry);
-      entry->conn->close();
-      return;
-    }
-    state->info.connect_complete = host_.sim().now();
-    start_on(entry, state);
+  cbs.on_connect = [this, e] { on_connected(*e); };
+  cbs.on_data = [this, e](const net::Payload& bytes) {
+    on_response_bytes(*e, bytes);
   };
-  cbs.on_reset = [this, entry, state, attempt] {
-    entry->alive = false;
-    release_slot(state->server, *entry);
-    fail_attempt(state, attempt, "connect failed: connection reset");
-  };
+  cbs.on_close = [this, e] { on_closed(*e); };
+  cbs.on_reset = [this, entry] { on_reset(*entry); };
   entry->conn = host_.tcp_connect(state->server, std::move(cbs));
+}
+
+void HttpClient::on_connected(PoolEntry& e) {
+  const auto entry = e.shared_from_this();
+  const auto state = entry->state;
+  if (state->settled || entry->attempt != state->attempt) {
+    // Attempt abandoned while connecting: don't keep the connection.
+    entry->alive = false;
+    release_slot(entry->server, *entry);
+    entry->conn->close();
+    return;
+  }
+  state->info.connect_complete = host_.sim().now();
+  start_on(entry, state);
+}
+
+void HttpClient::on_response_bytes(PoolEntry& e, const net::Payload& bytes) {
+  if (!e.started) return;
+  const auto entry = e.shared_from_this();
+  const auto state = entry->state;
+  const std::uint64_t attempt = entry->attempt;
+  entry->parser.feed(bytes);
+  if (entry->parser.failed()) {
+    entry->alive = false;
+    release_slot(entry->server, *entry);
+    entry->conn->abort();
+    if (state) fail_attempt(state, attempt, "response parse error");
+    return;
+  }
+  if (auto resp = entry->parser.take()) {
+    if (!state || state->settled || attempt != state->attempt) return;
+    state->info.response_complete = host_.sim().now();
+    finish(entry, state, std::move(*resp));
+  }
+}
+
+void HttpClient::on_closed(PoolEntry& e) {
+  if (!e.started) return;
+  const auto entry = e.shared_from_this();
+  const auto state = entry->state;
+  const std::uint64_t attempt = entry->attempt;
+  entry->alive = false;
+  release_slot(entry->server, *entry);
+  entry->parser.on_connection_closed();
+  if (auto resp = entry->parser.take()) {
+    if (!state || state->settled || attempt != state->attempt) return;
+    state->info.response_complete = host_.sim().now();
+    finish(entry, state, std::move(*resp));
+  } else if (entry->busy && state) {
+    fail_attempt(state, attempt, "connection closed mid-response");
+  }
+}
+
+void HttpClient::on_reset(PoolEntry& e) {
+  const auto entry = e.shared_from_this();
+  const auto state = entry->state;
+  entry->alive = false;
+  release_slot(entry->server, *entry);
+  if (entry->busy && state) {
+    fail_attempt(state, entry->attempt,
+                 entry->started ? "connection reset"
+                                : "connect failed: connection reset");
+  }
 }
 
 void HttpClient::start_on(const std::shared_ptr<PoolEntry>& entry,
                           const std::shared_ptr<RequestState>& state) {
   entry->busy = true;
+  entry->started = true;
+  entry->state = state;
+  entry->attempt = state->attempt;
   state->entry = entry;
-  const std::uint64_t attempt = state->attempt;
-  net::TcpCallbacks cbs;
-  cbs.on_data = [this, entry, state, attempt](const net::Payload& bytes) {
-    entry->parser.feed(bytes);
-    if (entry->parser.failed()) {
-      entry->alive = false;
-      release_slot(state->server, *entry);
-      entry->conn->abort();
-      fail_attempt(state, attempt, "response parse error");
-      return;
-    }
-    if (auto resp = entry->parser.take()) {
-      if (state->settled || attempt != state->attempt) return;
-      state->info.response_complete = host_.sim().now();
-      finish(entry, state, std::move(*resp));
-    }
-  };
-  cbs.on_close = [this, entry, state, attempt] {
-    entry->alive = false;
-    release_slot(state->server, *entry);
-    entry->parser.on_connection_closed();
-    if (auto resp = entry->parser.take()) {
-      if (state->settled || attempt != state->attempt) return;
-      state->info.response_complete = host_.sim().now();
-      finish(entry, state, std::move(*resp));
-    } else if (entry->busy) {
-      fail_attempt(state, attempt, "connection closed mid-response");
-    }
-  };
-  cbs.on_reset = [this, entry, state, attempt] {
-    entry->alive = false;
-    release_slot(state->server, *entry);
-    if (entry->busy) fail_attempt(state, attempt, "connection reset");
-  };
-  entry->conn->set_callbacks(std::move(cbs));
   entry->conn->send(state->req.serialize());
 }
 
@@ -302,15 +326,15 @@ void HttpClient::settle(const std::shared_ptr<RequestState>& state,
 namespace {
 /// Parse a Location header: "/path" (same server) or
 /// "http://a.b.c.d[:port]/path". Returns false on anything else.
-bool parse_location(const std::string& location, net::Endpoint same_server,
+bool parse_location(std::string_view location, net::Endpoint same_server,
                     net::Endpoint& out_server, std::string& out_path) {
   if (!location.empty() && location.front() == '/') {
     out_server = same_server;
     out_path = location;
     return true;
   }
-  if (location.rfind("http://", 0) != 0) return false;
-  const std::string rest = location.substr(7);
+  if (location.substr(0, 7) != "http://") return false;
+  const std::string rest{location.substr(7)};
   const auto slash = rest.find('/');
   const std::string hostport =
       slash == std::string::npos ? rest : rest.substr(0, slash);
@@ -337,6 +361,7 @@ void HttpClient::finish(const std::shared_ptr<PoolEntry>& entry,
                         HttpResponse response) {
   state->timeout_timer.cancel();
   entry->busy = false;
+  entry->state.reset();  // the connection no longer serves this request
   const net::Endpoint server = state->server;
   const bool keep = response.wants_keep_alive() && entry->alive;
   if (keep && state->opts.pool_after_use) {

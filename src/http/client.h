@@ -116,9 +116,20 @@ class HttpClient {
   net::Host& host() { return host_; }
 
  private:
+  struct RequestState;
+
+  /// One pooled connection. Its TCP callbacks are installed once, when the
+  /// connection opens, and read the attempt they serve from `state` and
+  /// `attempt`; only on_reset holds the entry strongly, so the other
+  /// callbacks capture a plain pointer and copy for free on every segment.
   struct PoolEntry : std::enable_shared_from_this<PoolEntry> {
     std::shared_ptr<net::TcpConnection> conn;
+    net::Endpoint server;
     ResponseParser parser;
+    /// The attempt this connection serves; null once its response is in.
+    std::shared_ptr<RequestState> state;
+    std::uint64_t attempt = 0;
+    bool started = false;  ///< a request was sent (handshake done)
     bool busy = false;
     bool alive = true;
     bool counted = true;  ///< still held against the per-host limit
@@ -152,6 +163,11 @@ class HttpClient {
   void start_on(const std::shared_ptr<PoolEntry>& entry,
                 const std::shared_ptr<RequestState>& state);
   void open_and_start(const std::shared_ptr<RequestState>& state);
+  // The connection's TCP callbacks.
+  void on_connected(PoolEntry& e);
+  void on_response_bytes(PoolEntry& e, const net::Payload& bytes);
+  void on_closed(PoolEntry& e);
+  void on_reset(PoolEntry& e);
   void finish(const std::shared_ptr<PoolEntry>& entry,
               const std::shared_ptr<RequestState>& state,
               HttpResponse response);

@@ -1,23 +1,34 @@
 #include "http/message.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 
 namespace bnm::http {
 
-bool Headers::iequals(const std::string& a, const std::string& b) {
+namespace {
+char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+}  // namespace
+
+bool Headers::iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   }
   return true;
 }
 
+bool Headers::icontains(std::string_view haystack, std::string_view needle) {
+  for (std::size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+    if (iequals(haystack.substr(i, needle.size()), needle)) return true;
+  }
+  return false;
+}
+
 void Headers::add(std::string name, std::string value) {
+  // One allocation covers a typical message's headers.
+  if (entries_.capacity() == 0) entries_.reserve(4);
   entries_.emplace_back(std::move(name), std::move(value));
 }
 
@@ -26,18 +37,18 @@ void Headers::set(std::string name, std::string value) {
   add(std::move(name), std::move(value));
 }
 
-std::optional<std::string> Headers::get(const std::string& name) const {
+std::optional<std::string_view> Headers::get(std::string_view name) const {
   for (const auto& [n, v] : entries_) {
     if (iequals(n, name)) return v;
   }
   return std::nullopt;
 }
 
-bool Headers::contains(const std::string& name) const {
+bool Headers::contains(std::string_view name) const {
   return get(name).has_value();
 }
 
-void Headers::remove(const std::string& name) {
+void Headers::remove(std::string_view name) {
   entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                 [&](const auto& e) {
                                   return iequals(e.first, name);
@@ -48,38 +59,45 @@ void Headers::remove(const std::string& name) {
 namespace {
 bool keep_alive_from(const Headers& headers, const std::string& version) {
   if (const auto c = headers.get("Connection")) {
-    std::string lower = *c;
-    std::transform(lower.begin(), lower.end(), lower.begin(), [](unsigned char ch) {
-      return static_cast<char>(std::tolower(ch));
-    });
-    if (lower.find("close") != std::string::npos) return false;
-    if (lower.find("keep-alive") != std::string::npos) return true;
+    if (Headers::icontains(*c, "close")) return false;
+    if (Headers::icontains(*c, "keep-alive")) return true;
   }
   return version == "HTTP/1.1";  // 1.1 defaults to persistent
 }
 
-void serialize_headers(std::string& out, const Headers& headers,
-                       std::size_t body_size, bool has_framing) {
+bool has_framing(const Headers& headers) {
+  return headers.contains("Content-Length") ||
+         headers.contains("Transfer-Encoding");
+}
+
+/// Append `a SP b SP c CRLF`, the header block, an optional generated
+/// Content-Length, the blank line and the body into one buffer reserved to
+/// the exact wire size.
+std::string serialize_message(std::string_view a, std::string_view b,
+                              std::string_view c, const Headers& headers,
+                              bool add_length, const std::string& body) {
+  static constexpr std::string_view kLengthName = "Content-Length: ";
+  const std::string length =
+      add_length ? std::to_string(body.size()) : std::string{};
+  std::size_t size = a.size() + b.size() + c.size() + 4 + 2 + body.size();
+  for (const auto& [n, v] : headers.entries()) size += n.size() + v.size() + 4;
+  if (add_length) size += kLengthName.size() + length.size() + 2;
+
+  std::string out;
+  out.reserve(size);
+  out.append(a).append(" ").append(b).append(" ").append(c).append("\r\n");
   for (const auto& [n, v] : headers.entries()) {
-    out += n;
-    out += ": ";
-    out += v;
-    out += "\r\n";
+    out.append(n).append(": ").append(v).append("\r\n");
   }
-  if (!has_framing && body_size > 0) {
-    out += "Content-Length: " + std::to_string(body_size) + "\r\n";
-  }
-  out += "\r\n";
+  if (add_length) out.append(kLengthName).append(length).append("\r\n");
+  out.append("\r\n").append(body);
+  return out;
 }
 }  // namespace
 
 std::string HttpRequest::serialize() const {
-  std::string out = method + " " + target + " " + version + "\r\n";
-  const bool framed = headers.contains("Content-Length") ||
-                      headers.contains("Transfer-Encoding");
-  serialize_headers(out, headers, body.size(), framed);
-  out += body;
-  return out;
+  return serialize_message(method, target, version, headers,
+                           !has_framing(headers) && !body.empty(), body);
 }
 
 bool HttpRequest::wants_keep_alive() const {
@@ -87,20 +105,11 @@ bool HttpRequest::wants_keep_alive() const {
 }
 
 std::string HttpResponse::serialize() const {
-  std::string out = version + " " + std::to_string(status) + " " + reason + "\r\n";
-  const bool framed = headers.contains("Content-Length") ||
-                      headers.contains("Transfer-Encoding");
-  for (const auto& [n, v] : headers.entries()) {
-    out += n + ": " + v + "\r\n";
-  }
   // Responses always carry explicit framing so keep-alive works, even for
   // empty bodies.
-  if (!framed) {
-    out += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  }
-  out += "\r\n";
-  out += body;
-  return out;
+  const std::string code = std::to_string(status);
+  return serialize_message(version, code, reason, headers,
+                           !has_framing(headers), body);
 }
 
 bool HttpResponse::wants_keep_alive() const {

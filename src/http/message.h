@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,10 +19,11 @@ class Headers {
   void add(std::string name, std::string value);
   /// Replace all occurrences of `name` with a single header.
   void set(std::string name, std::string value);
-  /// First value of `name`, if present.
-  std::optional<std::string> get(const std::string& name) const;
-  bool contains(const std::string& name) const;
-  void remove(const std::string& name);
+  /// First value of `name`, if present: a view into this header list,
+  /// valid until the list is next modified.
+  std::optional<std::string_view> get(std::string_view name) const;
+  bool contains(std::string_view name) const;
+  void remove(std::string_view name);
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
@@ -29,8 +31,12 @@ class Headers {
     return entries_;
   }
 
-  /// Case-insensitive ASCII comparison, exposed for the parser.
-  static bool iequals(const std::string& a, const std::string& b);
+  /// Case-insensitive ASCII comparison (locale-independent), exposed for
+  /// the parser.
+  static bool iequals(std::string_view a, std::string_view b);
+  /// Case-insensitive ASCII substring test (token checks in Connection /
+  /// Transfer-Encoding values).
+  static bool icontains(std::string_view haystack, std::string_view needle);
 
  private:
   std::vector<std::pair<std::string, std::string>> entries_;
@@ -44,7 +50,8 @@ struct HttpRequest {
   std::string body;
 
   /// Serialize with correct framing: adds Content-Length when a body is
-  /// present and no framing header was set.
+  /// present and no framing header was set. Builds the wire bytes in one
+  /// buffer reserved to size.
   std::string serialize() const;
 
   bool wants_keep_alive() const;

@@ -4,12 +4,15 @@
 // complete messages. Framing: Content-Length, chunked transfer coding, or
 // (responses only) connection-close delimiting. One parser instance handles
 // a whole persistent connection: it resets itself after each message.
+// Parsing is in place: lines are views into the receive buffer behind a
+// read offset, and the consumed prefix is dropped once per feed(), so the
+// only copies are the message fields themselves.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "http/message.h"
 #include "net/payload.h"
@@ -45,7 +48,7 @@ class MessageParser {
                      kChunkTrailer, kComplete };
 
   void advance();
-  virtual bool parse_start_line(const std::string& line) = 0;
+  virtual bool parse_start_line(std::string_view line) = 0;
   virtual Headers& headers_ref() = 0;
   virtual std::string& body_ref() = 0;
   /// Response parsers may treat a missing length as read-until-close.
@@ -53,11 +56,15 @@ class MessageParser {
   virtual void reset_message() = 0;
 
   void finish_headers();
-  bool take_line(std::string& line);
-  void mark_complete() { phase_ = Phase::kComplete; }
+  /// Next CRLF-terminated line as a view into buffer_ (valid until the
+  /// next feed()), or false when no complete line is buffered.
+  bool take_line(std::string_view& line);
+  /// Move up to `limit` unread bytes into the body.
+  std::size_t take_body(std::size_t limit);
   void fail(ParseError e) { error_ = e; }
 
   std::string buffer_;
+  std::size_t pos_ = 0;  ///< read offset into buffer_
   Phase phase_ = Phase::kStartLine;
   ParseError error_ = ParseError::kNone;
   std::size_t body_limit_ = 64 * 1024 * 1024;
@@ -65,7 +72,6 @@ class MessageParser {
   bool has_content_length_ = false;
   bool chunked_ = false;
   std::size_t chunk_remaining_ = 0;
-  bool complete_ = false;
 };
 
 class RequestParser : public MessageParser {
@@ -74,7 +80,7 @@ class RequestParser : public MessageParser {
   std::optional<HttpRequest> take();
 
  private:
-  bool parse_start_line(const std::string& line) override;
+  bool parse_start_line(std::string_view line) override;
   Headers& headers_ref() override { return current_.headers; }
   std::string& body_ref() override { return current_.body; }
   bool length_required() const override { return true; }
@@ -91,7 +97,7 @@ class ResponseParser : public MessageParser {
   void on_connection_closed();
 
  private:
-  bool parse_start_line(const std::string& line) override;
+  bool parse_start_line(std::string_view line) override;
   Headers& headers_ref() override { return current_.headers; }
   std::string& body_ref() override { return current_.body; }
   bool length_required() const override { return false; }

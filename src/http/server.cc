@@ -23,28 +23,6 @@ std::string WebServer::path_of(const std::string& target) {
   return q == std::string::npos ? target : target.substr(0, q);
 }
 
-std::unordered_map<std::string, std::string> WebServer::parse_query(
-    const std::string& target) {
-  std::unordered_map<std::string, std::string> out;
-  const auto q = target.find('?');
-  if (q == std::string::npos) return out;
-  std::string rest = target.substr(q + 1);
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    auto amp = rest.find('&', pos);
-    if (amp == std::string::npos) amp = rest.size();
-    const std::string kv = rest.substr(pos, amp - pos);
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos) {
-      out[kv] = "";
-    } else {
-      out[kv.substr(0, eq)] = kv.substr(eq + 1);
-    }
-    pos = amp + 1;
-  }
-  return out;
-}
-
 std::string WebServer::container_page(const std::string& method) {
   // Mirrors the paper's PHP/HTML container pages: a page embedding the
   // measurement code for one method. The body content is representative,
@@ -60,12 +38,31 @@ std::string WebServer::container_page(const std::string& method) {
          "</body></html>\n";
 }
 
+std::optional<std::string_view> WebServer::query_param(std::string_view target,
+                                                      std::string_view name) {
+  const auto q = target.find('?');
+  if (q == std::string_view::npos) return std::nullopt;
+  std::optional<std::string_view> found;
+  std::string_view rest = target.substr(q + 1);
+  while (!rest.empty()) {
+    const auto amp = rest.find('&');
+    const std::string_view kv = rest.substr(0, amp);
+    const auto eq = kv.find('=');
+    if (kv.substr(0, eq) == name) {
+      found = eq == std::string_view::npos ? std::string_view{}
+                                           : kv.substr(eq + 1);
+    }
+    if (amp == std::string_view::npos) break;
+    rest.remove_prefix(amp + 1);
+  }
+  return found;
+}
+
 void WebServer::install_default_routes() {
   route("GET", "/", [](const HttpRequest& req) {
-    const auto params = parse_query(req.target);
-    const auto it = params.find("method");
+    const auto method = query_param(req.target, "method");
     return HttpResponse::make(
-        200, container_page(it == params.end() ? "xhr_get" : it->second),
+        200, container_page(std::string{method.value_or("xhr_get")}),
         "text/html");
   });
   route("GET", "/echo", [](const HttpRequest&) {
@@ -75,20 +72,19 @@ void WebServer::install_default_routes() {
     return HttpResponse::make(200, "got " + std::to_string(req.body.size()));
   });
   route("GET", "/payload", [](const HttpRequest& req) {
-    const auto params = parse_query(req.target);
     std::size_t size = 1024;
-    if (const auto it = params.find("size"); it != params.end()) {
-      size = static_cast<std::size_t>(std::strtoull(it->second.c_str(), nullptr, 10));
+    if (const auto value = query_param(req.target, "size")) {
+      size = static_cast<std::size_t>(
+          std::strtoull(std::string{*value}.c_str(), nullptr, 10));
     }
     std::string body(size, 'x');
     return HttpResponse::make(200, std::move(body),
                               "application/octet-stream");
   });
   route("GET", "/redirect", [](const HttpRequest& req) {
-    const auto params = parse_query(req.target);
-    const auto it = params.find("to");
     HttpResponse r = HttpResponse::make(302, "");
-    r.headers.set("Location", it == params.end() ? "/echo" : it->second);
+    r.headers.set("Location",
+                  std::string{query_param(req.target, "to").value_or("/echo")});
     return r;
   });
   route("GET", "/crossdomain.xml", [](const HttpRequest&) {
@@ -105,14 +101,21 @@ void WebServer::on_accept(std::shared_ptr<net::TcpConnection> conn) {
   ++connections_accepted_;
   auto state = std::make_shared<ConnState>();
   state->conn = std::move(conn);
+  // TCP copies a callback before each call, so the per-segment ones
+  // capture a plain pointer (a free copy) and re-take ownership inside;
+  // on_reset owns the state for as long as the callbacks are installed
+  // (a reset needs no action here).
+  ConnState* raw = state.get();
   net::TcpCallbacks cbs;
-  cbs.on_data = [this, state](const net::Payload& bytes) {
-    on_data(state, bytes);
+  cbs.on_data = [this, raw](const net::Payload& bytes) {
+    on_data(raw->shared_from_this(), bytes);
   };
-  cbs.on_close = [state] {
+  cbs.on_close = [raw] {
     // Peer closed; finish our side.
-    state->conn->close();
+    const auto keep = raw->shared_from_this();
+    keep->conn->close();
   };
+  cbs.on_reset = [state] {};
   state->conn->set_callbacks(std::move(cbs));
 }
 
@@ -135,20 +138,25 @@ void WebServer::on_data(const std::shared_ptr<ConnState>& state,
 
 void WebServer::dispatch(const std::shared_ptr<ConnState>& state,
                          HttpRequest request) {
-  host_.sim().scheduler().schedule_after(
-      config_.think_time, [this, state, req = std::move(request)] {
-        if (state->closing) return;
-        HttpResponse resp = handle(req);
-        resp.headers.set("Server", config_.server_header);
-        const bool keep = req.wants_keep_alive();
-        if (!keep) resp.headers.set("Connection", "close");
-        ++requests_served_;
-        state->conn->send(resp.serialize());
-        if (!keep) {
-          state->conn->close();
-          state->closing = true;
-        }
-      });
+  state->pending.push_back(std::move(request));
+  host_.sim().scheduler().post_after(config_.think_time, [this, state] {
+    const HttpRequest req = std::move(state->pending[state->pending_head++]);
+    if (state->pending_head == state->pending.size()) {
+      state->pending.clear();  // keeps capacity for the next request
+      state->pending_head = 0;
+    }
+    if (state->closing) return;
+    HttpResponse resp = handle(req);
+    resp.headers.set("Server", config_.server_header);
+    const bool keep = req.wants_keep_alive();
+    if (!keep) resp.headers.set("Connection", "close");
+    ++requests_served_;
+    state->conn->send(resp.serialize());
+    if (!keep) {
+      state->conn->close();
+      state->closing = true;
+    }
+  });
 }
 
 HttpResponse WebServer::handle(const HttpRequest& request) {

@@ -13,8 +13,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "http/message.h"
 #include "http/parser.h"
@@ -49,15 +52,22 @@ class WebServer {
   /// downloads in the preparation phase).
   static std::string container_page(const std::string& method);
 
-  /// Parse "?k=v&k2=v2" query parameters from a target.
-  static std::unordered_map<std::string, std::string> parse_query(
-      const std::string& target);
+  /// Value of query parameter `name` in a "path?k=v&k2=v2" target, as a
+  /// view into `target`: the last occurrence wins, a bare key reads as "".
+  static std::optional<std::string_view> query_param(std::string_view target,
+                                                     std::string_view name);
   static std::string path_of(const std::string& target);
 
  private:
-  struct ConnState {
+  struct ConnState : std::enable_shared_from_this<ConnState> {
     std::shared_ptr<net::TcpConnection> conn;
     RequestParser parser;
+    /// Parsed requests still in their think time, oldest first from
+    /// pending_head. Think time is one per server, so their dispatch events
+    /// fire in this order and each pops the head; the event's closure then
+    /// carries only the server and this state, never a whole request.
+    std::vector<HttpRequest> pending;
+    std::size_t pending_head = 0;
     bool closing = false;
   };
 

@@ -157,9 +157,10 @@ struct ShardHandle {
 
 }  // namespace
 
-std::atomic<std::uint64_t>* tls_cells() {
+Cell* attach_shard() {
   thread_local ShardHandle handle;
-  return handle.shard.cells;
+  t_cells = handle.shard.cells;
+  return t_cells;
 }
 
 }  // namespace detail

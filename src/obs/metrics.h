@@ -12,11 +12,14 @@
 //     snapshot from a parallel core::run_matrix run byte-identical to the
 //     serial run's snapshot (bench/obs_overhead proves it on every
 //     scripts/check.sh run).
-//   * Lock-free thread-local shards. An increment touches only the calling
-//     thread's shard cell (a relaxed atomic on a thread-private cache line),
-//     so pool workers never contend. Shards fold into a retired accumulator
-//     when their thread exits; snapshot() merges live shards + retired under
-//     a mutex (cold path only).
+//   * Single-writer thread-local shards. Only the owning thread writes a
+//     shard's cells, so a write is a plain store: a relaxed load plus a
+//     relaxed store on the thread's own cell (no lock-prefixed RMW), reached
+//     through an inline thread_local pointer. Pool workers never contend.
+//     Cells stay std::atomic so the cold readers (snapshot, total, reset)
+//     never tear a value. Shards fold into a retired accumulator when their
+//     thread exits; snapshot() merges live shards + retired under a mutex
+//     (cold path only).
 //   * Always on. Instruments here replaced counters that were always on
 //     (PayloadStats, FaultCounters, ...) and whose accessors are part of
 //     the public API — so recording is unconditional and cheap by design.
@@ -51,17 +54,33 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 const char* to_string(MetricKind kind);
 
 namespace detail {
-/// The calling thread's shard cells (registered with the registry on first
-/// use). Never nullptr. Cells are relaxed atomics: the owning thread is the
-/// only writer, snapshot/reset are the only other readers.
-std::atomic<std::uint64_t>* tls_cells();
+using Cell = std::atomic<std::uint64_t>;
+
+/// The calling thread's shard cells; nullptr until its first write.
+inline thread_local Cell* t_cells = nullptr;
+/// Create and register the calling thread's shard; sets t_cells.
+Cell* attach_shard();
+
+/// The calling thread's shard cells (registered on first use). The owning
+/// thread is the only writer; snapshot/total/reset are the only readers.
+inline Cell* cells() {
+  Cell* c = t_cells;
+  return __builtin_expect(c != nullptr, 1) ? c : attach_shard();
+}
+
+/// Single-writer increment: a relaxed load and a relaxed store, no RMW.
+inline void bump(Cell& cell, std::uint64_t v) {
+  cell.store(cell.load(std::memory_order_relaxed) + v,
+             std::memory_order_relaxed);
+}
 }  // namespace detail
 
-/// Monotonic sum. add() is the hot path: one thread-local relaxed add.
+/// Monotonic sum. add() is the hot path: a plain store to the calling
+/// thread's own cell.
 class Counter {
  public:
   void add(std::uint64_t v = 1) const {
-    detail::tls_cells()[cell_].fetch_add(v, std::memory_order_relaxed);
+    detail::bump(detail::cells()[cell_], v);
   }
   /// Merged total across all threads (cold: takes the registry mutex).
   std::uint64_t total() const;
@@ -81,10 +100,9 @@ class Counter {
 class Gauge {
  public:
   void record_max(std::uint64_t v) const {
-    std::atomic<std::uint64_t>& cell = detail::tls_cells()[cell_];
-    std::uint64_t cur = cell.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    detail::Cell& cell = detail::cells()[cell_];
+    if (v > cell.load(std::memory_order_relaxed)) {
+      cell.store(v, std::memory_order_relaxed);
     }
   }
   std::uint64_t max_value() const;
@@ -104,11 +122,11 @@ class Gauge {
 class Histogram {
  public:
   void observe(std::uint64_t v) const {
-    std::atomic<std::uint64_t>* cells = detail::tls_cells();
+    detail::Cell* cells = detail::cells();
     std::size_t i = 0;
     while (i < n_bounds_ && v > bounds_[i]) ++i;  // n_bounds_ is small
-    cells[cell_ + i].fetch_add(1, std::memory_order_relaxed);
-    cells[cell_ + n_bounds_ + 1].fetch_add(v, std::memory_order_relaxed);
+    detail::bump(cells[cell_ + i], 1);
+    detail::bump(cells[cell_ + n_bounds_ + 1], v);
   }
   std::uint64_t count() const;
   std::uint64_t sum() const;
@@ -171,8 +189,8 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
 
   /// Zero every cell of every metric (live shards + retired). Quiescent
-  /// points only — concurrent increments on other threads may be lost, not
-  /// corrupted.
+  /// points only — an increment racing the reset may be lost (or may
+  /// survive it), but a cell is never torn.
   void reset();
 
   std::size_t metric_count() const;

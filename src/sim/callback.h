@@ -4,10 +4,13 @@
 // std::function most of those closures spill to the heap (libstdc++ gives
 // them 16 bytes of inline storage) and each Entry copy re-allocates. This
 // type keeps callables up to kInlineBytes inside the event itself, is
-// move-only (queue entries are moved, never copied), and falls back to a
-// single heap cell for oversized captures.
+// move-only, and falls back to a single heap cell for oversized captures.
+// The scheduler builds each event's closure straight into its pool cell
+// with emplace(), so a scheduled closure is constructed once and never
+// moved.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -30,8 +33,20 @@ class SmallCallback {
                 !std::is_same_v<std::decay_t<F>, SmallCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+    emplace(std::forward<F>(f));
+  }
+
+  /// Construct the callable from `f` directly in this callback's storage,
+  /// which must be empty. Passing an rvalue SmallCallback moves it in.
+  template <typename F>
+  void emplace(F&& f) {
+    assert(ops_ == nullptr && "emplace into a non-empty callback");
     using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
+    if constexpr (std::is_same_v<Fn, SmallCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "SmallCallback is move-only");
+      move_from(f);
+    } else if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {
@@ -53,6 +68,14 @@ class SmallCallback {
 
   ~SmallCallback() { reset(); }
 
+  /// Destroy the callable, if any, leaving the callback empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
+
   void operator()() { ops_->call(buf_); }
 
   explicit operator bool() const { return ops_ != nullptr; }
@@ -66,8 +89,7 @@ class SmallCallback {
     void (*call)(void* buf);
     /// Move-construct into `dst` from `src` and destroy the source.
     /// nullptr means "memcpy the whole buffer" — the fast path for
-    /// trivially-copyable callables (and the heap cell's pointer), which
-    /// queue moves hit constantly.
+    /// trivially-copyable callables (and the heap cell's pointer).
     void (*relocate)(void* dst, void* src) noexcept;
     /// nullptr means trivially destructible: nothing to run.
     void (*destroy)(void* buf) noexcept;
@@ -121,13 +143,6 @@ class SmallCallback {
         std::memcpy(buf_, o.buf_, kInlineBytes);
       }
       o.ops_ = nullptr;
-    }
-  }
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      if (ops_->destroy != nullptr) ops_->destroy(buf_);
-      ops_ = nullptr;
     }
   }
 

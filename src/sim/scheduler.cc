@@ -91,18 +91,113 @@ void Scheduler::set_default_impl(QueueImpl impl) { g_default_impl = impl; }
 
 Scheduler::QueueImpl Scheduler::default_impl() { return g_default_impl; }
 
-Scheduler::Scheduler(QueueImpl impl)
-    : impl_{impl}, pool_{new detail::ControlBlockPool} {}
+/// Emptied storage of the last Scheduler destroyed on a thread: callback
+/// cells (all free), tier vectors (empty, capacity kept) and, when no
+/// handle outlived that Scheduler, its control blocks (all free). One per
+/// thread, allocated once and refilled by every Scheduler destroyed there.
+struct Scheduler::Spare {
+  bool full = false;
+  detail::ControlBlockPool* blocks = nullptr;  ///< nullptr: build a new one
+  detail::CallbackPool cbpool;
+  std::vector<Entry> bottom;
+  std::array<std::vector<Entry>, kBuckets> ring;
+  std::vector<Entry> overflow;
+  std::vector<Entry> heap;
 
-Scheduler::~Scheduler() { pool_->release(); }
+  ~Spare() {
+    if (blocks != nullptr) blocks->release();
+  }
+};
 
-void Scheduler::push_entry(TimePoint at, SmallCallback fn,
+namespace {
+
+/// Set once the thread's spare has been destroyed at thread exit; a
+/// Scheduler torn down after that (a static one, say) frees its storage
+/// instead. Trivially destructible, so it is readable at any point.
+thread_local bool t_spare_closed = false;
+
+}  // namespace
+
+template <typename Fn>
+void Scheduler::for_each_queued(Fn&& fn) const {
+  for (std::size_t i = bottom_pos_; i < bottom_.size(); ++i) fn(bottom_[i]);
+  for (const auto& bucket : ring_) {
+    for (const Entry& e : bucket) fn(e);
+  }
+  for (const Entry& e : overflow_) fn(e);
+  for (const Entry& e : heap_) fn(e);
+}
+
+Scheduler::Spare* Scheduler::thread_spare() {
+  if (t_spare_closed) return nullptr;
+  struct Holder {
+    std::unique_ptr<Spare> spare = std::make_unique<Spare>();
+    ~Holder() { t_spare_closed = true; }
+  };
+  thread_local Holder holder;
+  return holder.spare.get();
+}
+
+Scheduler::Scheduler(QueueImpl impl) : impl_{impl} {
+  Spare* spare = thread_spare();
+  if (spare == nullptr || !spare->full) {
+    pool_ = new detail::ControlBlockPool;
+    return;
+  }
+  spare->full = false;
+  pool_ = spare->blocks != nullptr ? std::exchange(spare->blocks, nullptr)
+                                   : new detail::ControlBlockPool;
+  swap_storage(*spare);
+}
+
+void Scheduler::swap_storage(Spare& spare) {
+  std::swap(cbpool_, spare.cbpool);
+  bottom_.swap(spare.bottom);
+  for (std::size_t i = 0; i < kBuckets; ++i) ring_[i].swap(spare.ring[i]);
+  overflow_.swap(spare.overflow);
+  heap_.swap(spare.heap);
+}
+
+Scheduler::~Scheduler() {
+  // Queued callables die first: they may own EventHandles, and only a pool
+  // no handle references can be reused.
+  for_each_queued([this](const Entry& e) { cbpool_.release(e.cb); });
+  Spare* spare = thread_spare();
+  if (spare == nullptr || spare->full) {
+    pool_->release();
+    return;
+  }
+  if (pool_->sole_owner()) {
+    for_each_queued([this](const Entry& e) {
+      if (e.block != 0) pool_->retire(e.block - 1);
+    });
+    spare->blocks = pool_;
+  } else {
+    pool_->release();  // handles keep it alive and report their events
+  }
+  bottom_.clear();
+  for (auto& bucket : ring_) {
+    bucket.clear();
+    // Promotion swaps circulate the bottom's capacity through the ring; a
+    // spare kept across thousands of testbeds would ratchet every slot up
+    // to the largest bucket ever seen. Slots past the cap start over.
+    if (bucket.capacity() > kSpareBucketEntries) {
+      std::vector<Entry>().swap(bucket);
+    }
+  }
+  overflow_.clear();
+  heap_.clear();
+  swap_storage(*spare);
+  spare->full = true;
+}
+
+void Scheduler::push_entry(TimePoint at, SmallCallback* cb,
                            std::uint32_t block) {
+  assert(*cb && "scheduling an empty callback");
   if (at < now_) at = now_;  // never schedule into the past
   const std::uint64_t seq = next_seq_++;
-  // The callable moves into a stable pool cell exactly once; the queue
-  // tiers shuffle 40-byte POD entries from here on.
-  SmallCallback* cb = cbpool_.acquire(std::move(fn));
+  // The callable already sits in its stable pool cell; the queue tiers
+  // shuffle 40-byte POD entries from here on.
   if (impl_ == QueueImpl::kHeap) {
     heap_push(Entry{at, seq, cb, block, now_});
     return;
@@ -136,30 +231,6 @@ void Scheduler::push_entry(TimePoint at, SmallCallback fn,
     overflow_.push_back(Entry{at, seq, cb, block, now_});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
   }
-}
-
-EventHandle Scheduler::schedule_at(TimePoint at, SmallCallback fn) {
-  assert(fn && "scheduling an empty callback");
-  std::uint32_t gen = 0;
-  const std::uint32_t idx = pool_->acquire(gen);
-  EventHandle handle{pool_, idx, gen};
-  push_entry(at, std::move(fn), idx + 1);
-  return handle;
-}
-
-EventHandle Scheduler::schedule_after(Duration delay, SmallCallback fn) {
-  if (delay.is_negative()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-void Scheduler::post_at(TimePoint at, SmallCallback fn) {
-  assert(fn && "scheduling an empty callback");
-  push_entry(at, std::move(fn), 0);
-}
-
-void Scheduler::post_after(Duration delay, SmallCallback fn) {
-  if (delay.is_negative()) delay = Duration::zero();
-  post_at(now_ + delay, std::move(fn));
 }
 
 void Scheduler::mark_bucket(std::uint64_t abs, bool occupied) {
@@ -380,36 +451,24 @@ std::size_t Scheduler::run_while(const bool& stop, TimePoint not_after,
 
 std::size_t Scheduler::pending_events() const {
   std::size_t live = 0;
-  const auto count = [&](const Entry& e) {
+  for_each_queued([&](const Entry& e) {
     if (e.block == 0 || pool_->alive(e.block - 1)) ++live;
-  };
-  for (std::size_t i = bottom_pos_; i < bottom_.size(); ++i) count(bottom_[i]);
-  for (const auto& bucket : ring_) {
-    for (const Entry& e : bucket) count(e);
-  }
-  for (const Entry& e : overflow_) count(e);
-  for (const Entry& e : heap_) count(e);
+  });
   return live;
 }
 
 void Scheduler::clear() {
-  const auto drop = [&](Entry& e) {
+  for_each_queued([this](const Entry& e) {
     if (e.block != 0) pool_->retire(e.block - 1);
     cbpool_.release(e.cb);
-  };
-  for (std::size_t i = bottom_pos_; i < bottom_.size(); ++i) drop(bottom_[i]);
+  });
   bottom_.clear();
   bottom_pos_ = 0;
-  for (auto& bucket : ring_) {
-    for (Entry& e : bucket) drop(e);
-    bucket.clear();
-  }
+  for (auto& bucket : ring_) bucket.clear();
   occupied_.fill(0);
   unsorted_.fill(0);
   ring_count_ = 0;
-  for (Entry& e : overflow_) drop(e);
   overflow_.clear();
-  for (Entry& e : heap_) drop(e);
   heap_.clear();
   // Re-anchor the ring at the current time so new near-future events use
   // the buckets instead of degenerating to sorted bottom inserts.

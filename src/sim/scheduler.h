@@ -28,11 +28,19 @@
 // reference implementation: bench/perf_matrix runs the full experiment
 // matrix under both and fails if a single sample differs.
 //
-// Hot-path costs: schedule_*/post_* are a bucket append plus (for the
-// cancellable path) a pooled control-block acquisition — no heap allocation
-// in steady state (tests/test_kernel_alloc.cpp asserts this with an
-// operator-new hook). run() fires whole buckets per batch with the
-// trace/profiling guards hoisted out of the per-event loop.
+// Allocation contract: schedule_*/post_* are forwarding templates that
+// build the callable once, in place, in a pooled callback cell; the queue
+// tiers then move 40-byte POD entries that point at the cell. Past that,
+// an event is a bucket append plus (for the cancellable path) a pooled
+// control-block acquisition — no heap allocation in steady state. Storage
+// is kept per thread: a destroyed Scheduler parks its emptied ring buckets
+// (freeing any grown past kSpareBucketEntries), tiers, callback cells and
+// (when no handle outlives it) control blocks for the next Scheduler built
+// on the same thread, so a worker that builds one testbed per cell or
+// client does not regrow that storage per testbed.
+// tests/test_kernel_alloc.cpp asserts both with an operator-new hook.
+// run() fires whole buckets per batch with the trace/profiling guards
+// hoisted out of the per-event loop.
 #pragma once
 
 #include <array>
@@ -94,6 +102,8 @@ class ControlBlockPool {
   bool alive(std::uint32_t idx) const { return slot(idx).alive; }
   std::uint32_t generation(std::uint32_t idx) const { return slot(idx).gen; }
   std::size_t free_count() const { return free_.size(); }
+  /// True when no EventHandle references the pool (only its Scheduler).
+  bool sole_owner() const { return refs_ == 1; }
 
  private:
   struct Slot {
@@ -123,17 +133,19 @@ class ControlBlockPool {
 /// grows the pool or reshapes the queue tiers.
 class CallbackPool {
  public:
-  SmallCallback* acquire(SmallCallback&& fn) {
+  /// Take a free cell and construct the callable from `fn` in it.
+  template <typename F>
+  SmallCallback* acquire(F&& fn) {
     if (free_.empty()) grow();
     SmallCallback* cell = free_.back();
+    cell->emplace(std::forward<F>(fn));
     free_.pop_back();
-    *cell = std::move(fn);
     return cell;
   }
   /// Destroy the cell's callable (if any) and park the cell for reuse.
   /// Never allocates: grow() pre-reserves the free list.
   void release(SmallCallback* cell) {
-    *cell = SmallCallback{};
+    cell->reset();
     free_.push_back(cell);
   }
 
@@ -226,15 +238,36 @@ class Scheduler {
   /// Current simulated time. Advances only inside run()/step().
   TimePoint now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (must be >= now()).
-  EventHandle schedule_at(TimePoint at, SmallCallback fn);
+  /// Schedule `fn` (any `void()` callable, or a SmallCallback) to run at
+  /// absolute time `at` (must be >= now()). The callable is constructed
+  /// once, in its pool cell.
+  template <typename F>
+  EventHandle schedule_at(TimePoint at, F&& fn) {
+    SmallCallback* cb = cbpool_.acquire(std::forward<F>(fn));
+    std::uint32_t gen = 0;
+    const std::uint32_t idx = pool_->acquire(gen);
+    EventHandle handle{pool_, idx, gen};
+    push_entry(at, cb, idx + 1);
+    return handle;
+  }
   /// Schedule `fn` to run `delay` after now(). Negative delays clamp to 0.
-  EventHandle schedule_after(Duration delay, SmallCallback fn);
+  template <typename F>
+  EventHandle schedule_after(Duration delay, F&& fn) {
+    if (delay.is_negative()) delay = Duration::zero();
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Fire-and-forget variants: no cancellation handle, no control block.
   /// Prefer these on hot paths that never cancel.
-  void post_at(TimePoint at, SmallCallback fn);
-  void post_after(Duration delay, SmallCallback fn);
+  template <typename F>
+  void post_at(TimePoint at, F&& fn) {
+    push_entry(at, cbpool_.acquire(std::forward<F>(fn)), 0);
+  }
+  template <typename F>
+  void post_after(Duration delay, F&& fn) {
+    if (delay.is_negative()) delay = Duration::zero();
+    post_at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Execute the next pending event; returns false if the queue is empty.
   bool step();
@@ -298,6 +331,9 @@ class Scheduler {
   static constexpr Duration bucket_width() {
     return Duration::nanos(std::int64_t{1} << kBucketShiftNs);
   }
+  /// A parked ring bucket keeps its capacity only up to this many entries
+  /// (bounds the per-thread spare's memory; see the allocation contract).
+  static constexpr std::size_t kSpareBucketEntries = 8;
 
  private:
   struct Entry {
@@ -327,7 +363,17 @@ class Scheduler {
     return static_cast<std::uint64_t>(at.ns_since_epoch()) >> kBucketShiftNs;
   }
 
-  void push_entry(TimePoint at, SmallCallback fn, std::uint32_t block);
+  /// Storage a destroyed Scheduler parks for the next one on its thread.
+  struct Spare;
+  /// The calling thread's Spare; nullptr once thread exit has freed it.
+  static Spare* thread_spare();
+  /// Exchange the cells and tier vectors with `spare`'s.
+  void swap_storage(Spare& spare);
+  /// Queue the event whose callable already lives in pool cell `cb`.
+  void push_entry(TimePoint at, SmallCallback* cb, std::uint32_t block);
+  /// Visit every queued entry (fired-but-kept bottom entries excluded).
+  template <typename Fn>
+  void for_each_queued(Fn&& fn) const;
   /// Fire (or discard, if cancelled) the next bottom entry. Returns true
   /// if a live event ran. Caller guarantees bottom_pos_ < bottom_.size().
   bool fire_one(bool tracing);

@@ -7,8 +7,8 @@
 
 namespace bnm::ws {
 
-std::string accept_key_for(const std::string& client_key) {
-  const auto digest = sha1(client_key + kHandshakeGuid);
+std::string accept_key_for(std::string_view client_key) {
+  const auto digest = sha1(std::string{client_key} + kHandshakeGuid);
   return base64_encode(digest.data(), digest.size());
 }
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/parser.h"
@@ -19,7 +20,7 @@ inline constexpr const char* kHandshakeGuid =
     "258EAFA5-E914-47DA-95CA-C5AB0DC85B11";
 
 /// Compute Sec-WebSocket-Accept for a Sec-WebSocket-Key.
-std::string accept_key_for(const std::string& client_key);
+std::string accept_key_for(std::string_view client_key);
 
 /// An established WebSocket connection (either role). Client-role
 /// connections mask outgoing frames, per the RFC.

@@ -193,11 +193,13 @@ TEST_F(HttpIntegration, CustomRoute) {
 }
 
 TEST(WebServerStatics, ParseQuery) {
-  const auto q = WebServer::parse_query("/payload?size=77&mode=fast&flag");
-  EXPECT_EQ(q.at("size"), "77");
-  EXPECT_EQ(q.at("mode"), "fast");
-  EXPECT_EQ(q.at("flag"), "");
-  EXPECT_TRUE(WebServer::parse_query("/plain").empty());
+  const std::string target = "/payload?size=77&mode=fast&flag";
+  EXPECT_EQ(WebServer::query_param(target, "size"), "77");
+  EXPECT_EQ(WebServer::query_param(target, "mode"), "fast");
+  EXPECT_EQ(WebServer::query_param(target, "flag"), "");
+  EXPECT_FALSE(WebServer::query_param(target, "absent").has_value());
+  EXPECT_EQ(WebServer::query_param("/p?a=1&a=2", "a"), "2");  // last wins
+  EXPECT_FALSE(WebServer::query_param("/plain", "size").has_value());
 }
 
 TEST(WebServerStatics, PathOf) {

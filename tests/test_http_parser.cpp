@@ -1,3 +1,5 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "http/parser.h"
@@ -100,6 +102,67 @@ TEST(RequestParser, BodyLimitEnforced) {
   p.feed("POST / HTTP/1.1\r\nContent-Length: 11\r\n\r\n");
   EXPECT_TRUE(p.failed());
   EXPECT_EQ(p.error(), ParseError::kBodyTooLarge);
+}
+
+// Content-Length framing (RFC 9112 §6.3): the value is 1*DIGIT, and
+// repeated fields must agree. Anything else is a bad header, never a guess.
+ParseError framing_error(const std::string& content_length_lines) {
+  RequestParser p;
+  p.feed("POST / HTTP/1.1\r\n" + content_length_lines + "\r\nhello");
+  EXPECT_TRUE(p.failed()) << content_length_lines;
+  EXPECT_FALSE(p.take().has_value());
+  return p.error();
+}
+
+TEST(RequestParser, ContentLengthEmptyRejected) {
+  EXPECT_EQ(framing_error("Content-Length: \r\n"), ParseError::kBadHeader);
+}
+
+TEST(RequestParser, ContentLengthNonDigitsRejected) {
+  EXPECT_EQ(framing_error("Content-Length: abc\r\n"), ParseError::kBadHeader);
+}
+
+TEST(RequestParser, ContentLengthTrailingGarbageRejected) {
+  EXPECT_EQ(framing_error("Content-Length: 5x\r\n"), ParseError::kBadHeader);
+}
+
+TEST(RequestParser, ContentLengthSignsRejected) {
+  EXPECT_EQ(framing_error("Content-Length: -1\r\n"), ParseError::kBadHeader);
+  EXPECT_EQ(framing_error("Content-Length: +5\r\n"), ParseError::kBadHeader);
+}
+
+TEST(RequestParser, ContentLengthInnerBlankRejected) {
+  EXPECT_EQ(framing_error("Content-Length: 1 2\r\n"), ParseError::kBadHeader);
+}
+
+TEST(RequestParser, ContentLengthOverflowRejected) {
+  // 2^64 does not fit; 2^64 - 1 does (and is then merely too large).
+  EXPECT_EQ(framing_error("Content-Length: 18446744073709551616\r\n"),
+            ParseError::kBadHeader);
+  EXPECT_EQ(framing_error("Content-Length: 18446744073709551615\r\n"),
+            ParseError::kBodyTooLarge);
+}
+
+TEST(RequestParser, ConflictingContentLengthsRejected) {
+  EXPECT_EQ(framing_error("Content-Length: 5\r\ncontent-length: 6\r\n"),
+            ParseError::kBadHeader);
+}
+
+TEST(RequestParser, AgreeingContentLengthsAccepted) {
+  RequestParser p;
+  p.feed("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n"
+         "\r\nhello");
+  const auto req = p.take();
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->body, "hello");
+}
+
+TEST(ResponseParser, BadContentLengthRejected) {
+  ResponseParser p;
+  p.feed("HTTP/1.1 200 OK\r\nContent-Length: 4x\r\n\r\npong");
+  EXPECT_TRUE(p.failed());
+  EXPECT_EQ(p.error(), ParseError::kBadHeader);
+  EXPECT_FALSE(p.take().has_value());
 }
 
 TEST(RequestParser, ChunkedBody) {

@@ -188,6 +188,60 @@ TEST(Metrics, RetiredShardsFoldExactly) {
   EXPECT_EQ(c.total(), 333u);  // folded into retired, nothing lost
 }
 
+// Cells are single-writer plain stores, read by other threads only through
+// the registry. A snapshot taken while writers run must still be sane: each
+// counter only grows from one snapshot to the next (no torn or lost-then-
+// restored values), and after the writers join the totals are exact.
+TEST(Metrics, ConcurrentSnapshotSeesMonotonicCounters) {
+  auto& reg = MetricsRegistry::instance();
+  const auto c =
+      reg.counter("test.obs.concurrent.counter", "ops", "concurrency test");
+  const auto h = reg.histogram("test.obs.concurrent.hist", "us",
+                               "concurrency test", {10, 100});
+  c.reset();
+  h.reset();
+
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kPerThread = 20000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        c.add(1);
+        h.observe(i % 200);
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t last_counter = 0;
+  std::uint64_t last_count = 0;
+  std::uint64_t last_sum = 0;
+  int snapshots = 0;
+  while (running.load() > 0 || snapshots < 2) {
+    const auto snap = reg.snapshot();
+    const auto* cv = snap.find("test.obs.concurrent.counter");
+    const auto* hv = snap.find("test.obs.concurrent.hist");
+    ASSERT_NE(cv, nullptr);
+    ASSERT_NE(hv, nullptr);
+    EXPECT_GE(cv->value, last_counter);
+    EXPECT_GE(hv->value, last_count);
+    EXPECT_GE(hv->sum, last_sum);
+    EXPECT_LE(cv->value, kThreads * kPerThread);
+    last_counter = cv->value;
+    last_count = hv->value;
+    last_sum = hv->sum;
+    ++snapshots;
+  }
+  for (auto& w : writers) w.join();
+
+  std::uint64_t per_thread_sum = 0;
+  for (std::uint64_t i = 0; i < kPerThread; ++i) per_thread_sum += i % 200;
+  EXPECT_EQ(c.total(), kThreads * kPerThread);
+  EXPECT_EQ(h.count(), kThreads * kPerThread);
+  EXPECT_EQ(h.sum(), kThreads * per_thread_sum);
+}
+
 TEST(Prof, ScopeNestingAttributesTimeToEachSite) {
   namespace prof = bnm::obs::prof;
   prof::reset();

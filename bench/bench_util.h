@@ -9,17 +9,27 @@
 //   --runs=N   repetitions per experiment cell (default 50, the paper's)
 //   --jobs=N   worker threads for experiment matrices (default: all cores)
 // Anything else is returned as a positional argument (e.g. fig3's CSV path).
+//
+// Benches with a machine-readable result build it as one obs::json
+// document and hand it, with their hard gates, to write_result(): the
+// document, its gates[] block and the exit code all come from that one
+// declaration (fields: docs/BENCH_SCHEMAS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
+#include "obs/json.h"
 #include "report/boxplot_render.h"
 #include "report/cdf_render.h"
 #include "report/table.h"
@@ -128,6 +138,128 @@ inline void add_box_rows(std::vector<report::BoxRow>& rows,
   if (s.samples.empty()) return;
   rows.push_back({s.case_label + " d1", s.d1_box()});
   rows.push_back({s.case_label + " d2", s.d2_box()});
+}
+
+// ---- Result documents and gates ----------------------------------------
+
+using Json = obs::json::Value;
+
+inline Json num(double d) { return Json::number(d); }
+inline Json integer(std::uint64_t n) {
+  return Json::integer(static_cast<std::int64_t>(n));
+}
+inline Json flag(bool b) { return Json::boolean(b); }
+inline Json obj(std::initializer_list<obs::json::Member> members) {
+  Json v = Json::object();
+  for (const auto& [key, value] : members) v.add(key, value);
+  return v;
+}
+
+/// One pass condition `value op bound` on a field of a result document,
+/// named by its dotted path ("checkpoint.identical").
+struct Check {
+  std::string path;
+  std::string op;  ///< "==", "<" or ">="
+  Json bound;
+};
+
+/// A hard gate: the bench exits non-zero when it fails. `otherwise` is an
+/// alternative check that passes it too (a noise slack: "< 1 % or < 1 ms").
+struct Gate {
+  Check check;
+  std::optional<Check> otherwise;
+};
+
+inline Gate is_true(std::string path) {
+  return {{std::move(path), "==", flag(true)}, std::nullopt};
+}
+inline Gate below(std::string path, double bound) {
+  return {{std::move(path), "<", num(bound)}, std::nullopt};
+}
+inline Gate at_least(std::string path, double bound) {
+  return {{std::move(path), ">=", num(bound)}, std::nullopt};
+}
+inline Gate either(Gate gate, Gate alternative) {
+  gate.otherwise = std::move(alternative.check);
+  return gate;
+}
+
+namespace detail {
+
+/// The field at a dotted path; null when any step is missing.
+inline Json lookup(const Json& doc, const std::string& path) {
+  const Json* v = &doc;
+  for (std::size_t at = 0; v && at <= path.size();) {
+    const std::size_t dot = std::min(path.find('.', at), path.size());
+    v = v->find(std::string_view{path}.substr(at, dot - at));
+    at = dot + 1;
+  }
+  return v ? *v : Json::null();
+}
+
+inline bool holds(const Json& value, const Check& c) {
+  if (c.op == "==" && value.is_bool() && c.bound.is_bool()) {
+    return value.as_bool() == c.bound.as_bool();
+  }
+  if (!value.is_number() || !c.bound.is_number()) return false;
+  const double v = value.as_double(), b = c.bound.as_double();
+  if (c.op == "==") return v == b;
+  if (c.op == "<") return v < b;
+  return c.op == ">=" && v >= b;
+}
+
+inline std::string show(const Json& v) {
+  if (!v.is_number()) return v.dump();
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v.as_double());
+  return buf;
+}
+
+}  // namespace detail
+
+/// Append `gates` to `doc` as its gates[] block ({name, value, op, bound,
+/// [or], pass}), write the document to `path`, print one [OK]/[FAIL] line
+/// per gate, and return the bench's exit code: 0 when the file was written
+/// and every gate passed, 1 otherwise.
+inline int write_result(const char* path, Json doc,
+                        const std::vector<Gate>& gates) {
+  Json block = Json::array();
+  bool all_pass = true;
+  for (const Gate& g : gates) {
+    const auto entry = [&doc](const Check& c, Json& out) {
+      Json value = detail::lookup(doc, c.path);
+      const bool ok = detail::holds(value, c);
+      out.add("name", Json::string(c.path));
+      out.add("value", value);
+      out.add("op", Json::string(c.op));
+      out.add("bound", c.bound);
+      return std::pair{ok, c.path + " = " + detail::show(value) + " " +
+                               c.op + " " + detail::show(c.bound)};
+    };
+    Json e = Json::object();
+    auto [pass, line] = entry(g.check, e);
+    if (g.otherwise) {
+      Json alt = Json::object();
+      const auto [alt_pass, alt_line] = entry(*g.otherwise, alt);
+      pass = pass || alt_pass;
+      line += " (or " + alt_line + ")";
+      e.add("or", std::move(alt));
+    }
+    e.add("pass", flag(pass));
+    block.push(std::move(e));
+    all_pass = all_pass && pass;
+    std::printf("  [%s] %s\n", pass ? "OK" : "FAIL", line.c_str());
+  }
+  doc.add("gates", std::move(block));
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out << doc.dump() << '\n';
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return 1;
+  }
+  std::printf("\nwrote %s\n", path);
+  return all_pass ? 0 : 1;
 }
 
 }  // namespace bnm::benchutil

@@ -1,10 +1,10 @@
 // Campaign-scale harness: how fast and how small the campaign layer is.
 //
-// Three sections, emitted to BENCH_campaign_scale.json:
+// Three sections, emitted to BENCH_campaign_scale.json with its gates[];
+// the bench exits non-zero when a gate fails:
 //
 //   1. Headline throughput: one full campaign (default 100k clients x 1
-//      run) through core::run_campaign — clients/sec is the number the
-//      Release gate in scripts/check.sh enforces a floor on.
+//      run) through core::run_campaign — clients/sec has a Release floor.
 //   2. Shard identity: the same small population run as 1 shard serially
 //      and as 8 shards, reports compared byte for byte ("identical_shards")
 //      — the campaign layer's core correctness claim.
@@ -179,45 +179,36 @@ Memory bench_memory() {
   return mem;
 }
 
-void write_json(const char* path, const Headline& h, const Identity& id,
-                const Memory& mem) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
+benchutil::Json to_json(const Headline& h, const Identity& id,
+                        const Memory& mem) {
+  using namespace benchutil;
+  Json per_shards = Json::array();
+  for (const Memory::Point& p : mem.points) {
+    per_shards.push(obj({{"shards", integer(p.shards)},
+                         {"aggregation_bytes", integer(p.aggregation_bytes)}}));
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"clients\": %" PRIu64 ",\n", h.clients);
-  std::fprintf(f, "  \"runs_per_client\": %d,\n", h.runs);
-  std::fprintf(f, "  \"shards\": %d,\n", h.shards);
-  std::fprintf(f, "  \"jobs\": %d,\n", h.jobs);
-  std::fprintf(f, "  \"wall_ms\": %.3f,\n", h.wall_ms);
-  std::fprintf(f, "  \"clients_per_sec\": %.1f,\n", h.clients_per_sec());
-  std::fprintf(f, "  \"samples\": %" PRIu64 ",\n", h.samples);
-  std::fprintf(f, "  \"failed_clients\": %" PRIu64 ",\n", h.failed_clients);
-  std::fprintf(f, "  \"identity\": {\n");
-  std::fprintf(f, "    \"clients\": %" PRIu64 ",\n", id.clients);
-  std::fprintf(f, "    \"report_bytes\": %zu,\n", id.report_bytes);
-  std::fprintf(f, "    \"identical_shards\": %s\n",
-               id.identical_shards ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"memory\": {\n");
-  std::fprintf(f, "    \"aggregate_bytes\": %zu,\n", mem.aggregate_bytes);
-  std::fprintf(f, "    \"independent_of_clients\": %s,\n",
-               mem.independent_of_clients ? "true" : "false");
-  std::fprintf(f, "    \"peak_rss_kb\": %ld,\n", mem.rss_kb);
-  std::fprintf(f, "    \"per_shards\": [\n");
-  for (int i = 0; i < 3; ++i) {
-    std::fprintf(f,
-                 "      {\"shards\": %d, \"aggregation_bytes\": %zu}%s\n",
-                 mem.points[i].shards, mem.points[i].aggregation_bytes,
-                 i < 2 ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+  return obj({
+      {"clients", integer(h.clients)},
+      {"runs_per_client", integer(h.runs)},
+      {"shards", integer(h.shards)},
+      {"jobs", integer(h.jobs)},
+      {"wall_ms", num(h.wall_ms)},
+      {"clients_per_sec", num(h.clients_per_sec())},
+      {"samples", integer(h.samples)},
+      {"failed_clients", integer(h.failed_clients)},
+      {"identity", obj({
+                       {"clients", integer(id.clients)},
+                       {"report_bytes", integer(id.report_bytes)},
+                       {"identical_shards", flag(id.identical_shards)},
+                   })},
+      {"memory", obj({
+                     {"aggregate_bytes", integer(mem.aggregate_bytes)},
+                     {"independent_of_clients",
+                      flag(mem.independent_of_clients)},
+                     {"peak_rss_kb", integer(mem.rss_kb)},
+                     {"per_shards", per_shards},
+                 })},
+  });
 }
 
 }  // namespace
@@ -258,15 +249,15 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const Memory mem = bench_memory();
 
-  write_json("BENCH_campaign_scale.json", h, id, mem);
-
-  if (!id.identical_shards) {
-    std::fprintf(stderr,
-                 "FAIL: sharded campaign report differs from serial run\n");
-    return 1;
-  }
-  benchutil::shape_check(mem.independent_of_clients,
-                         "aggregation memory independent of client count");
   benchutil::shape_check(h.failed_clients == 0, "no clients failed");
-  return 0;
+  // The throughput floor sits far below the tens of thousands of clients/s
+  // a Release build measures, but far above anything a per-client-
+  // accumulation regression would leave standing.
+  return benchutil::write_result(
+      "BENCH_campaign_scale.json", to_json(h, id, mem),
+      {
+          benchutil::is_true("identity.identical_shards"),
+          benchutil::is_true("memory.independent_of_clients"),
+          benchutil::at_least("clients_per_sec", 5000),
+      });
 }

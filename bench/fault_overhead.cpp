@@ -8,10 +8,11 @@
 //      a direct sink call, ns/packet.
 //   2. Experiment macro-benchmark: every method on one case, baseline tree
 //      vs the same tree with inactive injectors spliced into both
-//      directions. Wall-clock overhead (best-of-R) must stay under 1%, and
-//      every sample must be bit-identical.
+//      directions. Every sample must be bit-identical (the gate), and
+//      wall-clock overhead (best-of-R) should stay under 1% (a shape check).
 //
-// Emits BENCH_fault_overhead.json in the working directory.
+// Emits BENCH_fault_overhead.json (gates[] included) in the working
+// directory; exits non-zero when the gate fails.
 //
 //   $ fault_overhead [--runs=N]   (default 20 runs per cell)
 #include <algorithm>
@@ -199,32 +200,25 @@ MacroTimings bench_macro(int runs) {
   return t;
 }
 
-void write_json(const char* path, const MicroTimings& u,
-                const MacroTimings& m) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"pipeline\": {\n");
-  std::fprintf(f, "    \"packets\": %zu,\n", u.packets);
-  std::fprintf(f, "    \"direct_ns_per_packet\": %.2f,\n", u.direct_ns);
-  std::fprintf(f, "    \"disabled_ns_per_packet\": %.2f,\n", u.disabled_ns);
-  std::fprintf(f, "    \"active_ns_per_packet\": %.2f\n", u.active_ns);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"experiment\": {\n");
-  std::fprintf(f, "    \"cells\": %zu,\n", m.cells);
-  std::fprintf(f, "    \"runs_per_cell\": %d,\n", m.runs);
-  std::fprintf(f, "    \"best_of\": %d,\n", m.reps);
-  std::fprintf(f, "    \"baseline_ms\": %.3f,\n", m.baseline_ms);
-  std::fprintf(f, "    \"disabled_ms\": %.3f,\n", m.disabled_ms);
-  std::fprintf(f, "    \"overhead_percent\": %.3f,\n", m.overhead_percent());
-  std::fprintf(f, "    \"identical\": %s\n", m.identical ? "true" : "false");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+benchutil::Json to_json(const MicroTimings& u, const MacroTimings& m) {
+  using namespace benchutil;
+  return obj({
+      {"pipeline", obj({
+                       {"packets", integer(u.packets)},
+                       {"direct_ns_per_packet", num(u.direct_ns)},
+                       {"disabled_ns_per_packet", num(u.disabled_ns)},
+                       {"active_ns_per_packet", num(u.active_ns)},
+                   })},
+      {"experiment", obj({
+                         {"cells", integer(m.cells)},
+                         {"runs_per_cell", integer(m.runs)},
+                         {"best_of", integer(m.reps)},
+                         {"baseline_ms", num(m.baseline_ms)},
+                         {"disabled_ms", num(m.disabled_ms)},
+                         {"overhead_percent", num(m.overhead_percent())},
+                         {"identical", flag(m.identical)},
+                     })},
+  });
 }
 
 }  // namespace
@@ -239,15 +233,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const MacroTimings m = bench_macro(opts.runs);
 
-  write_json("BENCH_fault_overhead.json", u, m);
-
-  benchutil::shape_check(m.identical,
-                         "inactive injectors leave samples bit-identical");
+  // Wall-clock stays a shape check: a best-of-5 A/B of two ~14 ms passes
+  // cannot resolve 1% reliably on a shared host.
   benchutil::shape_check(m.overhead_percent() < 1.0,
                          "disabled injector wall-clock overhead < 1%");
-  if (!m.identical) {
-    std::fprintf(stderr, "FAIL: inactive injectors perturbed results\n");
-    return 1;
-  }
-  return 0;
+  return benchutil::write_result("BENCH_fault_overhead.json", to_json(u, m),
+                                 {benchutil::is_true("experiment.identical")});
 }

@@ -17,7 +17,8 @@
 //      parallel run_matrix must serialize byte-identically to the snapshot
 //      after the same matrix run serially.
 //
-// Emits BENCH_obs_overhead.json; exits non-zero if any gate fails.
+// Emits BENCH_obs_overhead.json (gates[] included); exits non-zero if any
+// gate fails.
 // Schema: docs/BENCH_SCHEMAS.md.
 //
 //   $ obs_overhead [--runs=N] [--jobs=N]   (default 20 runs per cell)
@@ -283,48 +284,37 @@ RegistryResult bench_registry(int runs, int jobs) {
   return r;
 }
 
-void write_json(const char* path, const MicroTimings& u, const MacroTimings& m,
-                const RegistryResult& r) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"micro\": {\n");
-  std::fprintf(f, "    \"iters\": %zu,\n", u.iters);
-  std::fprintf(f, "    \"raw_add_ns\": %.3f,\n", u.raw_add_ns);
-  std::fprintf(f, "    \"counter_add_ns\": %.3f,\n", u.counter_add_ns);
-  std::fprintf(f, "    \"profscope_disabled_ns\": %.3f,\n",
-               u.profscope_disabled_ns);
-  std::fprintf(f, "    \"profscope_enabled_ns\": %.3f,\n",
-               u.profscope_enabled_ns);
-  std::fprintf(f, "    \"trace_emit_disabled_ns\": %.3f\n",
-               u.trace_emit_disabled_ns);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"experiment\": {\n");
-  std::fprintf(f, "    \"cells\": %zu,\n", m.cells);
-  std::fprintf(f, "    \"runs_per_cell\": %d,\n", m.runs);
-  std::fprintf(f, "    \"best_of\": %d,\n", m.reps);
-  std::fprintf(f, "    \"disabled_ms\": %.3f,\n", m.disabled_ms);
-  std::fprintf(f, "    \"enabled_ms\": %.3f,\n", m.enabled_ms);
-  std::fprintf(f, "    \"measured_overhead_percent\": %.3f,\n",
-               m.measured_overhead_percent());
-  std::fprintf(f, "    \"profiled_scope_entries\": %llu,\n",
-               static_cast<unsigned long long>(m.scope_entries));
-  std::fprintf(f, "    \"est_disabled_overhead_percent\": %.4f,\n",
-               m.est_disabled_overhead_percent);
-  std::fprintf(f, "    \"identical\": %s\n", m.identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"registry\": {\n");
-  std::fprintf(f, "    \"metrics\": %zu,\n", r.metrics);
-  std::fprintf(f, "    \"snapshot_bytes\": %zu,\n", r.snapshot_bytes);
-  std::fprintf(f, "    \"snapshot_identical\": %s\n",
-               r.snapshot_identical ? "true" : "false");
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+benchutil::Json to_json(const MicroTimings& u, const MacroTimings& m,
+                        const RegistryResult& r) {
+  using namespace benchutil;
+  return obj({
+      {"micro", obj({
+                    {"iters", integer(u.iters)},
+                    {"raw_add_ns", num(u.raw_add_ns)},
+                    {"counter_add_ns", num(u.counter_add_ns)},
+                    {"profscope_disabled_ns", num(u.profscope_disabled_ns)},
+                    {"profscope_enabled_ns", num(u.profscope_enabled_ns)},
+                    {"trace_emit_disabled_ns", num(u.trace_emit_disabled_ns)},
+                })},
+      {"experiment",
+       obj({
+           {"cells", integer(m.cells)},
+           {"runs_per_cell", integer(m.runs)},
+           {"best_of", integer(m.reps)},
+           {"disabled_ms", num(m.disabled_ms)},
+           {"enabled_ms", num(m.enabled_ms)},
+           {"measured_overhead_percent", num(m.measured_overhead_percent())},
+           {"profiled_scope_entries", integer(m.scope_entries)},
+           {"est_disabled_overhead_percent",
+            num(m.est_disabled_overhead_percent)},
+           {"identical", flag(m.identical)},
+       })},
+      {"registry", obj({
+                       {"metrics", integer(r.metrics)},
+                       {"snapshot_bytes", integer(r.snapshot_bytes)},
+                       {"snapshot_identical", flag(r.snapshot_identical)},
+                   })},
+  });
 }
 
 }  // namespace
@@ -341,18 +331,11 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const RegistryResult r = bench_registry(opts.runs, opts.jobs);
 
-  write_json("BENCH_obs_overhead.json", u, m, r);
-
-  benchutil::shape_check(m.identical,
-                         "profiling on/off leaves samples bit-identical");
-  benchutil::shape_check(m.est_disabled_overhead_percent < 1.0,
-                         "disabled-path observability overhead < 1%");
-  benchutil::shape_check(r.snapshot_identical,
-                         "registry snapshot serial == parallel");
-  if (!m.identical || !r.snapshot_identical ||
-      m.est_disabled_overhead_percent >= 1.0) {
-    std::fprintf(stderr, "FAIL: observability gates violated\n");
-    return 1;
-  }
-  return 0;
+  return benchutil::write_result(
+      "BENCH_obs_overhead.json", to_json(u, m, r),
+      {
+          benchutil::is_true("experiment.identical"),
+          benchutil::is_true("registry.snapshot_identical"),
+          benchutil::below("experiment.est_disabled_overhead_percent", 1.0),
+      });
 }

@@ -17,7 +17,8 @@
 //   3. Micro: ns per packet hand-off for an aliasing Payload copy vs the
 //      old deep vector copy, at a typical MSS-sized payload.
 //
-// Emits BENCH_payload_copy.json in the working directory.
+// Emits BENCH_payload_copy.json (gates[] included) in the working
+// directory; exits non-zero when a gate fails.
 //
 //   $ payload_copy [--runs=N] [--jobs=N]   (default 12 runs per cell)
 #include <chrono>
@@ -195,45 +196,34 @@ Micro bench_handoff() {
   return m;
 }
 
-void print_counts_json(std::FILE* f, const CopyCounts& c) {
-  std::fprintf(f, "    \"deep_copy_bytes\": %llu,\n",
-               static_cast<unsigned long long>(c.deep_bytes));
-  std::fprintf(f, "    \"aliased_bytes\": %llu,\n",
-               static_cast<unsigned long long>(c.aliased_bytes));
-  std::fprintf(f, "    \"old_design_bytes\": %llu,\n",
-               static_cast<unsigned long long>(c.old_design_bytes()));
-  std::fprintf(f, "    \"buffers_allocated\": %llu,\n",
-               static_cast<unsigned long long>(c.buffers));
-  std::fprintf(f, "    \"copy_reduction\": %.2f\n", c.reduction());
+/// The workload's own fields followed by its copy-count block.
+benchutil::Json with_counts(benchutil::Json workload, const CopyCounts& c) {
+  using benchutil::integer;
+  workload.add("deep_copy_bytes", integer(c.deep_bytes));
+  workload.add("aliased_bytes", integer(c.aliased_bytes));
+  workload.add("old_design_bytes", integer(c.old_design_bytes()));
+  workload.add("buffers_allocated", integer(c.buffers));
+  workload.add("copy_reduction", benchutil::num(c.reduction()));
+  return workload;
 }
 
-void write_json(const char* path, const BulkResult& b, const MatrixResult& x,
-                const Micro& m) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"tcp_bulk\": {\n");
-  std::fprintf(f, "    \"transfer_bytes\": %zu,\n", b.transfer_bytes);
-  std::fprintf(f, "    \"echoed_bytes\": %zu,\n", b.echoed_bytes);
-  print_counts_json(f, b.counts);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"probe_matrix\": {\n");
-  std::fprintf(f, "    \"cells\": %zu,\n", x.cells);
-  std::fprintf(f, "    \"runs_per_cell\": %d,\n", x.runs);
-  print_counts_json(f, x.counts);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"handoff\": {\n");
-  std::fprintf(f, "    \"payload_bytes\": %zu,\n", m.payload_bytes);
-  std::fprintf(f, "    \"handoffs\": %zu,\n", m.handoffs);
-  std::fprintf(f, "    \"alias_ns_per_packet\": %.2f,\n", m.alias_ns);
-  std::fprintf(f, "    \"deep_copy_ns_per_packet\": %.2f\n", m.deep_ns);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+benchutil::Json to_json(const BulkResult& b, const MatrixResult& x,
+                        const Micro& m) {
+  using namespace benchutil;
+  return obj({
+      {"tcp_bulk", with_counts(obj({{"transfer_bytes", integer(b.transfer_bytes)},
+                                    {"echoed_bytes", integer(b.echoed_bytes)}}),
+                               b.counts)},
+      {"probe_matrix", with_counts(obj({{"cells", integer(x.cells)},
+                                        {"runs_per_cell", integer(x.runs)}}),
+                                   x.counts)},
+      {"handoff", obj({
+                      {"payload_bytes", integer(m.payload_bytes)},
+                      {"handoffs", integer(m.handoffs)},
+                      {"alias_ns_per_packet", num(m.alias_ns)},
+                      {"deep_copy_ns_per_packet", num(m.deep_ns)},
+                  })},
+  });
 }
 
 }  // namespace
@@ -250,11 +240,13 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const Micro m = bench_handoff();
 
-  write_json("BENCH_payload_copy.json", b, x, m);
-
-  const bool complete = b.echoed_bytes >= b.transfer_bytes;
-  benchutil::shape_check(complete, "bulk transfer echoed back in full");
-  benchutil::shape_check(b.counts.reduction() >= 5.0,
-                         "zero-copy payloads cut copied bytes >=5x (TCP bulk)");
-  return complete && b.counts.reduction() >= 5.0 ? 0 : 1;
+  return benchutil::write_result(
+      "BENCH_payload_copy.json", to_json(b, x, m),
+      {
+          // The bulk transfer came back in full...
+          benchutil::at_least("tcp_bulk.echoed_bytes",
+                              static_cast<double>(b.transfer_bytes)),
+          // ...and zero-copy payloads cut its copied bytes >= 5x.
+          benchutil::at_least("tcp_bulk.copy_reduction", 5.0),
+      });
 }

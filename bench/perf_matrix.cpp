@@ -9,12 +9,14 @@
 //   3. Scheduler event throughput: cancellable schedule_at path (pooled
 //      control blocks) vs fire-and-forget post_at path, calendar-vs-heap
 //      and batched-vs-stepwise sub-benches, and the events/sec headline
-//      the Release kernel gate (scripts/check.sh) enforces a floor on.
+//      the kernel gate puts a floor on.
 //
-// Emits BENCH_perf_matrix.json in the working directory so CI (or a human)
-// can track the numbers. The speedup section reports whatever the host
-// offers; on a single-core machine the parallel run cannot win and the
-// harness says so instead of failing.
+// Emits BENCH_perf_matrix.json in the working directory, gates[] included,
+// and exits non-zero when a gate fails (the byte-identity checks, the
+// engine-overhead bounds, the events/sec floor; run it from a Release
+// build). The speedup section reports whatever the host offers; on a
+// single-core machine the parallel run cannot win and the harness says so
+// instead of failing.
 //
 //   $ perf_matrix [--runs=N] [--jobs=N]   (default 12 runs per cell)
 #include <algorithm>
@@ -203,7 +205,7 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
 // run_experiment calls — robustness that taxes every healthy run would
 // never stay on by default. The enabled pass prices what a crash-safe
 // campaign actually pays: checkpointing on at flush_every = 1 (the chaos
-// gate's setting), gated at <10% (or sub-ms noise) by scripts/check.sh.
+// gate's setting), gated at <10% (or sub-ms noise).
 struct CheckpointTimings {
   double baseline_ms = 0;  ///< bare run_experiment loop, serial
   double disabled_ms = 0;  ///< run_matrix_checked, all features off
@@ -422,8 +424,8 @@ SchedulerTimings bench_scheduler() {
   volatile std::uint64_t sink = 0;
 
   // Every section reports the minimum of kPasses passes: at ~100 ns/event a
-  // single pass is at the mercy of VM steal time, and the floor gate in
-  // scripts/check.sh needs the machine's speed, not the hypervisor's mood.
+  // single pass is at the mercy of VM steal time, and the events/sec floor
+  // gate needs the machine's speed, not the hypervisor's mood.
   const auto best_of = [](auto&& pass) {
     double best = pass();  // first pass doubles as warm-up
     for (int i = 0; i < kPasses; ++i) best = std::min(best, pass());
@@ -529,109 +531,91 @@ std::vector<obs::prof::ProfEntry> bench_profile(int runs) {
   return entries;
 }
 
-void write_json(const char* path, unsigned hw, const MatrixTimings& m,
-                const CheckpointTimings& k, const CaptureTimings& c,
-                const SchedulerTimings& s,
-                const std::vector<obs::prof::ProfEntry>& profile) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(f, "  \"matrix\": {\n");
-  std::fprintf(f, "    \"cells\": %zu,\n", m.cells);
-  std::fprintf(f, "    \"runs_per_cell\": %d,\n", m.runs);
-  std::fprintf(f, "    \"jobs\": %d,\n", m.jobs);
-  std::fprintf(f, "    \"serial_ms\": %.3f,\n", m.serial_ms);
-  std::fprintf(f, "    \"parallel_ms\": %.3f,\n", m.parallel_ms);
-  std::fprintf(f, "    \"speedup\": %.3f,\n", m.speedup());
-  std::fprintf(f, "    \"parallel_meaningful\": %s,\n",
-               m.parallel_meaningful() ? "true" : "false");
+benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
+                        const CheckpointTimings& k, const CaptureTimings& c,
+                        const SchedulerTimings& s,
+                        const std::vector<obs::prof::ProfEntry>& profile) {
+  using namespace benchutil;
+  Json matrix = obj({
+      {"cells", integer(m.cells)},
+      {"runs_per_cell", integer(m.runs)},
+      {"jobs", integer(m.jobs)},
+      {"serial_ms", num(m.serial_ms)},
+      {"parallel_ms", num(m.parallel_ms)},
+      {"speedup", num(m.speedup())},
+      {"parallel_meaningful", flag(m.parallel_meaningful())},
+  });
   if (!m.parallel_meaningful()) {
     // Explicit note so a ~1.0x "speedup" on a single-core host (or jobs=1)
     // is read as a timeslicing artifact, not a parallelization regression.
-    std::fprintf(f, "    \"parallel_note\": \"%s\",\n",
-                 hw <= 1 ? "single visible core: parallel pass only "
-                           "timeslices the serial work"
-                         : "jobs=1: parallel pass is a second serial run");
+    matrix.add("parallel_note",
+               Json::string(hw <= 1 ? "single visible core: parallel pass "
+                                      "only timeslices the serial work"
+                                    : "jobs=1: parallel pass is a second "
+                                      "serial run"));
   }
-  std::fprintf(f, "    \"identical\": %s,\n", m.identical ? "true" : "false");
-  std::fprintf(f, "    \"arena\": {\n");
-  std::fprintf(f, "      \"stats_compiled\": %s,\n",
-               m.arena_stats_compiled ? "true" : "false");
-  std::fprintf(f, "      \"allocs_avoided\": %" PRIu64 ",\n",
-               m.arena_allocs_avoided);
-  std::fprintf(f, "      \"bytes_served\": %" PRIu64 ",\n",
-               m.arena_bytes_served);
-  std::fprintf(f, "      \"peak_arena_bytes\": %" PRIu64 ",\n",
-               m.arena_peak_bytes);
-  std::fprintf(f, "      \"off_serial_ms\": %.3f,\n", m.arena_off_serial_ms);
-  std::fprintf(f, "      \"identical_on_off\": %s\n",
-               m.arena_identical ? "true" : "false");
-  std::fprintf(f, "    },\n");
-  std::fprintf(f, "    \"queue\": {\n");
-  std::fprintf(f, "      \"heap_serial_ms\": %.3f,\n", m.heap_serial_ms);
-  std::fprintf(f, "      \"identical_calendar_heap\": %s\n",
-               m.queue_identical ? "true" : "false");
-  std::fprintf(f, "    }\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"checkpoint\": {\n");
-  std::fprintf(f, "    \"baseline_ms\": %.3f,\n", k.baseline_ms);
-  std::fprintf(f, "    \"disabled_ms\": %.3f,\n", k.disabled_ms);
-  std::fprintf(f, "    \"enabled_ms\": %.3f,\n", k.enabled_ms);
-  std::fprintf(f, "    \"disabled_overhead_percent\": %.3f,\n",
-               k.disabled_overhead_percent);
-  std::fprintf(f, "    \"disabled_delta_ms\": %.3f,\n", k.disabled_delta_ms);
-  std::fprintf(f, "    \"enabled_overhead_percent\": %.3f,\n",
-               k.enabled_overhead_percent);
-  std::fprintf(f, "    \"enabled_delta_ms\": %.3f,\n", k.enabled_delta_ms);
-  std::fprintf(f, "    \"identical\": %s\n", k.identical ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"capture_scan\": {\n");
-  std::fprintf(f, "    \"records\": %zu,\n", c.records);
-  std::fprintf(f, "    \"window_lookups\": %zu,\n", c.windows);
-  std::fprintf(f, "    \"linear_ms\": %.3f,\n", c.linear_ms);
-  std::fprintf(f, "    \"indexed_ms\": %.3f,\n", c.indexed_ms);
-  std::fprintf(f, "    \"speedup\": %.1f\n", c.speedup());
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"scheduler\": {\n");
-  std::fprintf(f, "    \"events\": %zu,\n", s.events);
-  std::fprintf(f, "    \"schedule_ns_per_event\": %.1f,\n",
-               s.handle_ns_per_event);
-  std::fprintf(f, "    \"post_ns_per_event\": %.1f,\n", s.post_ns_per_event);
-  std::fprintf(f, "    \"events_per_sec\": %.0f,\n", s.events_per_sec());
-  std::fprintf(f, "    \"calendar_ns_per_event\": %.1f,\n",
-               s.calendar_ns_per_event);
-  std::fprintf(f, "    \"heap_ns_per_event\": %.1f,\n", s.heap_ns_per_event);
-  std::fprintf(f, "    \"queue_speedup\": %.2f,\n", s.queue_speedup());
-  std::fprintf(f, "    \"batched_ns_per_event\": %.1f,\n",
-               s.batched_ns_per_event);
-  std::fprintf(f, "    \"stepwise_ns_per_event\": %.1f,\n",
-               s.stepwise_ns_per_event);
-  std::fprintf(f, "    \"batch_speedup\": %.2f,\n", s.batch_speedup());
-  std::fprintf(f, "    \"pooled_control_blocks\": %zu\n", s.pooled_blocks);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"profile\": [\n");
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    const auto& e = profile[i];
-    std::fprintf(f,
-                 "    {\"site\": \"%s\", \"calls\": %llu, "
-                 "\"total_ms\": %.3f, \"avg_us\": %.3f, "
-                 "\"max_us\": %.3f}%s\n",
-                 e.name.c_str(), static_cast<unsigned long long>(e.calls),
-                 static_cast<double>(e.total_ns) / 1e6,
-                 e.calls ? static_cast<double>(e.total_ns) / 1e3 /
-                               static_cast<double>(e.calls)
-                         : 0.0,
-                 static_cast<double>(e.max_ns) / 1e3,
-                 i + 1 < profile.size() ? "," : "");
+  matrix.add("identical", flag(m.identical));
+  matrix.add("arena", obj({
+                          {"stats_compiled", flag(m.arena_stats_compiled)},
+                          {"allocs_avoided", integer(m.arena_allocs_avoided)},
+                          {"bytes_served", integer(m.arena_bytes_served)},
+                          {"peak_arena_bytes", integer(m.arena_peak_bytes)},
+                          {"off_serial_ms", num(m.arena_off_serial_ms)},
+                          {"identical_on_off", flag(m.arena_identical)},
+                      }));
+  matrix.add("queue", obj({
+                          {"heap_serial_ms", num(m.heap_serial_ms)},
+                          {"identical_calendar_heap", flag(m.queue_identical)},
+                      }));
+  Json sites = Json::array();
+  for (const auto& e : profile) {
+    sites.push(obj({
+        {"site", Json::string(e.name)},
+        {"calls", integer(e.calls)},
+        {"total_ms", num(static_cast<double>(e.total_ns) / 1e6)},
+        {"avg_us", num(e.calls ? static_cast<double>(e.total_ns) / 1e3 /
+                                     static_cast<double>(e.calls)
+                               : 0.0)},
+        {"max_us", num(static_cast<double>(e.max_ns) / 1e3)},
+    }));
   }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path);
+  return obj({
+      {"hardware_concurrency", integer(hw)},
+      {"matrix", matrix},
+      {"checkpoint",
+       obj({
+           {"baseline_ms", num(k.baseline_ms)},
+           {"disabled_ms", num(k.disabled_ms)},
+           {"enabled_ms", num(k.enabled_ms)},
+           {"disabled_overhead_percent", num(k.disabled_overhead_percent)},
+           {"disabled_delta_ms", num(k.disabled_delta_ms)},
+           {"enabled_overhead_percent", num(k.enabled_overhead_percent)},
+           {"enabled_delta_ms", num(k.enabled_delta_ms)},
+           {"identical", flag(k.identical)},
+       })},
+      {"capture_scan", obj({
+                           {"records", integer(c.records)},
+                           {"window_lookups", integer(c.windows)},
+                           {"linear_ms", num(c.linear_ms)},
+                           {"indexed_ms", num(c.indexed_ms)},
+                           {"speedup", num(c.speedup())},
+                       })},
+      {"scheduler",
+       obj({
+           {"events", integer(s.events)},
+           {"schedule_ns_per_event", num(s.handle_ns_per_event)},
+           {"post_ns_per_event", num(s.post_ns_per_event)},
+           {"events_per_sec", num(s.events_per_sec())},
+           {"calendar_ns_per_event", num(s.calendar_ns_per_event)},
+           {"heap_ns_per_event", num(s.heap_ns_per_event)},
+           {"queue_speedup", num(s.queue_speedup())},
+           {"batched_ns_per_event", num(s.batched_ns_per_event)},
+           {"stepwise_ns_per_event", num(s.stepwise_ns_per_event)},
+           {"batch_speedup", num(s.batch_speedup())},
+           {"pooled_control_blocks", integer(s.pooled_blocks)},
+       })},
+      {"profile", sites},
+  });
 }
 
 }  // namespace
@@ -654,34 +638,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const auto profile = bench_profile(opts.runs);
 
-  write_json("BENCH_perf_matrix.json", hw, m, k, c, s, profile);
-
-  if (!k.identical) {
-    std::fprintf(stderr,
-                 "FAIL: checked-engine results differ from the bare loop\n");
-    return 1;
-  }
-  // The hard <1% and <10% gates (with sub-ms noise slack) live in
-  // scripts/check.sh; the shape checks here flag drift on any direct run.
-  benchutil::shape_check(
-      k.disabled_overhead_percent < 1.0 || k.disabled_delta_ms < 1.0,
-      "disabled crash-safe engine within 1% (or <1 ms) of a bare loop");
-  benchutil::shape_check(
-      k.enabled_overhead_percent < 10.0 || k.enabled_delta_ms < 1.0,
-      "checkpointing at flush_every=1 within 10% (or <1 ms) of a bare loop");
-  if (!m.identical) {
-    std::fprintf(stderr, "FAIL: parallel results differ from serial\n");
-    return 1;
-  }
-  if (!m.arena_identical) {
-    std::fprintf(stderr, "FAIL: arena-off results differ from arena-on\n");
-    return 1;
-  }
-  if (!m.queue_identical) {
-    std::fprintf(stderr,
-                 "FAIL: heap-queue results differ from calendar-queue\n");
-    return 1;
-  }
   if (!m.parallel_meaningful() || hw < 4) {
     std::printf("note: only %u core(s) visible (jobs=%d) - speedup is not "
                 "meaningful on this host (expect >=3x at jobs=4 on 4+ "
@@ -690,5 +646,23 @@ int main(int argc, char** argv) {
     benchutil::shape_check(m.speedup() >= 3.0 || m.jobs < 4,
                            "parallel full matrix >=3x over serial at jobs>=4");
   }
-  return 0;
+  using benchutil::at_least, benchutil::below, benchutil::either,
+      benchutil::is_true;
+  return benchutil::write_result(
+      "BENCH_perf_matrix.json", to_json(hw, m, k, c, s, profile),
+      {
+          is_true("matrix.identical"),
+          is_true("matrix.arena.identical_on_off"),
+          is_true("matrix.queue.identical_calendar_heap"),
+          is_true("checkpoint.identical"),
+          // The bare-loop baseline is only ~30-60 ms, so percentages of it
+          // sit inside VM jitter: a sub-millisecond delta passes too.
+          either(below("checkpoint.disabled_overhead_percent", 1.0),
+                 below("checkpoint.disabled_delta_ms", 1.0)),
+          either(below("checkpoint.enabled_overhead_percent", 10.0),
+                 below("checkpoint.enabled_delta_ms", 1.0)),
+          // The binary heap managed ~4.2M events/s; the calendar queue
+          // should stay comfortably above 3x that on any host.
+          at_least("scheduler.events_per_sec", 12e6),
+      });
 }

@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus AddressSanitizer, UndefinedBehaviorSanitizer
-# and ThreadSanitizer passes, a
-# perf gate, the observability gates (obs tests, obs_overhead A/B,
-# bench-JSON schemas), the Release kernel gate (calendar-vs-heap
-# bit-identity across the full matrix + a scheduler events/sec floor), the
-# campaign gates (100k-client Release throughput floor, O(shards)
-# aggregation memory, shard-count and kill/resume report byte-identity) and
-# the passive gates (TSval-matcher packets/sec floor + offline-pcap report
-# byte-identity vs the live tap).
+# and ThreadSanitizer passes, then the Release bench gates and the
+# crash-safety and round-trip gates. Every bench declares its own hard
+# gates and exits non-zero when one fails (docs/BENCH_SCHEMAS.md lists
+# them: byte-identity across serial/parallel, arena, queue, engine,
+# profiling, shard and replay variants; engine, checkpoint and
+# observability overhead bounds; events/s, clients/s and packets/s floors;
+# payload copy reduction). check.sh only runs the binaries, then
+# validates the BENCH_*.json files this run wrote against their tables in
+# docs/BENCH_SCHEMAS.md. The chaos gates (kill/resume report
+# byte-identity for the matrix and campaign engines) and the passive pcap
+# gate (offline report byte-identical to the live tap) cmp the reports.
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
-#                             # UBSan build + the tier1/kernel/obs suites,
-#                             # TSan build + the threaded suites, then
-#                             # Release perf_matrix (arena A/B gate) and
-#                             # obs_overhead (overhead/determinism gates) runs
-#                             # plus schema validation of every BENCH_*.json
+#                             # UBSan build + every suite but perf,
+#                             # TSan build + the threaded suites, then the
+#                             # six Release benches, schema validation and
+#                             # the chaos/round-trip gates
 #   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
@@ -93,13 +95,17 @@ step "ubsan: configure (BNM_SANITIZE=undefined)"
 cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
 
 step "ubsan: build tests"
-cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests
+cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
+  bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
 
-step "ubsan: ctest (tier1, kernel, obs)"
+step "ubsan: ctest (tier1, kernel, obs, faults, resilience, campaign, passive)"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's
-# pooled cells and the registry's shard cells, plus everything tier-1
-# drives through them. -fno-sanitize-recover: a report fails the test.
-ctest --test-dir build-ubsan --output-on-failure -L 'tier1|kernel|obs'
+# pooled cells and the registry's shard cells, plus everything the suites
+# drive through them: fault injection, the job runner and its journal,
+# campaign sketches, the passive matcher and pcap reader. No suppressions;
+# -fno-sanitize-recover: a report fails the test.
+ctest --test-dir build-ubsan --output-on-failure \
+  -L 'tier1|kernel|obs|faults|resilience|campaign|passive'
 
 step "tsan: configure (BNM_SANITIZE=thread)"
 # shellcheck disable=SC2046
@@ -123,158 +129,45 @@ step "perf: configure (Release)"
 cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
 
 step "perf: build bench"
-cmake --build build-release -j --target perf_matrix obs_overhead bench_schema_check chaos_matrix campaign_scale campaign passive_scale passive_pcap
+cmake --build build-release -j --target perf_matrix obs_overhead \
+  campaign_scale passive_scale payload_copy fault_overhead bench_schema_check \
+  chaos_matrix campaign passive_pcap
 
-step "perf: bench/perf_matrix --runs=4 (arena A/B gate)"
-# perf_matrix itself exits non-zero when the arena-off reference pass is not
-# bit-identical to the arena-on pass; double-check the emitted JSON anyway.
-# (The bench writes BENCH_perf_matrix.json into its working directory.)
+# Each bench writes BENCH_<name>.json into its working directory and exits
+# non-zero when one of its declared gates fails (docs/BENCH_SCHEMAS.md
+# lists them); check.sh only runs them. Stale files from an earlier run
+# must not stand in for a bench that failed to write.
+rm -f build-release/BENCH_*.json
+
+step "perf: bench/perf_matrix --runs=4 (identity, engine-overhead and kernel gates)"
+# Serial == parallel, arena on == off and calendar queue == heap reference
+# across the full matrix; the crash-safe engine within 1% (disabled) and
+# 10% (checkpointing on) of a bare run_experiment loop, or within 1 ms;
+# a scheduler events/sec floor.
 (cd build-release && ./bench/perf_matrix --runs=4)
-if ! grep -q '"identical_on_off": true' build-release/BENCH_perf_matrix.json; then
-  echo "check.sh: FAIL — arena on/off results are not identical" >&2
-  exit 1
-fi
-if ! grep -q '"identical": true' build-release/BENCH_perf_matrix.json; then
-  echo "check.sh: FAIL — serial/parallel results are not identical" >&2
-  exit 1
-fi
-
-step "resilience: checkpoint disabled-overhead gate (<1% or sub-ms noise)"
-# The job runner with every feature off must not tax healthy runs: under
-# 1% over a bare loop of run_experiment calls (one arena, reset per cell),
-# with a sub-millisecond absolute slack because the full-matrix baseline is
-# only ~30-60 ms and percentages of it sit inside single-core VM jitter.
-# perf_matrix already hard-fails when the checked engine's results are not
-# bit-identical to the bare loop's.
-CK_PCT=$(sed -n 's/.*"disabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-CK_DELTA=$(sed -n 's/.*"disabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-if [[ -z "$CK_PCT" || -z "$CK_DELTA" ]]; then
-  echo "check.sh: FAIL — checkpoint overhead fields missing from BENCH_perf_matrix.json" >&2
-  exit 1
-fi
-if ! awk -v pct="$CK_PCT" -v delta="$CK_DELTA" \
-    'BEGIN { exit (pct + 0 < 1.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — disabled crash-safe engine costs ${CK_PCT}% (${CK_DELTA} ms) over the bare loop" >&2
-  exit 1
-fi
-echo "checkpoint overhead gate OK: disabled engine ${CK_PCT}% (${CK_DELTA} ms) vs the bare loop"
-
-step "resilience: checkpoint enabled-overhead gate (<10% or sub-ms noise)"
-# Checkpointing at flush_every = 1 (the chaos gate's setting) appends one
-# journal record per cell; it must cost under 10% over the bare loop, with
-# the same sub-millisecond absolute slack as the disabled gate.
-CK_ON_PCT=$(sed -n 's/.*"enabled_overhead_percent": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-CK_ON_DELTA=$(sed -n 's/.*"enabled_delta_ms": *\(-\{0,1\}[0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-if [[ -z "$CK_ON_PCT" || -z "$CK_ON_DELTA" ]]; then
-  echo "check.sh: FAIL — enabled checkpoint overhead fields missing from BENCH_perf_matrix.json" >&2
-  exit 1
-fi
-if ! awk -v pct="$CK_ON_PCT" -v delta="$CK_ON_DELTA" \
-    'BEGIN { exit (pct + 0 < 10.0 || delta + 0 < 1.0) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — checkpointing at flush_every=1 costs ${CK_ON_PCT}% (${CK_ON_DELTA} ms) over the bare loop" >&2
-  exit 1
-fi
-echo "checkpoint overhead gate OK: enabled engine ${CK_ON_PCT}% (${CK_ON_DELTA} ms) vs the bare loop"
-
-step "kernel: Release gate (calendar/heap identity + throughput floor)"
-# The calendar queue must reproduce the binary-heap reference bit-for-bit
-# across the full 88-cell matrix, and the cancellable schedule_after path
-# must hold a Release-mode throughput floor (the PR-5 heap measured
-# ~4.2M events/s; the calendar queue should stay comfortably above 3x that
-# on any host this runs on).
-if ! grep -q '"identical_calendar_heap": true' build-release/BENCH_perf_matrix.json; then
-  echo "check.sh: FAIL — calendar-queue results differ from the heap reference" >&2
-  exit 1
-fi
-EV_FLOOR=12000000
-EV_PER_SEC=$(sed -n 's/.*"events_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_perf_matrix.json | head -n1)
-if [[ -z "$EV_PER_SEC" ]]; then
-  echo "check.sh: FAIL — events_per_sec missing from BENCH_perf_matrix.json" >&2
-  exit 1
-fi
-if ! awk -v v="$EV_PER_SEC" -v floor="$EV_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — scheduler throughput ${EV_PER_SEC} ev/s below floor ${EV_FLOOR}" >&2
-  exit 1
-fi
-echo "kernel gate OK: ${EV_PER_SEC} events/s (floor ${EV_FLOOR}), calendar == heap"
 
 step "obs: bench/obs_overhead --runs=8 (overhead + determinism gates)"
-# obs_overhead exits non-zero itself when the disabled-path overhead
-# estimate reaches 1%, when the profiled pass is not bit-identical to the
-# unprofiled one, or when serial and parallel registry snapshots differ.
 (cd build-release && ./bench/obs_overhead --runs=8)
-if ! grep -q '"identical": true' build-release/BENCH_obs_overhead.json; then
-  echo "check.sh: FAIL — profiled run is not bit-identical" >&2
-  exit 1
-fi
-if ! grep -q '"snapshot_identical": true' build-release/BENCH_obs_overhead.json; then
-  echo "check.sh: FAIL — serial/parallel metrics snapshots differ" >&2
-  exit 1
-fi
 
 step "campaign: bench/campaign_scale --clients=100000 (scale + memory gates)"
-# The campaign engine must push a 100k-client population through the full
-# simulator at a Release throughput floor, aggregate in O(shards) memory
-# (doubling the population must not grow the aggregation state by a byte),
-# and produce a byte-identical report whether it runs as 1 shard serially
-# or as 8 shards. campaign_scale exits non-zero itself on an identity or
-# shape failure; the greps double-check the emitted JSON.
+# A clients/s floor, O(shards) aggregation memory, and 1-shard == 8-shard
+# report bytes.
 (cd build-release && ./bench/campaign_scale --clients=100000 --runs=1)
-if ! grep -q '"identical_shards": true' build-release/BENCH_campaign_scale.json; then
-  echo "check.sh: FAIL — campaign reports differ across shard counts" >&2
-  exit 1
-fi
-if ! grep -q '"independent_of_clients": true' build-release/BENCH_campaign_scale.json; then
-  echo "check.sh: FAIL — campaign aggregation memory grows with client count" >&2
-  exit 1
-fi
-# Floor far below the ~21k clients/s this box measures in Release, but far
-# above anything a per-client-accumulation regression would leave standing.
-CPS_FLOOR=5000
-CPS=$(sed -n 's/.*"clients_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_campaign_scale.json | head -n1)
-if [[ -z "$CPS" ]]; then
-  echo "check.sh: FAIL — clients_per_sec missing from BENCH_campaign_scale.json" >&2
-  exit 1
-fi
-if ! awk -v v="$CPS" -v floor="$CPS_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — campaign throughput ${CPS} clients/s below floor ${CPS_FLOOR}" >&2
-  exit 1
-fi
-echo "campaign scale gate OK: ${CPS} clients/s (floor ${CPS_FLOOR}), O(shards) memory"
 
 step "passive: bench/passive_scale (matcher throughput floor)"
-# The TSval matcher must sustain a Release throughput floor on a synthetic
-# trunk capture (64 flows x 8k packets). passive_scale exits non-zero
-# itself when two replays of the stream serialize different reports.
 (cd build-release && ./bench/passive_scale)
-if ! grep -q '"identical_reports": true' build-release/BENCH_passive_scale.json; then
-  echo "check.sh: FAIL — passive reports differ across replays" >&2
-  exit 1
-fi
-# Floor far below the millions of packets/s a hash-map matcher manages in
-# Release, but far above anything a per-packet-allocation regression or an
-# accidental O(flows) scan would leave standing.
-PPS_FLOOR=200000
-PPS=$(sed -n 's/.*"packets_per_sec": *\([0-9][0-9.]*\).*/\1/p' \
-  build-release/BENCH_passive_scale.json | head -n1)
-if [[ -z "$PPS" ]]; then
-  echo "check.sh: FAIL — packets_per_sec missing from BENCH_passive_scale.json" >&2
-  exit 1
-fi
-if ! awk -v v="$PPS" -v floor="$PPS_FLOOR" \
-    'BEGIN { exit (v + 0 >= floor) ? 0 : 1 }'; then
-  echo "check.sh: FAIL — passive matcher ${PPS} packets/s below floor ${PPS_FLOOR}" >&2
-  exit 1
-fi
-echo "passive scale gate OK: ${PPS} packets/s (floor ${PPS_FLOOR})"
+
+step "net: bench/payload_copy (bulk echo complete, copy reduction >= 5x)"
+(cd build-release && ./bench/payload_copy)
+
+step "faults: bench/fault_overhead (disabled injectors leave results identical)"
+(cd build-release && ./bench/fault_overhead)
+
+step "obs: validate this run's BENCH_*.json against docs/BENCH_SCHEMAS.md"
+# Strict: unknown, missing or mistyped fields fail, and so does a failed gate.
+(cd build-release && ./tools/bench_schema_check BENCH_perf_matrix.json \
+  BENCH_obs_overhead.json BENCH_campaign_scale.json BENCH_passive_scale.json \
+  BENCH_payload_copy.json BENCH_fault_overhead.json)
 
 step "passive: pcap round-trip gate (offline report == live tap report)"
 # A faulted run's client tap written to a classic pcap file, re-read
@@ -297,17 +190,6 @@ fi
 echo "passive pcap gate OK: offline report byte-identical to the live tap"
 ./build-release/tools/bench_schema_check \
   "$PASSIVE_DIR"/REPORT_passive_*.json
-
-step "obs: validate BENCH_*.json against docs/BENCH_SCHEMAS.md"
-# Every bench JSON present in the release tree must match its documented
-# schema exactly (unknown or missing fields fail).
-BENCH_JSON=$(find build-release -maxdepth 2 -name 'BENCH_*.json' | sort)
-if [[ -z "$BENCH_JSON" ]]; then
-  echo "check.sh: FAIL — no BENCH_*.json produced" >&2
-  exit 1
-fi
-# shellcheck disable=SC2086
-./build-release/tools/bench_schema_check $BENCH_JSON
 
 step "resilience: chaos gate (kill after K cells -> resume -> byte-identity)"
 # A run hard-killed mid-matrix (std::_Exit inside the progress callback,

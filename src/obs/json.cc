@@ -181,6 +181,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 
   void fail(const char* what) {
     if (error_ && error_->empty()) {
@@ -234,9 +235,17 @@ class Parser {
       case '"':
         return parse_string(out);
       case '[':
-        return parse_array(out);
-      case '{':
-        return parse_object(out);
+      case '{': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting too deep");
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '[' ? parse_array(out) : parse_object(out);
+        --depth_;
+        return ok;
+      }
       default:
         return parse_number(out);
     }

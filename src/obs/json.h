@@ -92,8 +92,13 @@ class Value {
   std::vector<Member> object_;
 };
 
+/// Nesting cap for parse(): the parser recurses once per array/object
+/// level, so unbounded input nesting would overflow the stack. Our deepest
+/// documents (campaign checkpoint records) nest about 8 levels.
+inline constexpr int kMaxDepth = 128;
+
 /// Parse one JSON document. Returns nullopt (and sets *error if given) on
-/// malformed input or trailing garbage.
+/// malformed input, trailing garbage, or nesting deeper than kMaxDepth.
 std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 
 /// JSON string escaping (shared by every emitter in obs/).

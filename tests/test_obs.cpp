@@ -503,6 +503,21 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_EQ(v->dump(), "{\"a\":[1,2.5,\"x\\n\",true,null]}");
 }
 
+TEST(Json, ParseRejectsNestingPastTheCapInsteadOfOverflowingTheStack) {
+  using bnm::obs::json::kMaxDepth;
+  using bnm::obs::json::parse;
+  std::string err;
+  EXPECT_FALSE(parse(std::string(1000000, '['), &err).has_value());
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse(nested(kMaxDepth)).has_value());
+  EXPECT_FALSE(parse(nested(kMaxDepth + 1)).has_value());
+  EXPECT_FALSE(parse(std::string(1000000, '{'), nullptr).has_value());
+}
+
 TEST(Json, DumpsDoublesExactlyAsPrintf17g) {
   // Every report, checkpoint and bench digest depends on these bytes.
   const auto printf17g = [](double d) {

@@ -411,6 +411,26 @@ TEST(CheckpointJournal, Version1FileGivesZeroRecordsAndAFreshRun) {
   EXPECT_EQ(reader->records(), 1u);
 }
 
+TEST(CheckpointJournal, DeeplyNestedHeaderIsRejectedNotACrash) {
+  // The header line is parsed before any checksum is checked, so a crafted
+  // or corrupt file reaches the JSON parser as-is.
+  const std::vector<ExperimentConfig> cells = seeded_cells(1);
+  TempFile ck{"nested"};
+  spit(ck.path(), std::string(1000000, '[') + "\n");
+  std::string error;
+  EXPECT_FALSE(CheckpointReader::load(ck.path(), &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+
+  MatrixOptions options;
+  options.jobs = 1;
+  options.checkpoint.path = ck.path();
+  options.checkpoint.resume = true;
+  const MatrixResult result = run_matrix_checked(cells, options);
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.cells_resumed, 0u);
+  EXPECT_EQ(result.cells_run, 1u);
+}
+
 TEST(CheckpointJournal, CellIsPersistedBeforeItIsAnnounced) {
   const std::vector<ExperimentConfig> cells = seeded_cells(16);
   TempFile ck{"announced"};

@@ -1,0 +1,20 @@
+// Schema validation for the JSON files the repo emits: bench results
+// (BENCH_*), reports (REPORT_*) and checkpoint journals (CHECKPOINT_*).
+// tools/bench_schema_check is its command-line front end.
+#pragma once
+
+#include <string>
+#include <string_view>
+#include <vector>
+
+namespace bnm::tools {
+
+/// Check the file at `path` against the schema its basename selects. A
+/// BENCH_* file is checked against its table in `bench_schemas_md` (the
+/// text of docs/BENCH_SCHEMAS.md) plus the shared gates[] table, and every
+/// one of its gates must pass; REPORT_* and CHECKPOINT_* files against the
+/// formats src/ persists. Returns one message per problem; empty = valid.
+std::vector<std::string> check_file(const std::string& path,
+                                    std::string_view bench_schemas_md);
+
+}  // namespace bnm::tools

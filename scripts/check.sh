@@ -10,14 +10,17 @@
 # validates the BENCH_*.json files this run wrote against their tables in
 # docs/BENCH_SCHEMAS.md. The chaos gates (kill/resume report
 # byte-identity for the matrix and campaign engines) and the passive pcap
-# gate (offline report byte-identical to the live tap) cmp the reports.
+# gate (offline report byte-identical to the live tap) cmp the reports,
+# and validate every checkpoint and report they wrote against the same
+# document.
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
-#                             # UBSan build + every suite but perf,
+#                             # UBSan build + every suite,
 #                             # TSan build + the threaded suites, then the
 #                             # six Release benches, schema validation and
 #                             # the chaos/round-trip gates
-#   scripts/check.sh --fast   # plain build + ctest only (skip sanitizers/perf/obs)
+#   scripts/check.sh --fast   # plain build + every ctest label only (skip the
+#                             # sanitizer builds, Release benches and gates)
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
 # build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
@@ -76,7 +79,7 @@ ctest --test-dir build -L passive --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
   echo
-  echo "check.sh: tier-1 OK (ASan and perf passes skipped with --fast)"
+  echo "check.sh: ctest OK (sanitizers, benches and gates skipped with --fast)"
   exit 0
 fi
 
@@ -96,16 +99,18 @@ cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
 
 step "ubsan: build tests"
 cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
-  bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
+  bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests \
+  bnm_perf_tests
 
-step "ubsan: ctest (tier1, kernel, obs, faults, resilience, campaign, passive)"
+step "ubsan: ctest (every label)"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's
-# pooled cells and the registry's shard cells, plus everything the suites
-# drive through them: fault injection, the job runner and its journal,
-# campaign sketches, the passive matcher and pcap reader. No suppressions;
-# -fno-sanitize-recover: a report fails the test.
+# pooled cells and the registry's shard cells, the arena's aligned bump
+# allocation (perf), plus everything the suites drive through them: fault
+# injection, the job runner and its journal, campaign sketches, the
+# passive matcher and pcap reader. No suppressions; -fno-sanitize-recover:
+# a report fails the test.
 ctest --test-dir build-ubsan --output-on-failure \
-  -L 'tier1|kernel|obs|faults|resilience|campaign|passive'
+  -L 'tier1|kernel|obs|faults|resilience|campaign|passive|perf'
 
 step "tsan: configure (BNM_SANITIZE=thread)"
 # shellcheck disable=SC2046
@@ -203,17 +208,17 @@ mkdir -p "$CHAOS_DIR"
 chaos_cycle() {  # $1: extra flags ("" or --faults), $2: scenario tag
   local flags=$1 tag=$2 rc=0
   # shellcheck disable=SC2086
-  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_${tag}_clean.json" \
+  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_matrix_${tag}_clean.json" \
     --report="$CHAOS_DIR/REPORT_matrix_${tag}_clean.json" >/dev/null
   # shellcheck disable=SC2086
-  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_${tag}.json" \
+  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_matrix_${tag}.json" \
     --kill-after=3 >/dev/null || rc=$?
   if [[ "$rc" != 42 ]]; then
     echo "check.sh: FAIL — chaos kill ($tag) exited $rc, expected 42" >&2
     exit 1
   fi
   # shellcheck disable=SC2086
-  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_${tag}.json" --resume \
+  "$CHAOS" $flags --checkpoint="$CHAOS_DIR/CHECKPOINT_matrix_${tag}.json" --resume \
     --report="$CHAOS_DIR/REPORT_matrix_${tag}_resumed.json" >/dev/null
   if ! cmp -s "$CHAOS_DIR/REPORT_matrix_${tag}_clean.json" \
       "$CHAOS_DIR/REPORT_matrix_${tag}_resumed.json"; then
@@ -225,7 +230,7 @@ chaos_cycle() {  # $1: extra flags ("" or --faults), $2: scenario tag
 chaos_cycle ""       healthy
 chaos_cycle --faults faulty
 ./build-release/tools/bench_schema_check \
-  "$CHAOS_DIR"/CHECKPOINT_*.json "$CHAOS_DIR"/REPORT_matrix_*.json
+  "$CHAOS_DIR"/CHECKPOINT_matrix_*.json "$CHAOS_DIR"/REPORT_matrix_*.json
 
 step "campaign: chaos gate (kill after K shards -> resume -> byte-identity)"
 # Same discipline for the campaign engine: a run hard-killed mid-campaign

@@ -248,7 +248,8 @@ struct CampaignResult {
 /// runner, checkpoint completed shards, and merge everything into one
 /// aggregate. A shard that fails as a whole (rather than per client, which
 /// counts in failed_clients) makes run_campaign throw after the other
-/// shards drain, naming the shard.
+/// shards drain, naming the shard. A checkpoint path that cannot be opened
+/// throws before any shard runs.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const CampaignOptions& options = {});
 

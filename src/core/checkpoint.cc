@@ -72,6 +72,13 @@ void hash_testbed(Fnv1a& h, const Testbed::Config& t) {
   h.b(tcp.congestion_control);
   h.u64(tcp.initial_cwnd_segments);
   dur(h, tcp.time_wait);
+  // RFC 7323 timestamps add 12 bytes to every segment. Hashed only when on,
+  // so every timestamps-off hash (and resume key) stays what it was.
+  if (tcp.timestamps) {
+    h.b(true);
+    dur(h, tcp.ts_granule);
+    h.u64(tcp.ts_offset);
+  }
   hash_fault_plan(h, t.faults_to_server);
   hash_fault_plan(h, t.faults_from_server);
 }

@@ -1,6 +1,7 @@
 #include "core/journal.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -59,9 +60,10 @@ JournalWriter::JournalWriter(const std::string& path,
     : flush_every_{std::max(flush_every, 1)}, flushes_{flushes}, bytes_{bytes} {
   std::string contents = header + '\n';
   for (const std::string& r : carried) contents += journal_line(r);
-  if (!write_file_atomic(path, contents)) return;
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_) return;
+  if (!write_file_atomic(path, contents) ||
+      !(file_ = std::fopen(path.c_str(), "ab"))) {
+    throw std::runtime_error("cannot open checkpoint journal " + path);
+  }
   records_ = carried.size();
   if (bytes_) bytes_->add(contents.size());
 }
@@ -69,22 +71,20 @@ JournalWriter::JournalWriter(const std::string& path,
 JournalWriter::~JournalWriter() {
   std::lock_guard<std::mutex> lock{mu_};
   flush_locked();
-  if (file_) std::fclose(file_);
+  std::fclose(file_);
 }
 
 void JournalWriter::append(std::string record) {
   const std::string line = journal_line(std::move(record));
   std::lock_guard<std::mutex> lock{mu_};
-  if (!file_ || std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    return;
-  }
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) return;
   ++records_;
   if (bytes_) bytes_->add(line.size());
   if (++pending_ >= flush_every_) flush_locked();
 }
 
 void JournalWriter::flush_locked() {
-  if (!file_ || pending_ == 0) return;
+  if (pending_ == 0) return;
   pending_ = 0;
   if (std::fflush(file_) == 0) flushes_.add();
 }

@@ -32,6 +32,9 @@ namespace bnm::core {
 /// header and carried records included.
 class JournalWriter {
  public:
+  /// Throws std::runtime_error naming `path` when the journal cannot be
+  /// written or opened: a run that asked for persistence never goes on
+  /// without it.
   JournalWriter(const std::string& path, const std::string& header,
                 const std::vector<std::string>& carried, int flush_every,
                 const obs::Counter& flushes,
@@ -41,9 +44,7 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
 
   /// Append one record under the lock; fflush once `flush_every` records
-  /// are pending (1 = the record is in the file when append returns). If
-  /// the journal could not be opened, records are dropped and the run goes
-  /// on without persistence.
+  /// are pending (1 = the record is in the file when append returns).
   void append(std::string record);
 
   std::size_t records() const;  ///< carried + appended

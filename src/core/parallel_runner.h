@@ -182,7 +182,8 @@ MatrixResult run_units(const std::vector<char>& skip,
 /// Run the matrix on the job runner, with checkpoint/resume on top: cell i
 /// is a unit, and its journal record is appended before progress hears of
 /// it. A quarantined cell's series has failures == runs and a first_error
-/// naming the exception or the watchdog that gave up.
+/// naming the exception or the watchdog that gave up. A checkpoint path
+/// that cannot be opened throws std::runtime_error before any cell runs.
 MatrixResult run_matrix_checked(const std::vector<ExperimentConfig>& cells,
                                 const MatrixOptions& options = {},
                                 const WatchedCellRunner& runner = nullptr);

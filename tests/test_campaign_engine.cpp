@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -207,6 +208,22 @@ TEST(Campaign, ShardIsPersistedBeforeItIsAnnounced) {
   EXPECT_EQ(result.progress_errors, 0u);
   EXPECT_TRUE(violations.empty()) << violations.front();
   std::remove(ck.c_str());
+}
+
+TEST(Campaign, UnopenableCheckpointFailsBeforeAnyShardRuns) {
+  const std::string ck = "no_such_dir_for_checkpoints/ck.json";
+  std::size_t announced = 0;
+  CampaignOptions opts;
+  opts.jobs = 1;
+  opts.checkpoint = ck;
+  opts.progress = [&](std::size_t, std::size_t) { ++announced; };
+  try {
+    run_campaign(small_spec(12, 3), opts);
+    ADD_FAILURE() << "an unopenable checkpoint path was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(ck), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(announced, 0u);
 }
 
 TEST(Campaign, ResumeRecompactsATornJournal) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,23 @@ TEST(ConfigHash, SensitiveToEveryBehaviourKnob) {
   const std::uint64_t with_drop = cell_config_hash(c);
   EXPECT_NE(with_drop, with_faults);
   c.testbed.faults_to_server.reset();
+  EXPECT_EQ(cell_config_hash(c), h0);
+
+  // RFC 7323 timestamps: turning them on moves the hash, and so does each
+  // clock knob while they are on. While off, the knobs do not matter, so
+  // every timestamps-off hash stays what it was before they were hashed.
+  c = base;
+  c.testbed.tcp.timestamps = true;
+  const std::uint64_t with_ts = cell_config_hash(c);
+  EXPECT_NE(with_ts, h0);
+  c.testbed.tcp.ts_granule = sim::Duration::millis(10);
+  EXPECT_NE(cell_config_hash(c), with_ts);
+  c.testbed.tcp.ts_granule = base.testbed.tcp.ts_granule;
+  c.testbed.tcp.ts_offset = 0xfffffff0u;
+  EXPECT_NE(cell_config_hash(c), with_ts);
+  c.testbed.tcp.timestamps = false;
+  EXPECT_EQ(cell_config_hash(c), h0);
+  c.testbed.tcp.ts_granule = sim::Duration::millis(10);
   EXPECT_EQ(cell_config_hash(c), h0);
 }
 
@@ -429,6 +447,26 @@ TEST(CheckpointJournal, DeeplyNestedHeaderIsRejectedNotACrash) {
   EXPECT_TRUE(result.ok());
   EXPECT_EQ(result.cells_resumed, 0u);
   EXPECT_EQ(result.cells_run, 1u);
+}
+
+TEST(CheckpointJournal, UnopenablePathFailsBeforeAnyCellRuns) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(2);
+  const std::string path = "no_such_dir_for_checkpoints/ck.json";
+  MatrixOptions options;
+  options.jobs = 1;
+  options.checkpoint.path = path;
+  int cells_run = 0;
+  try {
+    run_matrix_checked(cells, options,
+                       [&](const ExperimentConfig& config, CellWatchdog*) {
+                         ++cells_run;
+                         return run_experiment(config);
+                       });
+    ADD_FAILURE() << "an unopenable checkpoint path was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(cells_run, 0);
 }
 
 TEST(CheckpointJournal, CellIsPersistedBeforeItIsAnnounced) {

@@ -9,11 +9,11 @@
 
 namespace bnm::tools {
 
-/// Check the file at `path` against the schema its basename selects. A
-/// BENCH_* file is checked against its table in `bench_schemas_md` (the
-/// text of docs/BENCH_SCHEMAS.md) plus the shared gates[] table, and every
-/// one of its gates must pass; REPORT_* and CHECKPOINT_* files against the
-/// formats src/ persists. Returns one message per problem; empty = valid.
+/// Check the file at `path` against its schema in `bench_schemas_md` (the
+/// text of docs/BENCH_SCHEMAS.md): the tables under every heading whose file
+/// pattern matches the basename. A checkpoint journal's header, records and
+/// checksums are checked line by line. Returns one message per problem;
+/// empty = valid.
 std::vector<std::string> check_file(const std::string& path,
                                     std::string_view bench_schemas_md);
 

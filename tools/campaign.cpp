@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "core/campaign.h"
@@ -126,7 +127,13 @@ int main(int argc, char** argv) {
     }
   };
 
-  const core::CampaignResult result = core::run_campaign(opt.spec, options);
+  core::CampaignResult result;
+  try {
+    result = core::run_campaign(opt.spec, options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "campaign: %s\n", e.what());
+    return 1;
+  }
 
   std::fprintf(stderr,
                "campaign: clients=%" PRIu64 " samples=%" PRIu64

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -184,7 +185,13 @@ int main(int argc, char** argv) {
     }
   };
 
-  const core::MatrixResult result = core::run_matrix_checked(cells, options);
+  core::MatrixResult result;
+  try {
+    result = core::run_matrix_checked(cells, options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "chaos_matrix: %s\n", e.what());
+    return 1;
+  }
 
   std::fprintf(stderr,
                "chaos_matrix: run=%zu resumed=%zu quarantined=%zu "

@@ -20,13 +20,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
 #include "obs/json.h"
@@ -251,10 +251,7 @@ inline int write_result(const char* path, Json doc,
     std::printf("  [%s] %s\n", pass ? "OK" : "FAIL", line.c_str());
   }
   doc.add("gates", std::move(block));
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  out << doc.dump() << '\n';
-  out.close();
-  if (!out) {
+  if (!core::write_file_atomic(path, doc.dump() + '\n')) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }

@@ -86,10 +86,9 @@ struct MatrixTimings {
   double serial_ms = 0;
   double parallel_ms = 0;
   bool identical = true;
-  // Arena service counters over the serial + parallel passes (zero when the
-  // library was built without BNM_ARENA_STATS). Every arena allocation is a
-  // global-allocator round trip the packet path no longer pays.
-  bool arena_stats_compiled = false;
+  // Arena service counters over the serial + parallel passes. Every arena
+  // allocation is a global-allocator round trip the packet path no longer
+  // pays.
   std::uint64_t arena_allocs_avoided = 0;
   std::uint64_t arena_bytes_served = 0;
   std::uint64_t arena_peak_bytes = 0;
@@ -120,7 +119,6 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
   t.jobs = core::resolve_jobs(jobs_flag, cells.size());
 
   std::printf("matrix: %zu cells x %d runs\n", t.cells, runs);
-  t.arena_stats_compiled = sim::ArenaStats::compiled_in();
   sim::ArenaStats::reset();
 
   std::printf("  serial (jobs=1)    ... ");
@@ -191,12 +189,10 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
       "  results byte-identical: %s (arena on/off: %s, calendar/heap: %s)\n",
       t.identical ? "yes" : "NO", t.arena_identical ? "yes" : "NO",
       t.queue_identical ? "yes" : "NO");
-  if (t.arena_stats_compiled) {
-    std::printf("  arena: %" PRIu64 " allocs avoided, %" PRIu64
-                " bytes served, peak %" PRIu64 " bytes\n",
-                t.arena_allocs_avoided, t.arena_bytes_served,
-                t.arena_peak_bytes);
-  }
+  std::printf("  arena: %" PRIu64 " allocs avoided, %" PRIu64
+              " bytes served, peak %" PRIu64 " bytes\n",
+              t.arena_allocs_avoided, t.arena_bytes_served,
+              t.arena_peak_bytes);
   return t;
 }
 
@@ -556,7 +552,6 @@ benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
   }
   matrix.add("identical", flag(m.identical));
   matrix.add("arena", obj({
-                          {"stats_compiled", flag(m.arena_stats_compiled)},
                           {"allocs_avoided", integer(m.arena_allocs_avoided)},
                           {"bytes_served", integer(m.arena_bytes_served)},
                           {"peak_arena_bytes", integer(m.arena_peak_bytes)},

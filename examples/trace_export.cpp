@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/checkpoint.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -60,9 +61,9 @@ int main(int argc, char** argv) {
   std::printf("  method probe spans       : %zu\n",
               trace.view_by_component("method").size());
 
-  if (!obs::trace::write_file("trace.jsonl", obs::trace::to_jsonl(trace)) ||
-      !obs::trace::write_file("trace.json",
-                              obs::trace::to_chrome_trace(trace))) {
+  if (!core::write_file_atomic("trace.jsonl", obs::trace::to_jsonl(trace)) ||
+      !core::write_file_atomic("trace.json",
+                               obs::trace::to_chrome_trace(trace))) {
     std::fprintf(stderr, "failed to write trace files\n");
     return 1;
   }

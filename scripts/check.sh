@@ -15,12 +15,15 @@
 # document.
 #
 #   scripts/check.sh          # full: plain build + ctest, ASan build + ctest,
-#                             # UBSan build + every suite,
+#                             # UBSan build + ctest,
 #                             # TSan build + the threaded suites, then the
 #                             # six Release benches, schema validation and
 #                             # the chaos/round-trip gates
-#   scripts/check.sh --fast   # plain build + every ctest label only (skip the
-#                             # sanitizer builds, Release benches and gates)
+#   scripts/check.sh --fast   # plain build + ctest only (skip the sanitizer
+#                             # builds, Release benches and gates)
+#
+# Each ctest call runs every registered test (all eight labels); only the
+# TSan step picks the threaded subset.
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
 # build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
@@ -53,29 +56,8 @@ cmake -B build -S . $(gen_for build)
 step "tier-1: build"
 cmake --build build -j
 
-step "tier-1: ctest (-L tier1)"
-ctest --test-dir build -L tier1 --output-on-failure
-
-step "faults: ctest (-L faults)"
-ctest --test-dir build -L faults --output-on-failure
-
-step "perf: ctest (-L perf)"
-ctest --test-dir build -L perf --output-on-failure
-
-step "obs: ctest (-L obs)"
-ctest --test-dir build -L obs --output-on-failure
-
-step "kernel: ctest (-L kernel)"
-ctest --test-dir build -L kernel --output-on-failure
-
-step "resilience: ctest (-L resilience)"
-ctest --test-dir build -L resilience --output-on-failure
-
-step "campaign: ctest (-L campaign)"
-ctest --test-dir build -L campaign --output-on-failure
-
-step "passive: ctest (-L passive)"
-ctest --test-dir build -L passive --output-on-failure
+step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive)"
+ctest --test-dir build --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
   echo
@@ -102,15 +84,14 @@ cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
   bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests \
   bnm_perf_tests
 
-step "ubsan: ctest (every label)"
+step "ubsan: ctest"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's
 # pooled cells and the registry's shard cells, the arena's aligned bump
 # allocation (perf), plus everything the suites drive through them: fault
 # injection, the job runner and its journal, campaign sketches, the
 # passive matcher and pcap reader. No suppressions; -fno-sanitize-recover:
 # a report fails the test.
-ctest --test-dir build-ubsan --output-on-failure \
-  -L 'tier1|kernel|obs|faults|resilience|campaign|passive|perf'
+ctest --test-dir build-ubsan --output-on-failure
 
 step "tsan: configure (BNM_SANITIZE=thread)"
 # shellcheck disable=SC2046

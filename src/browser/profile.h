@@ -17,6 +17,7 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "browser/timing.h"
@@ -39,6 +40,9 @@ struct BrowserOsCase {
   OsId os;
   std::string label() const;  ///< "C (U)", "IE (W)", ...
   bool operator==(const BrowserOsCase&) const = default;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) { return std::tie(s.browser, s.os); }
 };
 
 /// The eight cases the paper evaluates (Table 2): five browsers on Windows,
@@ -85,6 +89,9 @@ struct DistSpec {
   sim::Duration sample(sim::Rng& rng) const;
   /// The distribution's median in ms (used by documentation tables).
   double median_ms() const;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) { return std::tie(s.kind, s.a, s.b); }
 };
 
 /// Application-level overhead of one probe kind on one browser/OS.

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/checkpoint.h"
+#include "core/config_hash.h"
 #include "core/fnv1a.h"
 #include "core/journal.h"
 #include "core/parallel_runner.h"
@@ -68,12 +69,6 @@ const obs::Counter& progress_errors_counter() {
       "campaign progress-callback exceptions absorbed");
   return c;
 }
-
-// ---------------------------------------------------------------------------
-// Spec hashing: FNV-1a (core/fnv1a.h) over the population-defining fields,
-// bit patterns for doubles (same discipline as cell_config_hash). The shard
-// count and everything in CampaignOptions are excluded on purpose: they
-// change how the campaign executes, never what it measures.
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
@@ -146,36 +141,7 @@ bool read_sketch(const Value* v, stats::QuantileSketch* expected) {
 std::uint64_t campaign_spec_hash(const CampaignSpec& spec) {
   Fnv1a h;
   h.u64(0xB14CA4BA16ULL);  // format salt
-  h.u64(spec.seed);
-  h.u64(spec.clients);
-  h.i64(spec.runs_per_client);
-  h.i64(spec.min_rtt_window);
-  h.u64(spec.cases.size());
-  for (const CaseWeight& c : spec.cases) {
-    h.u64(static_cast<std::uint64_t>(c.which.browser));
-    h.u64(static_cast<std::uint64_t>(c.which.os));
-    h.f64(c.weight);
-  }
-  h.u64(spec.methods.size());
-  for (const MethodWeight& m : spec.methods) {
-    h.u64(static_cast<std::uint64_t>(m.kind));
-    h.f64(m.weight);
-  }
-  h.u64(static_cast<std::uint64_t>(spec.rtt_ms.kind));
-  h.f64(spec.rtt_ms.a);
-  h.f64(spec.rtt_ms.b);
-  h.u64(spec.bandwidth_mbps.size());
-  for (double mbps : spec.bandwidth_mbps) h.f64(mbps);
-  h.f64(spec.lossy_fraction);
-  h.f64(spec.loss_probability);
-  h.i64(spec.inter_run_gap_min.ns());
-  h.i64(spec.inter_run_gap_max.ns());
-  h.i64(spec.sample_deadline.ns());
-  h.i64(spec.http_request_timeout.ns());
-  h.i64(spec.http_max_retries);
-  h.f64(spec.grid.lo);
-  h.f64(spec.grid.hi);
-  h.i64(spec.grid.cells);
+  hash_config(h, spec);
   return h.value();
 }
 
@@ -748,11 +714,6 @@ std::string campaign_report_json(const CampaignSpec& spec,
   v.add("net_rtt", sketch_summary_json(agg.net_rtt));
   v.add("rtt_inflation", sketch_summary_json(agg.rtt_inflation));
   return v.dump() + "\n";
-}
-
-bool write_campaign_report(const std::string& path, const CampaignSpec& spec,
-                           const CampaignResult& result) {
-  return write_file_atomic(path, campaign_report_json(spec, result));
 }
 
 }  // namespace bnm::core

@@ -44,6 +44,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "browser/profile.h"
@@ -76,6 +77,9 @@ inline constexpr std::array<std::uint64_t, 12> kOverheadBucketBoundsUs = {
 struct CaseWeight {
   browser::BrowserOsCase which;
   double weight = 1.0;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) { return std::tie(s.which, s.weight); }
 };
 
 /// One weighted entry of the probe-method mix. Methods a sampled case
@@ -84,13 +88,15 @@ struct CaseWeight {
 struct MethodWeight {
   methods::ProbeKind kind;
   double weight = 1.0;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) { return std::tie(s.kind, s.weight); }
 };
 
 struct CampaignSpec {
   std::uint64_t seed = 7;        ///< campaign seed; client k forks from it
   std::uint64_t clients = 10000;
-  int shards = 64;               ///< contiguous client ranges; NOT hashed —
-                                 ///< the report is shard-layout-independent
+  int shards = 64;               ///< contiguous client ranges
   int runs_per_client = 2;
   int min_rtt_window = 8;        ///< MovingMin window for the RTT baseline
 
@@ -115,12 +121,26 @@ struct CampaignSpec {
 
   /// Sketch resolution shared by every aggregate in the campaign.
   stats::QuantileSketch::Grid grid{};
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) {
+    return std::tie(s.seed, s.clients, s.runs_per_client, s.min_rtt_window,
+                    s.cases, s.methods, s.rtt_ms, s.bandwidth_mbps,
+                    s.lossy_fraction, s.loss_probability,
+                    s.inter_run_gap_min, s.inter_run_gap_max,
+                    s.sample_deadline, s.http_request_timeout,
+                    s.http_max_retries, s.grid);
+  }
+  /// Execution layout, not population: the report must not depend on it.
+  template <class S>
+  static auto unhashed_fields(S& s) { return std::tie(s.shards); }
 };
 
-/// Stable FNV-1a hash over every field that changes what the population
-/// *is* (seed, client count, mixes, path model, experiment knobs, grid).
-/// The shard count is deliberately excluded: it changes only the execution
-/// layout, and the report must not depend on it.
+/// Stable FNV-1a hash: a format salt, then the field-list walk of
+/// core/config_hash.h (whose guard fails the build on an unlisted member)
+/// over every field that changes what the population *is*. The shard count
+/// is not hashed: it changes only the execution layout, and the report must
+/// not depend on it.
 std::uint64_t campaign_spec_hash(const CampaignSpec& spec);
 std::string campaign_spec_hash_hex(const CampaignSpec& spec);
 
@@ -259,9 +279,5 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 /// not — produce byte-identical report strings.
 std::string campaign_report_json(const CampaignSpec& spec,
                                  const CampaignResult& result);
-
-/// campaign_report_json straight to a file (atomic temp+rename).
-bool write_campaign_report(const std::string& path, const CampaignSpec& spec,
-                           const CampaignResult& result);
 
 }  // namespace bnm::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/config_hash.h"
 #include "core/fnv1a.h"
 #include "core/journal.h"
 #include "obs/metrics.h"
@@ -14,91 +15,14 @@ namespace {
 using obs::json::Value;
 
 // ---------------------------------------------------------------------------
-// Config hashing: FNV-1a (core/fnv1a.h) over the bit patterns of every
-// behaviour-affecting field.
-
-void dur(Fnv1a& h, sim::Duration d) { h.i64(d.ns()); }
-void window(Fnv1a& h, const net::TimeWindow& w) {
-  h.i64(w.begin.ns_since_epoch());
-  h.i64(w.end.ns_since_epoch());
-}
-
-void hash_fault_plan(Fnv1a& h, const std::optional<net::FaultPlan>& plan) {
-  h.b(plan.has_value());
-  if (!plan) return;
-  h.str(plan->name);
-  h.f64(plan->loss_probability);
-  h.b(plan->bursty_loss.has_value());
-  if (plan->bursty_loss) {
-    h.f64(plan->bursty_loss->p_good_to_bad);
-    h.f64(plan->bursty_loss->p_bad_to_good);
-    h.f64(plan->bursty_loss->loss_good);
-    h.f64(plan->bursty_loss->loss_bad);
-  }
-  h.f64(plan->corrupt_probability);
-  h.f64(plan->duplicate_probability);
-  h.u64(plan->blackholes.size());
-  for (const net::TimeWindow& w : plan->blackholes) window(h, w);
-  h.u64(plan->flaps.size());
-  for (const net::TimeWindow& w : plan->flaps) window(h, w);
-  h.u64(plan->drop_data_segments.size());
-  for (std::uint64_t n : plan->drop_data_segments) h.u64(n);
-  h.u64(plan->max_events);
-}
-
-void hash_testbed(Fnv1a& h, const Testbed::Config& t) {
-  h.u64(t.seed);
-  dur(h, t.server_delay);
-  h.f64(t.bandwidth_bps);
-  dur(h, t.link_propagation);
-  dur(h, t.capture_jitter);
-  h.u64(static_cast<std::uint64_t>(t.client_os));
-  h.u64(t.http_port);
-  h.u64(t.tcp_echo_port);
-  h.u64(t.udp_echo_port);
-  h.u64(t.ws_port);
-  h.f64(t.link_loss_probability);
-  dur(h, t.server_jitter);
-  h.b(t.allow_reorder);
-  h.f64(t.cross_traffic_mbps);
-  const net::TcpConfig& tcp = t.tcp;
-  h.u64(tcp.mss);
-  h.u64(tcp.send_window);
-  dur(h, tcp.delayed_ack);
-  dur(h, tcp.rto_initial);
-  dur(h, tcp.rto_max);
-  h.u64(tcp.max_retransmissions);
-  h.u64(tcp.dupack_threshold);
-  h.b(tcp.congestion_control);
-  h.u64(tcp.initial_cwnd_segments);
-  dur(h, tcp.time_wait);
-  // RFC 7323 timestamps add 12 bytes to every segment. Hashed only when on,
-  // so every timestamps-off hash (and resume key) stays what it was.
-  if (tcp.timestamps) {
-    h.b(true);
-    dur(h, tcp.ts_granule);
-    h.u64(tcp.ts_offset);
-  }
-  hash_fault_plan(h, t.faults_to_server);
-  hash_fault_plan(h, t.faults_from_server);
-}
-
-// ---------------------------------------------------------------------------
 // JSON helpers.
 
 /// Accept both number encodings: dump() writes an integral-valued double as
 /// "3" (%.17g), which parses back as kInt — both must read as the same value.
 bool read_number(const Value* v, double* out) {
-  if (!v) return false;
-  if (v->type() == Value::Type::kDouble) {
-    *out = v->as_double();
-    return true;
-  }
-  if (v->type() == Value::Type::kInt) {
-    *out = static_cast<double>(v->as_int());
-    return true;
-  }
-  return false;
+  if (!v || !v->is_number()) return false;
+  *out = v->as_double();
+  return true;
 }
 
 bool read_int(const Value* v, std::int64_t* out) {
@@ -239,37 +163,7 @@ bool write_file_atomic(const std::string& path, const std::string& contents) {
 
 std::uint64_t cell_config_hash(const ExperimentConfig& config) {
   Fnv1a h;
-  h.u64(static_cast<std::uint64_t>(config.browser));
-  h.u64(static_cast<std::uint64_t>(config.os));
-  h.u64(static_cast<std::uint64_t>(config.kind));
-  h.i64(config.runs);
-  h.u64(config.seed);
-  h.b(config.java_use_nanotime);
-  h.b(config.java_via_appletviewer);
-  h.b(config.js_use_performance_now);
-  // custom_profile is hashed shallowly: presence, label, capability flags.
-  // The numeric overhead tables inside are calibration data; callers that
-  // swap them between runs must also change the label (see checkpoint.h).
-  h.b(config.custom_profile.has_value());
-  if (config.custom_profile) {
-    const browser::BrowserProfile& p = *config.custom_profile;
-    h.str(p.label());
-    h.b(p.supports_websocket);
-    h.b(p.supports_flash);
-    h.b(p.supports_java);
-    h.b(p.supports_performance_now);
-    h.str(p.flash_version);
-    h.str(p.java_version);
-    h.str(p.browser_version);
-  }
-  dur(h, config.inter_run_gap_min);
-  dur(h, config.inter_run_gap_max);
-  dur(h, config.sample_deadline);
-  dur(h, config.http_request_timeout);
-  h.i64(config.http_max_retries);
-  dur(h, config.http_retry_backoff);
-  dur(h, config.probe_timeout);
-  hash_testbed(h, config.testbed);
+  hash_config(h, config);
   return h.value();
 }
 
@@ -437,12 +331,6 @@ std::string matrix_report_json(const std::vector<ExperimentConfig>& cells,
   }
   text += "]}\n";
   return text;
-}
-
-bool write_matrix_report(const std::string& path,
-                         const std::vector<ExperimentConfig>& cells,
-                         const std::vector<OverheadSeries>& results) {
-  return write_file_atomic(path, matrix_report_json(cells, results));
 }
 
 }  // namespace bnm::core

@@ -4,10 +4,9 @@
 // million-client campaigns) must survive being killed. The contract here:
 //
 //   * One record per completed cell, keyed by the cell's index and a stable
-//     hash over every behaviour-affecting field of its config (the same
-//     fields that derive the testbed seed, plus the testbed/fault knobs).
-//     A resumed run skips a cell only when both match, so editing the
-//     matrix definition between runs silently re-runs what changed.
+//     hash over every field of its config (cell_config_hash below). A
+//     resumed run skips a cell only when both match, so editing the matrix
+//     definition between runs silently re-runs what changed.
 //   * Append-only journal (core/journal.h, docs/BENCH_SCHEMAS.md): line 1
 //     is a header (format, version, cell count); each further line is one
 //     record, a space, and the 16-hex FNV-1a of the record's bytes.
@@ -46,11 +45,13 @@ namespace bnm::core {
 inline constexpr const char* kCheckpointFormat = "bnm-matrix-checkpoint";
 inline constexpr int kCheckpointVersion = 2;
 
-/// Stable 64-bit FNV-1a hash over every config field that can change a
-/// cell's results: the seed-deriving case fields, repetition plan, timing
-/// knobs, and the full testbed config including fault plans. custom_profile
-/// is hashed shallowly (presence, label, capability flags) — byte-for-byte
-/// profile identity is the caller's responsibility when overriding it.
+/// Stable 64-bit FNV-1a hash of every ExperimentConfig field, through the
+/// testbed, TCP and fault-plan configs: the field-list walk of
+/// core/config_hash.h, whose guard fails the build on an unlisted member.
+/// Not hashed: capture_at_server (the server tap only observes), and the TCP
+/// timestamp knobs while `timestamps` is off. custom_profile is hashed
+/// shallowly (presence, label, capability flags) — byte-for-byte profile
+/// identity is the caller's responsibility when overriding it.
 std::uint64_t cell_config_hash(const ExperimentConfig& config);
 
 /// Write `contents` to `path` via the atomic temp-file + rename(2) protocol
@@ -131,11 +132,5 @@ class CheckpointReader {
 /// produce byte-identical report strings (the chaos gate's contract).
 std::string matrix_report_json(const std::vector<ExperimentConfig>& cells,
                                const std::vector<OverheadSeries>& results);
-
-/// matrix_report_json straight to a file (atomic temp+rename). False on
-/// I/O failure.
-bool write_matrix_report(const std::string& path,
-                         const std::vector<ExperimentConfig>& cells,
-                         const std::vector<OverheadSeries>& results);
 
 }  // namespace bnm::core

@@ -16,6 +16,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "browser/profile.h"
@@ -67,6 +68,18 @@ struct ExperimentConfig {
   sim::Duration probe_timeout = sim::Duration::zero();
 
   Testbed::Config testbed{};  ///< client_os is overridden from `os`
+
+  /// Field list (core/config_hash.h); custom_profile hashes shallowly.
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.browser, s.os, s.kind, s.runs, s.seed,
+                    s.java_use_nanotime, s.java_via_appletviewer,
+                    s.js_use_performance_now, s.custom_profile,
+                    s.inter_run_gap_min, s.inter_run_gap_max,
+                    s.sample_deadline, s.http_request_timeout,
+                    s.http_max_retries, s.http_retry_backoff,
+                    s.probe_timeout, s.testbed);
+  }
 };
 
 /// One repetition's outcome.

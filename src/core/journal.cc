@@ -1,6 +1,8 @@
 #include "core/journal.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -57,7 +59,8 @@ JournalWriter::JournalWriter(const std::string& path,
                              const std::vector<std::string>& carried,
                              int flush_every, const obs::Counter& flushes,
                              const obs::Counter* bytes)
-    : flush_every_{std::max(flush_every, 1)}, flushes_{flushes}, bytes_{bytes} {
+    : path_{path}, flush_every_{std::max(flush_every, 1)}, flushes_{flushes},
+      bytes_{bytes} {
   std::string contents = header + '\n';
   for (const std::string& r : carried) contents += journal_line(r);
   if (!write_file_atomic(path, contents) ||
@@ -70,23 +73,32 @@ JournalWriter::JournalWriter(const std::string& path,
 
 JournalWriter::~JournalWriter() {
   std::lock_guard<std::mutex> lock{mu_};
-  flush_locked();
+  if (error_.empty()) flush_locked();
   std::fclose(file_);
 }
 
 void JournalWriter::append(std::string record) {
   const std::string line = journal_line(std::move(record));
   std::lock_guard<std::mutex> lock{mu_};
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) return;
+  // A failed line may be torn on disk, and the reader stops there: no later
+  // record would ever be read back, so none is accepted after it.
+  if (error_.empty() &&
+      (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+       (++pending_ >= flush_every_ && !flush_locked()))) {
+    error_ = "cannot append to checkpoint journal " + path_ + ": " +
+             std::strerror(errno);
+  }
+  if (!error_.empty()) throw std::runtime_error(error_);
   ++records_;
   if (bytes_) bytes_->add(line.size());
-  if (++pending_ >= flush_every_) flush_locked();
 }
 
-void JournalWriter::flush_locked() {
-  if (pending_ == 0) return;
+bool JournalWriter::flush_locked() {
+  if (pending_ == 0) return true;
   pending_ = 0;
-  if (std::fflush(file_) == 0) flushes_.add();
+  if (std::fflush(file_) != 0) return false;
+  flushes_.add();
+  return true;
 }
 
 std::size_t JournalWriter::records() const {

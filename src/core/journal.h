@@ -45,14 +45,18 @@ class JournalWriter {
 
   /// Append one record under the lock; fflush once `flush_every` records
   /// are pending (1 = the record is in the file when append returns).
+  /// Throws std::runtime_error naming the path when the write or that
+  /// fflush fails, and again on every later call.
   void append(std::string record);
 
   std::size_t records() const;  ///< carried + appended
 
  private:
-  void flush_locked();
+  bool flush_locked();  ///< false when fflush fails
 
   mutable std::mutex mu_;
+  std::string path_;
+  std::string error_;  ///< the first failed append; non-empty = failed
   std::FILE* file_ = nullptr;
   int flush_every_;
   int pending_ = 0;

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "browser/browser.h"
 #include "browser/clock_set.h"
@@ -62,6 +63,19 @@ class Testbed {
     /// Fault stage on the path away from the server (server->client
     /// packets, applied after the server's egress netem).
     std::optional<net::FaultPlan> faults_from_server;
+
+    template <class S>  ///< field list (core/config_hash.h)
+    static auto fields(S& s) {
+      return std::tie(s.seed, s.server_delay, s.bandwidth_bps,
+                      s.link_propagation, s.capture_jitter, s.client_os,
+                      s.http_port, s.tcp_echo_port, s.udp_echo_port,
+                      s.ws_port, s.link_loss_probability, s.server_jitter,
+                      s.allow_reorder, s.cross_traffic_mbps, s.tcp,
+                      s.faults_to_server, s.faults_from_server);
+    }
+    /// Observer only: reports are byte-identical with the tap on or off.
+    template <class S>
+    static auto unhashed_fields(S& s) { return std::tie(s.capture_at_server); }
   };
 
   explicit Testbed(Config config);

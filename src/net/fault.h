@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/link.h"
@@ -45,6 +46,9 @@ struct TimeWindow {
   sim::TimePoint begin;
   sim::TimePoint end;
   bool contains(sim::TimePoint t) const { return t >= begin && t < end; }
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) { return std::tie(s.begin, s.end); }
 };
 
 /// One injected fault, for the bounded event trace.
@@ -108,6 +112,14 @@ struct FaultPlan {
   /// construction, so a bad plan fails fast at wiring time instead of
   /// silently skewing a campaign's loss rates.
   void validate() const;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) {
+    return std::tie(s.name, s.loss_probability, s.bursty_loss,
+                    s.corrupt_probability, s.duplicate_probability,
+                    s.blackholes, s.flaps, s.drop_data_segments,
+                    s.max_events);
+  }
 };
 
 /// Pipeline stage executing a FaultPlan. Insert it anywhere a PacketSink is

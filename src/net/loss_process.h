@@ -7,6 +7,8 @@
 // the historical inline check in Link::transmit.
 #pragma once
 
+#include <tuple>
+
 #include "sim/random.h"
 
 namespace bnm::net {
@@ -18,6 +20,11 @@ struct GilbertElliottConfig {
   double p_bad_to_good = 0.0;
   double loss_good = 0.0;  ///< drop probability while in the Good state
   double loss_bad = 1.0;   ///< drop probability while in the Bad state
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) {
+    return std::tie(s.p_good_to_bad, s.p_bad_to_good, s.loss_good, s.loss_bad);
+  }
 
   /// Long-run stationary loss rate of the chain (for test assertions).
   double stationary_loss_rate() const;

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/address.h"
@@ -72,6 +73,20 @@ struct TcpConfig {
   /// never emits TSval 0 — a zero would be indistinguishable from the
   /// TSecr "no echo yet" sentinel when the peer echoes it back.
   std::uint32_t ts_offset = 1;
+
+  template <class S>  ///< field list (core/config_hash.h)
+  static auto fields(S& s) {
+    return std::tie(s.mss, s.send_window, s.delayed_ack, s.rto_initial,
+                    s.rto_max, s.max_retransmissions, s.dupack_threshold,
+                    s.congestion_control, s.initial_cwnd_segments,
+                    s.time_wait);
+  }
+  /// The RFC 7323 knobs are hashed only while `timestamps` is on, so every
+  /// timestamps-off hash stays what it was before the option existed.
+  template <class S>
+  static auto gated_fields(S& s) {
+    return std::tie(s.timestamps, s.ts_granule, s.ts_offset);
+  }
 };
 
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {

@@ -127,13 +127,4 @@ std::string to_chrome_trace(const bnm::sim::Trace& trace) {
   return out;
 }
 
-bool write_file(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  std::size_t n = std::fwrite(contents.data(), 1, contents.size(), f);
-  bool ok = n == contents.size();
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
 }  // namespace bnm::obs::trace

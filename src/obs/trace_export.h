@@ -28,8 +28,4 @@ std::string to_jsonl(const bnm::sim::Trace& trace);
 /// rows are assigned tids in order of first appearance.
 std::string to_chrome_trace(const bnm::sim::Trace& trace);
 
-/// Write `contents` to `path`. Returns false (and leaves a partial file
-/// possibly in place) on I/O failure.
-bool write_file(const std::string& path, const std::string& contents);
-
 }  // namespace bnm::obs::trace

@@ -13,11 +13,8 @@ namespace {
 thread_local Arena* t_current = nullptr;
 std::atomic<bool> g_enabled{true};
 
-#ifdef BNM_ARENA_STATS
 // Process aggregate lives in the obs metrics registry ("arena.*" in
-// docs/OBSERVABILITY.md); ArenaStats accessors stay the public API. The
-// BNM_ARENA_STATS gate keeps its meaning: compiled out, the instruments
-// are never registered and every accessor reads 0.
+// docs/OBSERVABILITY.md); ArenaStats accessors stay the public API.
 const obs::Counter& allocations_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "arena.allocations", "allocs", "arena allocations served");
@@ -33,13 +30,6 @@ const obs::Gauge& peak_gauge() {
       "arena.peak_bytes", "bytes", "high-water mark of live arena bytes");
   return g;
 }
-
-void stats_count(std::size_t bytes, std::size_t arena_in_use) {
-  allocations_counter().add(1);
-  bytes_counter().add(bytes);
-  peak_gauge().record_max(arena_in_use);
-}
-#endif
 
 std::size_t align_up(std::size_t n, std::size_t align) {
   return (n + align - 1) & ~(align - 1);
@@ -72,9 +62,9 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
       peak_ = std::max(peak_, in_use_);
       ++allocations_;
       bytes_served_ += size;
-#ifdef BNM_ARENA_STATS
-      stats_count(size, in_use_);
-#endif
+      allocations_counter().add(1);
+      bytes_counter().add(size);
+      peak_gauge().record_max(in_use_);
       return c.base.get() + at;
     }
     add_chunk(size + align);
@@ -131,43 +121,21 @@ ArenaScope::~ArenaScope() {
 }
 
 std::uint64_t ArenaStats::allocations() {
-#ifdef BNM_ARENA_STATS
   return allocations_counter().total();
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t ArenaStats::bytes() {
-#ifdef BNM_ARENA_STATS
   return bytes_counter().total();
-#else
-  return 0;
-#endif
 }
 
 std::uint64_t ArenaStats::peak_arena_bytes() {
-#ifdef BNM_ARENA_STATS
   return peak_gauge().max_value();
-#else
-  return 0;
-#endif
 }
 
 void ArenaStats::reset() {
-#ifdef BNM_ARENA_STATS
   allocations_counter().reset();
   bytes_counter().reset();
   peak_gauge().reset();
-#endif
-}
-
-bool ArenaStats::compiled_in() {
-#ifdef BNM_ARENA_STATS
-  return true;
-#else
-  return false;
-#endif
 }
 
 }  // namespace bnm::sim

@@ -19,10 +19,9 @@
 // every cell or shard, so parallel units never touch the global allocator
 // on the packet path and never contend with each other.
 //
-// Stats: each arena keeps cheap per-instance counters (always on). The
-// process-wide aggregate (ArenaStats, used by bench/perf_matrix) is only
-// maintained when compiled with BNM_ARENA_STATS (a CMake option, on by
-// default in this repo); without it the accessors report zero.
+// Stats: each arena keeps cheap per-instance counters, and the process-wide
+// aggregate (ArenaStats, used by bench/perf_matrix) lives in the obs metrics
+// registry as arena.*.
 #pragma once
 
 #include <cstddef>
@@ -109,8 +108,7 @@ class ArenaScope {
   bool installed_;
 };
 
-/// Process-wide aggregate of arena service, for the bench harness. Only
-/// counted when compiled with BNM_ARENA_STATS; otherwise everything reads 0.
+/// Process-wide aggregate of arena service, for the bench harness.
 struct ArenaStats {
   /// Allocation calls served by any arena (== global-allocator round trips
   /// avoided on the hot path).
@@ -120,8 +118,6 @@ struct ArenaStats {
   /// Largest bytes_in_use() any single arena reached.
   static std::uint64_t peak_arena_bytes();
   static void reset();
-  /// True when the library was compiled with BNM_ARENA_STATS.
-  static bool compiled_in();
 };
 
 /// Minimal std::allocator replacement that serves from the arena captured

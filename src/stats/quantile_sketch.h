@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "obs/json.h"
@@ -39,6 +40,9 @@ class QuantileSketch {
     double hi = 1e5;    ///< largest resolved magnitude (ms): 100 s
     int cells = 512;    ///< log-spaced cells per sign
     bool operator==(const Grid&) const = default;
+
+    template <class S>  ///< field list (core/config_hash.h)
+    static auto fields(S& s) { return std::tie(s.lo, s.hi, s.cells); }
   };
 
   QuantileSketch() : QuantileSketch(Grid{}) {}

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "config_walk.h"
 #include "core/campaign.h"
 #include "core/journal.h"
 #include "obs/metrics.h"
@@ -80,15 +81,31 @@ TEST(CampaignSampler, MethodMixRespectsCapabilities) {
 }
 
 TEST(CampaignSpecHash, IgnoresShardLayoutOnly) {
-  CampaignSpec a = small_spec();
-  CampaignSpec b = a;
-  b.shards = 64;  // execution layout: must not change the hash
-  EXPECT_EQ(campaign_spec_hash(a), campaign_spec_hash(b));
-  b.seed ^= 1;
-  EXPECT_NE(campaign_spec_hash(a), campaign_spec_hash(b));
-  b = a;
-  b.loss_probability += 0.001;
-  EXPECT_NE(campaign_spec_hash(a), campaign_spec_hash(b));
+  using config_walk::Members;
+  using config_walk::perturbed;
+  // With the case and method mixes non-empty, every population leaf moves
+  // the hash; the shard count (execution layout) is the one member that
+  // must not.
+  CampaignSpec full = small_spec();
+  config_walk::fill(full);
+  const std::uint64_t full_hash = campaign_spec_hash(full);
+  const std::size_t leaves = config_walk::count<Members::kHashed>(full);
+  EXPECT_GT(leaves, 20u);
+  for (std::size_t i = 0; i < leaves; ++i) {
+    EXPECT_NE(campaign_spec_hash(perturbed<Members::kHashed>(full, i)),
+              full_hash)
+        << "hashed leaf " << i;
+  }
+  const std::size_t unhashed = config_walk::count<Members::kUnhashed>(full);
+  EXPECT_EQ(unhashed, 1u);
+  for (std::size_t i = 0; i < unhashed; ++i) {
+    EXPECT_EQ(campaign_spec_hash(perturbed<Members::kUnhashed>(full, i)),
+              full_hash)
+        << "unhashed member " << i;
+  }
+  CampaignSpec relaid = small_spec();
+  relaid.shards = 64;
+  EXPECT_EQ(campaign_spec_hash(relaid), campaign_spec_hash(small_spec()));
 }
 
 TEST(Campaign, ReportByteIdenticalAcrossShardAndJobCounts) {
@@ -185,6 +202,17 @@ TEST(Campaign, ResumeIgnoresCheckpointFromDifferentSpec) {
 
 TEST(CampaignSpecHash, GoldenValue) {
   EXPECT_EQ(campaign_spec_hash_hex(small_spec()), "59a73d0ced6e7ef0");
+}
+
+TEST(CampaignSpecHash, GoldenValueWithMixes) {
+  CampaignSpec spec = small_spec();
+  spec.cases = {{{browser::BrowserId::kFirefox, browser::OsId::kUbuntu}, 2.0},
+                {{browser::BrowserId::kIe, browser::OsId::kWindows7}, 0.5}};
+  spec.methods = {{methods::ProbeKind::kXhrPost, 1.5},
+                  {methods::ProbeKind::kWebSocket, 0.25}};
+  spec.bandwidth_mbps = {5.0, 25.0};
+  spec.rtt_ms = browser::DistSpec::uniform(10.0, 90.0);
+  EXPECT_EQ(campaign_spec_hash_hex(spec), "47c0def0d210db78");
 }
 
 TEST(Campaign, ShardIsPersistedBeforeItIsAnnounced) {

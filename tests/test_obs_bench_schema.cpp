@@ -238,8 +238,9 @@ class PersistedFormat : public ::testing::Test {
     options.jobs = 1;
     options.checkpoint.path = path("CHECKPOINT_matrix_" + tag + ".json");
     const core::MatrixResult result = core::run_matrix_checked(cells, options);
-    ASSERT_TRUE(core::write_matrix_report(
-        path("REPORT_matrix_" + tag + ".json"), cells, result.series));
+    ASSERT_TRUE(core::write_file_atomic(
+        path("REPORT_matrix_" + tag + ".json"),
+        core::matrix_report_json(cells, result.series)));
   }
 
   std::string dir_;
@@ -272,8 +273,8 @@ TEST_F(PersistedFormat, CampaignCheckpointAndReportMatchTheDoc) {
   options.checkpoint = path("CHECKPOINT_campaign.json");
   const core::CampaignResult result = core::run_campaign(spec, options);
   ASSERT_GT(result.aggregate.samples, 0u);
-  ASSERT_TRUE(core::write_campaign_report(path("REPORT_campaign.json"), spec,
-                                          result));
+  ASSERT_TRUE(core::write_file_atomic(path("REPORT_campaign.json"),
+                                      core::campaign_report_json(spec, result)));
   for (const char* base : {"CHECKPOINT_campaign.json", "REPORT_campaign.json"}) {
     const auto errors = check(path(base));
     EXPECT_TRUE(errors.empty()) << base << "\n" << joined(errors);

@@ -5,17 +5,26 @@
 // FaultPlan construction-time validation that protects the same campaigns.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "config_walk.h"
+#include "core/campaign.h"
 #include "core/checkpoint.h"
+#include "core/config_hash.h"
 #include "core/experiment.h"
+#include "browser/profile.h"
 #include "core/parallel_runner.h"
 #include "net/fault.h"
 #include "sim/simulation.h"
@@ -67,34 +76,35 @@ TEST(ConfigHash, StableAcrossCallsAndCopies) {
 }
 
 TEST(ConfigHash, SensitiveToEveryBehaviourKnob) {
+  using config_walk::Members;
+  using config_walk::perturbed;
+  // Every optional engaged, every vector non-empty, every gate on: then each
+  // hashed leaf, perturbed alone, must move the hash, and each unhashed
+  // member (Testbed::Config::capture_at_server) must not.
+  ExperimentConfig full = demo_config();
+  config_walk::fill(full);
+  const std::uint64_t full_hash = cell_config_hash(full);
+  const std::size_t leaves = config_walk::count<Members::kHashed>(full);
+  EXPECT_GT(leaves, 60u);
+  for (std::size_t i = 0; i < leaves; ++i) {
+    EXPECT_NE(cell_config_hash(perturbed<Members::kHashed>(full, i)),
+              full_hash)
+        << "hashed leaf " << i;
+  }
+  const std::size_t unhashed = config_walk::count<Members::kUnhashed>(full);
+  EXPECT_EQ(unhashed, 1u);
+  for (std::size_t i = 0; i < unhashed; ++i) {
+    EXPECT_EQ(cell_config_hash(perturbed<Members::kUnhashed>(full, i)),
+              full_hash)
+        << "unhashed member " << i;
+  }
+
   const ExperimentConfig base = demo_config();
   const std::uint64_t h0 = cell_config_hash(base);
 
-  ExperimentConfig c = base;
-  c.seed = 43;
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.runs = 3;
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.kind = methods::ProbeKind::kXhrPost;
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.java_use_nanotime = true;
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.testbed.server_delay = sim::Duration::millis(51);
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.testbed.tcp.congestion_control = true;
-  EXPECT_NE(cell_config_hash(c), h0);
-  c = base;
-  c.testbed.link_loss_probability = 0.01;
-  EXPECT_NE(cell_config_hash(c), h0);
-
   // Fault plans are part of the hash: adding, then tweaking, then removing
   // one all change it.
-  c = base;
+  ExperimentConfig c = base;
   net::FaultPlan plan;
   plan.loss_probability = 0.1;
   c.testbed.faults_to_server = plan;
@@ -124,6 +134,171 @@ TEST(ConfigHash, SensitiveToEveryBehaviourKnob) {
   EXPECT_EQ(cell_config_hash(c), h0);
   c.testbed.tcp.ts_granule = sim::Duration::millis(10);
   EXPECT_EQ(cell_config_hash(c), h0);
+}
+
+// Pinned hashes of configs that reach every corner of the config walk:
+// both fault directions with bursty loss, windows and drop-Nth; RFC 7323
+// timestamps on; a custom profile. Resume keys on disk depend on these.
+ExperimentConfig faulted_both_ways_config() {
+  ExperimentConfig cfg = demo_config();
+  net::FaultPlan to;
+  to.name = "to-server";
+  to.loss_probability = 0.02;
+  to.bursty_loss = net::GilbertElliottConfig{0.01, 0.3, 0.001, 0.5};
+  to.corrupt_probability = 0.003;
+  to.duplicate_probability = 0.004;
+  to.blackhole(sim::TimePoint::from_ns(1'000'000),
+               sim::TimePoint::from_ns(2'000'000));
+  to.flap(sim::TimePoint::from_ns(5'000'000), sim::Duration::millis(1),
+          sim::Duration::millis(10), 2);
+  to.drop_nth_data_segment(3).drop_nth_data_segment(7);
+  to.max_events = 512;
+  net::FaultPlan from;
+  from.name = "from-server";
+  from.loss_probability = 0.05;
+  from.blackhole(sim::TimePoint::from_ns(3'000'000),
+                 sim::TimePoint::from_ns(4'000'000));
+  cfg.testbed.faults_to_server = to;
+  cfg.testbed.faults_from_server = from;
+  return cfg;
+}
+
+ExperimentConfig timestamps_on_config() {
+  ExperimentConfig cfg = demo_config();
+  cfg.testbed.tcp.timestamps = true;
+  cfg.testbed.tcp.ts_granule = sim::Duration::millis(4);
+  cfg.testbed.tcp.ts_offset = 0xfffffff0u;
+  return cfg;
+}
+
+ExperimentConfig custom_profile_config() {
+  ExperimentConfig cfg = demo_config();
+  cfg.custom_profile =
+      browser::make_mobile_profile(browser::MobilePlatform::kAndroidChrome);
+  return cfg;
+}
+
+TEST(ConfigHash, GoldenValues) {
+  EXPECT_EQ(cell_config_hash_hex(faulted_both_ways_config()),
+            "80a18b45a5ca1c6f");
+  EXPECT_EQ(cell_config_hash_hex(timestamps_on_config()), "6f2ce64d01f6d1fd");
+  EXPECT_EQ(cell_config_hash_hex(custom_profile_config()),
+            "b18e7824ef27b075");
+}
+
+// The guard behind every field list: the consteval arity probe counts
+// members of every kind a config holds, and a list that leaves one out is
+// caught (config_hash.h turns this inequality into a build failure).
+struct ProbeInner {
+  int a = 0;
+  double b = 0;
+};
+struct ProbeOuter {
+  std::string s;
+  std::optional<ProbeInner> o;
+  std::vector<ProbeInner> v;
+  ProbeInner nested;
+  sim::Duration d;
+  sim::TimePoint t;
+  bool flag = false;
+};
+struct ProbeUnlisted {
+  int listed = 0;
+  int forgotten = 0;
+  template <class S>
+  static auto fields(S& s) {
+    return std::tie(s.listed);
+  }
+};
+static_assert(aggregate_arity<ProbeInner>() == 2);
+static_assert(aggregate_arity<ProbeOuter>() == 7);
+static_assert(aggregate_arity<ProbeUnlisted>() == 2);
+static_assert(listed_members<ProbeUnlisted>() == 1);
+static_assert(aggregate_arity<ExperimentConfig>() ==
+              listed_members<ExperimentConfig>());
+static_assert(aggregate_arity<Testbed::Config>() ==
+              listed_members<Testbed::Config>());
+
+// Testbed::Config::capture_at_server is left out of the config hash because
+// the server tap only observes. Prove it: the matrix report is
+// byte-identical with the tap on and off, for XHR, Flash and Java cells.
+TEST(CaptureAtServer, MatrixReportUnchanged) {
+  std::vector<ExperimentConfig> cells;
+  for (const auto& [browser, os, kind] :
+       {std::tuple{browser::BrowserId::kChrome, browser::OsId::kWindows7,
+                   methods::ProbeKind::kXhrGet},
+        std::tuple{browser::BrowserId::kFirefox, browser::OsId::kUbuntu,
+                   methods::ProbeKind::kFlashSocket},
+        std::tuple{browser::BrowserId::kIe, browser::OsId::kWindows7,
+                   methods::ProbeKind::kJavaGet},
+        std::tuple{browser::BrowserId::kOpera, browser::OsId::kWindows7,
+                   methods::ProbeKind::kFlashGet}}) {
+    ExperimentConfig cfg;
+    cfg.browser = browser;
+    cfg.os = os;
+    cfg.kind = kind;
+    cfg.runs = 6;
+    cells.push_back(cfg);
+  }
+  const std::string off = matrix_report_json(cells, run_matrix(cells, 2));
+  for (ExperimentConfig& cfg : cells) cfg.testbed.capture_at_server = true;
+  const std::string on = matrix_report_json(cells, run_matrix(cells, 2));
+  EXPECT_EQ(on, off);
+}
+
+// A journal append that cannot reach the file must fail the unit, not pass
+// as persisted. The child process lowers its own file-size limit so each
+// journal's header fits and its first record does not; SIGXFSZ is ignored
+// so the write returns EFBIG instead of killing the child. The limit also
+// caps the child's captured stderr, so it is lifted before the report.
+TEST(JournalAppendFailure, QuarantinesCellAndFailsShard) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto child = [] {
+    rlimit limit{};
+    if (getrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(3);
+    const rlim_t soft = limit.rlim_cur;
+    limit.rlim_cur = 200;
+    if (std::signal(SIGXFSZ, SIG_IGN) == SIG_ERR ||
+        setrlimit(RLIMIT_FSIZE, &limit) != 0) {
+      std::exit(3);
+    }
+    const std::string report = [] {
+      TempFile matrix_ck{"fsize"};
+      MatrixOptions options;
+      options.jobs = 1;
+      options.checkpoint.path = matrix_ck.path();
+      const MatrixResult matrix =
+          run_matrix_checked({demo_config(), demo_config()}, options);
+
+      TempFile campaign_ck{"fsize_campaign"};
+      CampaignSpec spec;
+      spec.clients = 4;
+      spec.shards = 2;
+      spec.runs_per_client = 1;
+      CampaignOptions campaign;
+      campaign.jobs = 1;
+      campaign.checkpoint = campaign_ck.path();
+      std::string campaign_error = "completed";
+      try {
+        run_campaign(spec, campaign);
+      } catch (const std::runtime_error& e) {
+        campaign_error = e.what();
+      }
+      return "matrix: " + std::to_string(matrix.quarantined.size()) +
+             " quarantined: " + matrix.series[0].first_error +
+             " | campaign: " + campaign_error;
+    }();
+    limit.rlim_cur = soft;
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(3);
+    std::fprintf(stderr, "%s\n", report.c_str());
+    std::exit(0);
+  };
+  EXPECT_EXIT(child(), ::testing::ExitedWithCode(0),
+              "matrix: 2 quarantined: uncaught exception: cannot append to "
+              "checkpoint journal bnm_ckpt_test_fsize_[0-9]+\\.json: File "
+              "too large \\| campaign: campaign shard 0 failed: cannot "
+              "append to checkpoint journal "
+              "bnm_ckpt_test_fsize_campaign_[0-9]+\\.json: File too large");
 }
 
 TEST(SeriesJson, RoundTripsAwkwardDoublesExactly) {
@@ -375,7 +550,8 @@ TEST(CheckpointJournal, CorruptMiddleRecordResumesToCleanReport) {
   options.checkpoint.path = clean_ck.path();
   const MatrixResult clean = run_matrix_checked(cells, options);
   ASSERT_TRUE(clean.ok());
-  ASSERT_TRUE(write_matrix_report(clean_report.path(), cells, clean.series));
+  ASSERT_TRUE(write_file_atomic(clean_report.path(),
+                                matrix_report_json(cells, clean.series)));
 
   // Flip one byte inside the second of four records: its checksum fails,
   // so only the first record survives.
@@ -396,7 +572,8 @@ TEST(CheckpointJournal, CorruptMiddleRecordResumesToCleanReport) {
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ(resumed.cells_resumed, 1u);
   EXPECT_EQ(resumed.cells_run, 3u);
-  ASSERT_TRUE(write_matrix_report(resumed_report.path(), cells, resumed.series));
+  ASSERT_TRUE(write_file_atomic(resumed_report.path(),
+                                matrix_report_json(cells, resumed.series)));
   EXPECT_EQ(slurp(resumed_report.path()), slurp(clean_report.path()));
   EXPECT_EQ(slurp(ck.path()), slurp(clean_ck.path()));
 }

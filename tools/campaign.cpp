@@ -21,6 +21,7 @@
 #include <string>
 
 #include "core/campaign.h"
+#include "core/checkpoint.h"
 
 namespace {
 
@@ -143,7 +144,8 @@ int main(int argc, char** argv) {
                result.shards_run, result.shards_resumed);
 
   if (!opt.report.empty() &&
-      !core::write_campaign_report(opt.report, opt.spec, result)) {
+      !core::write_file_atomic(opt.report,
+                               core::campaign_report_json(opt.spec, result))) {
     std::fprintf(stderr, "campaign: cannot write report %s\n",
                  opt.report.c_str());
     return 1;

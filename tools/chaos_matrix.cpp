@@ -224,7 +224,8 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.report.empty() &&
-      !core::write_matrix_report(opt.report, cells, result.series)) {
+      !core::write_file_atomic(opt.report,
+                               core::matrix_report_json(cells, result.series))) {
     std::fprintf(stderr, "chaos_matrix: cannot write report %s\n",
                  opt.report.c_str());
     return 1;

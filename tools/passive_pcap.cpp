@@ -19,26 +19,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 
+#include "core/checkpoint.h"
 #include "core/testbed.h"
 #include "net/pcap_reader.h"
 #include "net/pcap_writer.h"
 #include "passive/rtt_estimator.h"
 
 using namespace bnm;
-
-namespace {
-
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream out{path, std::ios::binary};
-  out << text;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   int exchanges = 30;
@@ -118,8 +108,8 @@ int main(int argc, char** argv) {
   offline.consume(parsed.records);
   const std::string offline_report = offline.report_json("pcap-roundtrip");
 
-  if (!write_text(live_path, live_report) ||
-      !write_text(offline_path, offline_report)) {
+  if (!core::write_file_atomic(live_path, live_report) ||
+      !core::write_file_atomic(offline_path, offline_report)) {
     std::fprintf(stderr, "FAIL: cannot write report files\n");
     return 1;
   }

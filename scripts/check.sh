@@ -22,7 +22,8 @@
 #   scripts/check.sh --fast   # plain build + ctest only (skip the sanitizer
 #                             # builds, Release benches and gates)
 #
-# Each ctest call runs every registered test (all eight labels); only the
+# Each ctest call runs every registered test (all nine labels: tier1
+# faults perf obs kernel resilience campaign passive fingerprint); only the
 # TSan step picks the threaded subset.
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
@@ -56,7 +57,7 @@ cmake -B build -S . $(gen_for build)
 step "tier-1: build"
 cmake --build build -j
 
-step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive)"
+step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive fingerprint)"
 ctest --test-dir build --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
@@ -70,7 +71,7 @@ step "asan: configure (BNM_SANITIZE=address)"
 cmake -B build-asan -S . $(gen_for build-asan) -DBNM_SANITIZE=address
 
 step "asan: build tests"
-cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests
+cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_fingerprint_tests
 
 step "asan: ctest"
 ctest --test-dir build-asan --output-on-failure
@@ -82,7 +83,7 @@ cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
 step "ubsan: build tests"
 cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
   bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests \
-  bnm_perf_tests
+  bnm_perf_tests bnm_fingerprint_tests
 
 step "ubsan: ctest"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's
@@ -98,15 +99,16 @@ step "tsan: configure (BNM_SANITIZE=thread)"
 cmake -B build-tsan -S . $(gen_for build-tsan) -DBNM_SANITIZE=thread
 
 step "tsan: build tests"
-cmake --build build-tsan -j --target bnm_tests bnm_resilience_tests bnm_campaign_tests bnm_obs_tests bnm_kernel_tests
+cmake --build build-tsan -j --target bnm_tests bnm_resilience_tests bnm_campaign_tests bnm_obs_tests bnm_kernel_tests bnm_fingerprint_tests
 
-step "tsan: ctest (job runner, pool, watchdog thread, campaign, registry)"
+step "tsan: ctest (job runner, pool, watchdog thread, campaign, registry, fingerprints)"
 # The runner's lock, its pool and the watchdog thread race for real on a
 # multi-core host; these suites drive all three at jobs > 1. The obs and
 # kernel suites cover the registry's single-writer cells read by
-# concurrent snapshots, and the per-thread scheduler storage. No
-# suppressions: a report fails the step.
-ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign|obs|kernel'
+# concurrent snapshots, and the per-thread scheduler storage; the
+# fingerprint suite runs the paper matrix at jobs 4. No suppressions: a
+# report fails the step.
+ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign|obs|kernel|fingerprint'
 ctest --test-dir build-tsan --output-on-failure \
   -R 'ParallelRunner|ThreadPool|CheckedRunner'
 

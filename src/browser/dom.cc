@@ -19,7 +19,7 @@ bool DomElementLoader::load(const std::string& url) {
   req.headers.set("Host", parsed->endpoint.to_string());
 
   const sim::Duration pre = browser_.sample_pre_send(ProbeKind::kDom, first);
-  browser_.sim().scheduler().schedule_after(
+  browser_.sim().scheduler().post_after(
       pre, [this, alive = alive_, first, target = parsed->endpoint,
             req = std::move(req)] {
         if (!*alive) return;

@@ -10,7 +10,7 @@ EventLoop::EventLoop(sim::Simulation& sim, std::string name)
 
 void EventLoop::post(sim::Duration dispatch_latency, std::function<void()> task) {
   if (dispatch_latency.is_negative()) dispatch_latency = sim::Duration::zero();
-  sim_.scheduler().schedule_after(
+  sim_.scheduler().post_after(
       dispatch_latency,
       [this, task = std::move(task)] { try_run(task); });
 }
@@ -19,8 +19,7 @@ void EventLoop::try_run(const std::function<void()>& task) {
   if (sim_.now() < busy_until_) {
     // Main thread occupied: wait for the running task to finish. Scheduler
     // sequence numbers keep ready tasks FIFO.
-    sim_.scheduler().schedule_at(busy_until_,
-                                 [this, task] { try_run(task); });
+    sim_.scheduler().post_at(busy_until_, [this, task] { try_run(task); });
     return;
   }
   busy_until_ = sim_.now() + task_cost_;

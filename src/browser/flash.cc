@@ -64,7 +64,7 @@ bool FlashRuntime::URLLoader::load(const std::string& method,
   opts.pool_after_use = true;
 
   const sim::Duration pre = b.sample_pre_send(kind, first_obj_use);
-  b.sim().scheduler().schedule_after(
+  b.sim().scheduler().post_after(
       pre, [this, alive = alive_, &b, kind, first_obj_use,
             target = parsed->endpoint, req = std::move(req), opts] {
         if (!*alive) return;
@@ -138,7 +138,7 @@ void FlashRuntime::Socket::write(const std::string& bytes) {
   used_before_ = true;
   const sim::Duration pre =
       b.sample_pre_send(ProbeKind::kFlashSocket, current_is_first_);
-  b.sim().scheduler().schedule_after(pre, [this, alive = alive_, bytes] {
+  b.sim().scheduler().post_after(pre, [this, alive = alive_, bytes] {
     if (!*alive || !conn_) return;
     conn_->send(bytes);
   });

@@ -44,7 +44,7 @@ bool JavaAppletRuntime::UrlConnection::load(const std::string& method,
   req.body = body;
 
   const sim::Duration pre = runtime_.pre_send(kind, first);
-  b.sim().scheduler().schedule_after(
+  b.sim().scheduler().post_after(
       pre, [this, alive = alive_, &b, kind, first, target = parsed->endpoint,
             req = std::move(req)] {
         if (!*alive) return;
@@ -56,7 +56,7 @@ bool JavaAppletRuntime::UrlConnection::load(const std::string& method,
               // Completion is detected by reading the content; the JRE
               // still charges a dispatch delay for the read to return.
               const sim::Duration dispatch = runtime_.recv_dispatch(kind, first);
-              b.sim().scheduler().schedule_after(
+              b.sim().scheduler().post_after(
                   dispatch, [this, alive, resp = std::move(resp)] {
                     if (!*alive) return;
                     // A dead transport throws IOException from the read.
@@ -75,16 +75,15 @@ void JavaAppletRuntime::Socket::connect(net::Endpoint target) {
   Browser& b = runtime_.browser();
   net::TcpCallbacks cbs;
   cbs.on_connect = [this, alive = alive_, &b] {
-    b.sim().scheduler().schedule_after(sim::Duration::micros(100),
-                                       [this, alive] {
-                                         if (!*alive) return;
-                                         if (on_connect_) on_connect_();
-                                       });
+    b.sim().scheduler().post_after(sim::Duration::micros(100), [this, alive] {
+      if (!*alive) return;
+      if (on_connect_) on_connect_();
+    });
   };
   cbs.on_data = [this, alive = alive_, &b](const net::Payload& bytes) {
     const sim::Duration dispatch =
         runtime_.recv_dispatch(ProbeKind::kJavaSocket, current_is_first_);
-    b.sim().scheduler().schedule_after(
+    b.sim().scheduler().post_after(
         dispatch, [this, alive, data = net::to_string(bytes)] {
           if (!*alive) return;
           if (on_data_) on_data_(data);
@@ -104,7 +103,7 @@ void JavaAppletRuntime::Socket::write(const std::string& bytes) {
   used_before_ = true;
   const sim::Duration pre =
       runtime_.pre_send(ProbeKind::kJavaSocket, current_is_first_);
-  runtime_.browser().sim().scheduler().schedule_after(
+  runtime_.browser().sim().scheduler().post_after(
       pre, [this, alive = alive_, bytes] {
         if (!*alive || !conn_) return;
         conn_->send(bytes);
@@ -132,7 +131,7 @@ JavaAppletRuntime::DatagramSocket::DatagramSocket(JavaAppletRuntime& runtime)
     receive_deadline_.cancel();  // the blocked receive() returned
     const sim::Duration dispatch =
         runtime_.recv_dispatch(ProbeKind::kJavaUdp, current_is_first_);
-    b.sim().scheduler().schedule_after(
+    b.sim().scheduler().post_after(
         dispatch, [this, alive, src, data = net::to_string(bytes)] {
           if (!*alive) return;
           if (on_receive_) on_receive_(src, data);
@@ -152,7 +151,7 @@ void JavaAppletRuntime::DatagramSocket::send_to(net::Endpoint target,
   used_before_ = true;
   const sim::Duration pre =
       runtime_.pre_send(ProbeKind::kJavaUdp, current_is_first_);
-  runtime_.browser().sim().scheduler().schedule_after(
+  runtime_.browser().sim().scheduler().post_after(
       pre, [this, alive = alive_, target, bytes] {
         if (!*alive || !sock_) return;
         sock_->send_to(target, net::to_bytes(bytes));

@@ -8,7 +8,7 @@ BrowserWebSocket::BrowserWebSocket(Browser& browser, net::Endpoint server,
                                    const std::string& path)
     : browser_{browser} {
   if (!browser_.profile().supports_websocket) {
-    browser_.sim().scheduler().schedule_after(
+    browser_.sim().scheduler().post_after(
         sim::Duration::millis(1), [this, alive = alive_] {
           if (!*alive) return;
           if (onerror_) onerror_("WebSocket is not supported by this browser");
@@ -69,7 +69,7 @@ void BrowserWebSocket::send(const std::string& data) {
   used_before_ = true;
   const sim::Duration pre =
       browser_.sample_pre_send(ProbeKind::kWebSocket, current_is_first_);
-  browser_.sim().scheduler().schedule_after(pre, [this, alive = alive_, data] {
+  browser_.sim().scheduler().post_after(pre, [this, alive = alive_, data] {
     if (!*alive || !conn_ || !conn_->open()) return;
     conn_->send_binary(net::to_bytes(data));
   });

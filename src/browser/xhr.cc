@@ -40,9 +40,8 @@ bool XmlHttpRequest::send(const std::string& body) {
   req.body = body;
 
   const sim::Duration pre = browser_.sample_pre_send(kind, first);
-  browser_.sim().scheduler().schedule_after(pre, [this, alive = alive_, kind,
-                                                  first,
-                                                  req = std::move(req)] {
+  browser_.sim().scheduler().post_after(pre, [this, alive = alive_, kind,
+                                              first, req = std::move(req)] {
     if (!*alive) return;
     browser_.http().request(
         url_.endpoint, req,

@@ -49,7 +49,7 @@ std::vector<IppmSample> PoissonRttStream::run() {
   sim::TimePoint at = testbed_->sim().now();
   for (int i = 0; i < config_.probes; ++i) {
     at += rng.exponential_ms(1000.0 / config_.rate_per_second);
-    sched.schedule_at(at, [this, &socket, &pending, i] {
+    sched.post_at(at, [this, &socket, &pending, i] {
       pending[i].sent = testbed_->sim().now();
       socket->send_to(testbed_->udp_echo_endpoint(),
                       net::to_bytes(probe_payload(i)));

@@ -59,7 +59,7 @@ LossReorderingResult LossReorderingExperiment::run() {
   // Paced probe train.
   sim::Scheduler& sched = testbed_->sim().scheduler();
   for (int i = 0; i < config_.probes; ++i) {
-    sched.schedule_after(config_.probe_interval * i, [&socket, this, i] {
+    sched.post_after(config_.probe_interval * i, [&socket, this, i] {
       socket.send_to(testbed_->udp_echo_endpoint(), probe_payload(i));
     });
   }

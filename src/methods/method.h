@@ -144,8 +144,8 @@ void finish_run(sim::Simulation& sim, const std::shared_ptr<State>& state) {
   if (state->settled) return;
   state->settled = true;
   state->done(state->result);
-  sim.scheduler().schedule_after(sim::Duration::zero(),
-                                 [state] { state->cleanup(); });
+  sim.scheduler().post_after(sim::Duration::zero(),
+                             [state] { state->cleanup(); });
 }
 
 }  // namespace bnm::methods

@@ -181,7 +181,7 @@ void DnsResolver::resolve(const std::string& name, Callback cb) {
       it != cache_.end() && it->second.expires > host_.sim().now()) {
     ++cache_hits_;
     // Asynchronous like a real API, even on a hit.
-    host_.sim().scheduler().schedule_after(
+    host_.sim().scheduler().post_after(
         sim::Duration::micros(20),
         [cb = std::move(cb), addr = it->second.address] { cb(addr); });
     return;

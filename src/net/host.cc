@@ -101,17 +101,15 @@ void Host::udp_close(Port local_port) { udp_sockets_.erase(local_port); }
 void Host::send_packet(Packet packet) {
   packet.id = next_packet_id();
   // Stack processing, then the capture tap at the NIC, then netem/wire.
-  // The packet waits in the staging list so the closure stays inline-small.
-  const auto it = staged_.insert(staged_.end(), std::move(packet));
-  sim_.scheduler().schedule_after(config_.stack_delay, [this, it] {
-    capture_.record(CaptureDirection::kOutbound, *it);
-    if (sim_.trace().enabled()) {
-      sim_.trace().emit(sim_.now(), config_.name, "tx " + it->to_string());
-    }
-    Packet pkt = std::move(*it);
-    staged_.erase(it);
-    wire_out(std::move(pkt));
-  });
+  post_hop(sim_.scheduler(), sim_.now() + config_.stack_delay,
+           [this, pkt = std::move(packet)]() mutable {
+             capture_.record(CaptureDirection::kOutbound, pkt);
+             if (sim_.trace().enabled()) {
+               sim_.trace().emit(sim_.now(), config_.name,
+                                 "tx " + pkt.to_string());
+             }
+             wire_out(std::move(pkt));
+           });
 }
 
 void Host::wire_out(Packet packet) {
@@ -167,12 +165,8 @@ void Host::deliver_from_wire(Packet packet) {
     }
     return;
   }
-  const auto it = staged_.insert(staged_.end(), std::move(packet));
-  sim_.scheduler().schedule_after(config_.stack_delay, [this, it] {
-    const Packet pkt = std::move(*it);
-    staged_.erase(it);
-    demux(pkt);
-  });
+  post_hop(sim_.scheduler(), sim_.now() + config_.stack_delay,
+           [this, pkt = std::move(packet)] { demux(pkt); });
 }
 
 void Host::demux(const Packet& packet) {

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -120,13 +119,8 @@ class Host : public PacketSink {
   std::unordered_map<FourTuple, std::shared_ptr<TcpConnection>> connections_;
   std::unordered_map<Port, TcpListener> listeners_;
   std::unordered_map<Port, std::shared_ptr<UdpSocket>> udp_sockets_;
-
-  /// Packets parked during the stack-delay hop, in arena-backed nodes. The
-  /// scheduled callback captures only [this, iterator] — small enough for
-  /// the scheduler's inline closure storage, so a per-packet hop costs no
-  /// heap allocation. Iterators are stable; each callback erases its own
-  /// node, and anything still staged at teardown dies with the host.
-  std::list<Packet, sim::ArenaAllocator<Packet>> staged_;
+  // A packet in its stack-delay hop rides in the hop's event closure; one
+  // still queued at teardown dies with the scheduler.
 
   Port next_ephemeral_ = 49152;
   std::uint32_t isn_counter_;

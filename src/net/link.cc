@@ -61,16 +61,12 @@ void Link::transmit(Side side, Packet packet) {
         {{"packet_id", static_cast<std::int64_t>(packet.id)},
          {"wire_bytes", static_cast<std::int64_t>(packet.wire_size())}});
   }
-  PacketSink* sink = d.sink;
-  Direction* dp = &d;
-  const auto it = in_flight_.insert(in_flight_.end(), std::move(packet));
-  sim_.scheduler().schedule_at(arrive, [this, sink, dp, it] {
-    --dp->in_flight;
-    ++dp->delivered;
-    Packet pkt = std::move(*it);
-    in_flight_.erase(it);
-    sink->handle_packet(std::move(pkt));
-  });
+  post_hop(sim_.scheduler(), arrive,
+           [sink = d.sink, dp = &d, pkt = std::move(packet)]() mutable {
+             --dp->in_flight;
+             ++dp->delivered;
+             sink->handle_packet(std::move(pkt));
+           });
 }
 
 std::uint64_t Link::drops(Side side) const { return dir(side).drops; }

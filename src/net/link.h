@@ -10,13 +10,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "net/loss_process.h"
 #include "net/packet.h"
-#include "sim/arena.h"
 #include "sim/simulation.h"
 
 namespace bnm::net {
@@ -29,6 +29,17 @@ class PacketSink {
   virtual ~PacketSink() = default;
   virtual void handle_packet(Packet packet) = 0;
 };
+
+/// Queue one per-packet hop (stack delay, wire, switch, netem) at `at`.
+/// The closure carries its packet by value, so it must fit the scheduler's
+/// inline callback storage: a larger capture would spill every hop to the
+/// heap. Hops are never cancelled, so they take no event handle.
+template <typename F>
+void post_hop(sim::Scheduler& scheduler, sim::TimePoint at, F&& hop) {
+  static_assert(sim::SmallCallback::fits_inline<std::decay_t<F>>(),
+                "a packet hop closure must fit SmallCallback::kInlineBytes");
+  scheduler.post_at(at, std::forward<F>(hop));
+}
 
 /// Which end of a duplex link a component sits on.
 enum class LinkSide { kA, kB };
@@ -81,12 +92,9 @@ class Link {
   Config config_;
   sim::Rng rng_;
   LossProcess loss_;
+  // A packet in flight rides in its arrival event's closure (post_hop).
   Direction a_to_b_;
   Direction b_to_a_;
-  /// In-flight packets parked until their arrival event fires, in
-  /// arena-backed nodes so the delivery closure ([this, sink, dir, iter])
-  /// stays within the scheduler's inline storage — no per-packet heap trip.
-  std::list<Packet, sim::ArenaAllocator<Packet>> in_flight_;
 };
 
 }  // namespace bnm::net

@@ -51,12 +51,10 @@ void DelayEmulator::schedule_release(Packet packet) {
         "delay " + packet.to_string(),
         {{"packet_id", static_cast<std::int64_t>(packet.id)}});
   }
-  const auto it = staged_.insert(staged_.end(), std::move(packet));
-  sim_.scheduler().schedule_at(release, [this, it] {
-    Packet pkt = std::move(*it);
-    staged_.erase(it);
-    output_(std::move(pkt));
-  });
+  post_hop(sim_.scheduler(), release,
+           [this, pkt = std::move(packet)]() mutable {
+             output_(std::move(pkt));
+           });
 }
 
 }  // namespace bnm::net

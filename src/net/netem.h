@@ -14,13 +14,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <optional>
 #include <string>
 
+#include "net/link.h"
 #include "net/loss_process.h"
 #include "net/packet.h"
-#include "sim/arena.h"
 #include "sim/simulation.h"
 
 namespace bnm::net {
@@ -64,12 +63,8 @@ class DelayEmulator {
   sim::TimePoint last_release_;
   std::uint64_t drops_ = 0;
   std::uint64_t duplicates_ = 0;
-  /// Delayed packets parked until their release event, in arena-backed
-  /// nodes; the release closure captures [this, iterator] and stays inside
-  /// the scheduler's inline storage. Release order is set by the scheduled
-  /// event time (and last_release_ clamping), not by list position, so the
-  /// staging container cannot perturb delivery order.
-  std::list<Packet, sim::ArenaAllocator<Packet>> staged_;
+  // A delayed packet rides in its release event's closure; release order
+  // is set by the event time (and last_release_ clamping) alone.
 };
 
 }  // namespace bnm::net

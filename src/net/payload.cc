@@ -180,29 +180,7 @@ Payload& Payload::operator=(const Payload& other) {
   return *this;
 }
 
-Payload::Payload(Payload&& other) noexcept
-    : buf_{other.buf_}, offset_{other.offset_}, size_{other.size_} {
-  other.buf_ = nullptr;
-  other.offset_ = 0;
-  other.size_ = 0;
-}
-
-Payload& Payload::operator=(Payload&& other) noexcept {
-  if (this != &other) {
-    if (buf_ != nullptr) buf_->deref();
-    buf_ = other.buf_;
-    offset_ = other.offset_;
-    size_ = other.size_;
-    other.buf_ = nullptr;
-    other.offset_ = 0;
-    other.size_ = 0;
-  }
-  return *this;
-}
-
-Payload::~Payload() {
-  if (buf_ != nullptr) buf_->deref();
-}
+void Payload::release(PayloadBuffer* buf) noexcept { buf->deref(); }
 
 const std::uint8_t* Payload::data() const {
   return buf_ != nullptr ? buf_->data() + offset_ : empty_data();

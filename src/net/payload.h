@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bnm::net {
@@ -67,9 +68,24 @@ class Payload {
 
   Payload(const Payload& other);
   Payload& operator=(const Payload& other);
-  Payload(Payload&& other) noexcept;
-  Payload& operator=(Payload&& other) noexcept;
-  ~Payload();
+  // Moves and destruction run on every packet hop, so they stay inline;
+  // only dropping a reference reaches into payload.cc.
+  Payload(Payload&& other) noexcept
+      : buf_{std::exchange(other.buf_, nullptr)},
+        offset_{std::exchange(other.offset_, 0)},
+        size_{std::exchange(other.size_, 0)} {}
+  Payload& operator=(Payload&& other) noexcept {
+    if (this != &other) {
+      if (buf_ != nullptr) release(buf_);
+      buf_ = std::exchange(other.buf_, nullptr);
+      offset_ = std::exchange(other.offset_, 0);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  ~Payload() {
+    if (buf_ != nullptr) release(buf_);
+  }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -134,6 +150,8 @@ class Payload {
   /// Takes ownership of one reference (the caller must have ref'd `buf`).
   Payload(PayloadBuffer* buf, std::size_t offset, std::size_t size)
       : buf_{buf}, offset_{offset}, size_{size} {}
+  /// Drop one reference to `buf`, freeing it with the last one.
+  static void release(PayloadBuffer* buf) noexcept;
 
   PayloadBuffer* buf_ = nullptr;
   std::size_t offset_ = 0;

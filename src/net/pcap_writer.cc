@@ -153,7 +153,12 @@ std::size_t PcapWriter::write_file(const PacketCapture& capture,
                                    const std::string& path) {
   std::ofstream out{path, std::ios::binary};
   if (!out) throw std::runtime_error("cannot open pcap output: " + path);
-  return write(capture, out);
+  const std::size_t written = write(capture, out);
+  // A failed or short write (disk full) must not pass as a complete file.
+  if (!out.flush()) {
+    throw std::runtime_error("cannot write pcap output: " + path);
+  }
+  return written;
 }
 
 }  // namespace bnm::net

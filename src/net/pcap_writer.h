@@ -30,7 +30,8 @@ class PcapWriter {
   /// timestamps, magic 0xa1b2c3d4). Returns bytes written.
   static std::size_t write(const PacketCapture& capture, std::ostream& out);
 
-  /// Convenience: write to a file path. Returns bytes written.
+  /// Convenience: write to a file path. Returns bytes written; throws
+  /// std::runtime_error when the file cannot be opened or a write fails.
   static std::size_t write_file(const PacketCapture& capture,
                                 const std::string& path);
 

@@ -29,14 +29,10 @@ void SwitchFabric::handle_packet(Packet packet) {
   }
   const PortRef out = ports_.at(it->second);
   ++forwarded_;
-  const auto node = transiting_.insert(transiting_.end(), std::move(packet));
-  sim_.scheduler().schedule_after(config_.forwarding_latency,
-                                  [this, out, node] {
-                                    Packet pkt = std::move(*node);
-                                    transiting_.erase(node);
-                                    out.link->transmit(out.side,
-                                                       std::move(pkt));
-                                  });
+  post_hop(sim_.scheduler(), sim_.now() + config_.forwarding_latency,
+           [out, pkt = std::move(packet)]() mutable {
+             out.link->transmit(out.side, std::move(pkt));
+           });
 }
 
 }  // namespace bnm::net

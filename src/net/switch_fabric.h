@@ -6,13 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "net/link.h"
-#include "sim/arena.h"
 #include "sim/simulation.h"
 
 namespace bnm::net {
@@ -52,9 +50,7 @@ class SwitchFabric : public PacketSink {
   std::unordered_map<IpAddress, std::size_t> table_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_no_route_ = 0;
-  /// Packets transiting the fabric, parked until the forwarding-latency
-  /// event fires; arena-backed nodes keep the closure inline-small.
-  std::list<Packet, sim::ArenaAllocator<Packet>> transiting_;
+  // A packet transiting the fabric rides in its forwarding event's closure.
 };
 
 }  // namespace bnm::net

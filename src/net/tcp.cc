@@ -358,7 +358,7 @@ void TcpConnection::on_segment(const Packet& seg) {
             enter(State::kClosing);
           } else if (state_ == State::kFinWait2) {
             enter(State::kTimeWait);
-            host_.sim().scheduler().schedule_after(
+            host_.sim().scheduler().post_after(
                 config_.time_wait, [self = shared_from_this()] {
                   self->enter(State::kClosed);
                   self->deregister();
@@ -442,7 +442,7 @@ void TcpConnection::handle_ack(std::uint32_t ack, bool pure_ack) {
       enter(State::kFinWait2);
     } else if (state_ == State::kClosing) {
       enter(State::kTimeWait);
-      host_.sim().scheduler().schedule_after(
+      host_.sim().scheduler().post_after(
           config_.time_wait, [self = shared_from_this()] {
             self->enter(State::kClosed);
             self->deregister();

@@ -116,7 +116,7 @@ PassiveAppraisalResult run_passive_appraisal(const PassiveScenario& scenario) {
                    [&, self, remaining](http::HttpResponse rsp,
                                         http::HttpClient::TransferInfo) {
                      if (rsp.status == 200) ++result.http_responses;
-                     sim.scheduler().schedule_after(
+                     sim.scheduler().post_after(
                          scenario.think_gap,
                          [self, remaining] { (*self)(remaining - 1); });
                    });
@@ -138,7 +138,7 @@ PassiveAppraisalResult run_passive_appraisal(const PassiveScenario& scenario) {
               ws_done = true;
               return;
             }
-            sim.scheduler().schedule_after(
+            sim.scheduler().post_after(
                 scenario.think_gap, [&] {
                   if (ws_conn) ws_conn->send_text("passive-ping");
                 });

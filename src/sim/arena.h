@@ -1,7 +1,7 @@
 // Per-simulation monotonic bump arena for the packet hot path.
 //
 // One simulated packet hop used to cost several trips through the global
-// allocator (payload control blocks, staging queue nodes, capture growth).
+// allocator (payload buffers, TCP queue nodes, capture growth).
 // An Arena replaces those with pointer bumps into chunked slabs: allocation
 // is O(1) and contention-free, deallocation is deferred wholesale to
 // reset() (between runs) or destruction. The allocator never reclaims an
@@ -48,7 +48,7 @@ class Arena {
 
   /// Rewind to empty, retaining every chunk for reuse. All memory handed
   /// out since the last reset must be dead: the caller guarantees no
-  /// Payload, container node or staged packet allocated from this arena is
+  /// Payload, container node or queued packet allocated from this arena is
   /// still alive (in the matrix runner that holds because each cell's
   /// Testbed is destroyed before the worker resets).
   void reset();
@@ -125,8 +125,9 @@ struct ArenaStats {
 /// global allocator when none was active. deallocate() is a no-op for
 /// arena-served memory — containers using this allocator must die before
 /// their arena resets. Intended for the simulator's per-connection /
-/// per-stage containers (TCP send/reassembly/retransmit queues, netem and
-/// fault staging), whose lifetime is bounded by the owning Testbed.
+/// per-stage containers (TCP send/reassembly/retransmit queues, capture
+/// columns, fault event traces), whose lifetime is bounded by the owning
+/// Testbed.
 template <typename T>
 class ArenaAllocator {
  public:

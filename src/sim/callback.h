@@ -22,9 +22,11 @@ namespace bnm::sim {
 /// Move-only type-erased `void()` callable with inline storage.
 class SmallCallback {
  public:
-  /// Inline capacity: fits `this` + a Packet-sized value capture or several
-  /// pointers/shared_ptrs, which covers the simulator's common closures.
-  static constexpr std::size_t kInlineBytes = 64;
+  /// Inline capacity: fits the largest per-hop closure (two pointers plus
+  /// the packet it carries by value) and every timer and task closure. A
+  /// cell is built once, in place, in the scheduler's pool, so a larger
+  /// buffer costs memory per cell, not an allocation.
+  static constexpr std::size_t kInlineBytes = 128;
 
   SmallCallback() = default;
 
@@ -84,6 +86,14 @@ class SmallCallback {
   /// Exposed for the substrate micro-benchmarks and tests.
   bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
 
+  /// Whether a callable of type `Fn` is stored inline. Hot-path call sites
+  /// static_assert it for the closures they schedule per packet.
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
  private:
   struct Ops {
     void (*call)(void* buf);
@@ -101,12 +111,6 @@ class SmallCallback {
   /// and every queue Entry embedding it — 8 bytes denser than a
   /// max_align_t buffer would.
   static constexpr std::size_t kInlineAlign = alignof(void*);
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static constexpr Ops kInlineOps = {

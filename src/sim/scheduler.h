@@ -29,14 +29,17 @@
 // matrix under both and fails if a single sample differs.
 //
 // Allocation contract: schedule_*/post_* are forwarding templates that
-// build the callable once, in place, in a pooled callback cell; the queue
-// tiers then move 40-byte POD entries that point at the cell. Past that,
-// an event is a bucket append plus (for the cancellable path) a pooled
-// control-block acquisition — no heap allocation in steady state. Storage
-// is kept per thread: a destroyed Scheduler parks its emptied ring buckets
-// (freeing any grown past kSpareBucketEntries), tiers, callback cells and
-// (when no handle outlives it) control blocks for the next Scheduler built
-// on the same thread, so a worker that builds one testbed per cell or
+// build the callable once, in place, in a pooled callback cell (a closure
+// up to SmallCallback::kInlineBytes, such as a packet hop carrying its
+// packet, lives in the cell itself); the queue tiers then move 40-byte POD
+// entries that point at the cell. Past that, a post_* event is a bucket
+// append; schedule_* adds a pooled control-block acquisition and a handle
+// refcount, so use it only when the handle is kept for cancel() or
+// pending(). No heap allocation in steady state. Storage is kept per
+// thread: a destroyed Scheduler parks its emptied ring buckets (freeing
+// any grown past kSpareBucketEntries), tiers, callback cells and (when no
+// handle outlives it) control blocks for the next Scheduler built on the
+// same thread, so a worker that builds one testbed per cell or
 // client does not regrow that storage per testbed.
 // tests/test_kernel_alloc.cpp asserts both with an operator-new hook.
 // run() fires whole buckets per batch with the trace/profiling guards
@@ -258,7 +261,8 @@ class Scheduler {
   }
 
   /// Fire-and-forget variants: no cancellation handle, no control block.
-  /// Prefer these on hot paths that never cancel.
+  /// Use these wherever the handle would be dropped; same ordering (seq)
+  /// as schedule_*.
   template <typename F>
   void post_at(TimePoint at, F&& fn) {
     push_entry(at, cbpool_.acquire(std::forward<F>(fn)), 0);

@@ -36,7 +36,7 @@ class Simulation {
 
  private:
   // Declared first so it is destroyed last: pending scheduler entries can
-  // hold arena-backed state (payload views, staged packets) until the
+  // hold arena-backed state (payload views, packets in flight) until the
   // scheduler itself is torn down.
   Arena arena_;
   Scheduler scheduler_;

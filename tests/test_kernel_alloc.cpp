@@ -2,7 +2,8 @@
 // vectors at capacity), schedule_after / post_after / dispatch perform zero
 // heap allocations; a Scheduler built on a thread that already ran one
 // reuses its storage; and whole paper repetitions and campaign clients stay
-// inside a pinned global-heap budget. Lives in the bnm_kernel_tests binary
+// inside a pinned global-heap budget (paper repetitions inside a pinned
+// arena budget too). Lives in the bnm_kernel_tests binary
 // (ctest label `kernel`) because it replaces the global operator new, which
 // must not perturb the tier1 executable.
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "core/campaign.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
+#include "sim/arena.h"
 #include "sim/scheduler.h"
 
 static std::atomic<std::uint64_t> g_allocs{0};
@@ -50,6 +52,11 @@ using bnm::sim::Scheduler;
 // 569.55.
 constexpr double kPaperRepetitionBudget = 108.0;
 constexpr double kCampaignClientBudget = 273.8;
+// Arena allocations per paper repetition: measured 18.05 with packets
+// riding in their hop events; 118.2 while host, link, switch and netem
+// staged them in arena-backed lists. Like the heap budgets, it only moves
+// down.
+constexpr double kPaperRepetitionArenaBudget = 19.9;
 
 // One round of the workload both phases share: a bucket's worth of
 // cancellable events, a couple of cancels, then drain. Walking this for
@@ -154,12 +161,13 @@ TEST(KernelAlloc, SecondSchedulerOnWarmThreadDoesNotRegrowItsRing) {
 
 // ---- whole-workload budgets ------------------------------------------------
 //
-// Each budget is an amortized global-heap allocation count, measured as the
-// difference between two runs that differ only in the amount of repeated
-// work, so one-time setup (testbeds, metric registration, thread shards)
-// cancels out. Counts are deterministic for a fixed seed. The budget is the
-// measured count plus 10%; a change that puts the heap back on the
-// repetition path fails here.
+// Each budget is an amortized global-heap (or arena) allocation count,
+// measured as the difference between two runs that differ only in the
+// amount of repeated work, so one-time setup (testbeds, metric
+// registration, thread shards) cancels out. Counts are deterministic for a
+// fixed seed. The budget is the measured count plus 10%; a change that puts
+// the heap (or per-hop packet staging) back on the repetition path fails
+// here.
 
 std::vector<bnm::core::ExperimentConfig> paper_cells(int runs) {
   std::vector<bnm::core::ExperimentConfig> cells;
@@ -177,11 +185,16 @@ std::vector<bnm::core::ExperimentConfig> paper_cells(int runs) {
   return cells;
 }
 
-std::uint64_t allocs_for_matrix(int runs) {
+/// Heap (or, with `arena`, arena) allocations of one serial paper matrix.
+std::uint64_t allocs_for_matrix(int runs, bool arena = false) {
+  const auto count = [arena] {
+    return arena ? bnm::sim::ArenaStats::allocations()
+                 : g_allocs.load(std::memory_order_relaxed);
+  };
   const auto cells = paper_cells(runs);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = count();
   const auto series = bnm::core::run_matrix(cells, /*jobs=*/1);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = count();
   EXPECT_EQ(series.size(), cells.size());
   return after - before;
 }
@@ -212,6 +225,20 @@ TEST(KernelAlloc, PaperRepetitionHeapBudget) {
   RecordProperty("allocs_per_repetition", std::to_string(per_rep));
   std::printf("paper repetition: %.2f heap allocations\n", per_rep);
   EXPECT_LE(per_rep, kBudgetPerRepetition);
+}
+
+TEST(KernelAlloc, PaperRepetitionArenaBudget) {
+  constexpr int kR1 = 4;
+  constexpr int kR2 = 12;
+  allocs_for_matrix(1, /*arena=*/true);  // warm, as above
+  const std::uint64_t a1 = allocs_for_matrix(kR1, /*arena=*/true);
+  const std::uint64_t a2 = allocs_for_matrix(kR2, /*arena=*/true);
+  ASSERT_GT(a2, a1);
+  const double per_rep =
+      static_cast<double>(a2 - a1) / (88.0 * (kR2 - kR1));
+  RecordProperty("arena_allocs_per_repetition", std::to_string(per_rep));
+  std::printf("paper repetition: %.2f arena allocations\n", per_rep);
+  EXPECT_LE(per_rep, kPaperRepetitionArenaBudget);
 }
 
 TEST(KernelAlloc, CampaignClientHeapBudget) {

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "net_fixture.h"
@@ -525,6 +527,23 @@ TEST_F(PassiveTcpTest, OfflinePcapReportMatchesLiveTapByteForByte) {
   offline.consume(parsed.records);
 
   EXPECT_EQ(live.report_json("roundtrip"), offline.report_json("roundtrip"));
+}
+
+// A pcap that could not be written in full must not pass as complete:
+// every write to /dev/full fails with ENOSPC.
+TEST_F(PassiveTcpTest, PcapWriteFileThrowsWhenTheWriteFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  server->tcp_listen(9000, [](std::shared_ptr<net::TcpConnection>) {});
+  client->tcp_connect(server_ep(9000), {});
+  run_all();
+  const auto& cap = client->capture();
+  ASSERT_FALSE(cap.empty());
+  try {
+    net::PcapWriter::write_file(cap, "/dev/full");
+    FAIL() << "write_file reported a failed write as complete";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cannot write pcap output: /dev/full");
+  }
 }
 
 // ---------------------------------------------------------------------------

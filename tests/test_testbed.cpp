@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "core/testbed.h"
 #include "http/client.h"
+#include "sim/arena.h"
 
 namespace bnm::core {
 namespace {
@@ -92,6 +94,74 @@ TEST(TestbedTest, ClocksFollowClientOs) {
                         .ns());
   }
   EXPECT_EQ(granules.size(), 2u);
+}
+
+// A packet in flight rides in its hop event, so tearing a testbed down
+// mid-flight must release every copy of its payload. Two bursts of UDP
+// echo datagrams, 2 us apart on 1 Gb/s links, put copies in every stage at
+// the teardown instant: burst B fills the client stack, client link,
+// switch, server link, the server's ingress faults and its stack; burst A,
+// 50 ms older, fills the +50 ms netem and, past it, the egress faults,
+// both links, the switch and the client stack on the way back. Burst B's
+// not-yet-fired sends hold copies too.
+TEST(TestbedTest, TeardownReleasesPacketsInFlight) {
+  ASSERT_EQ(sim::Arena::current(), nullptr);  // a heap buffer, not arena
+  const net::Payload payload{std::string(100, 'x')};
+  {
+    Testbed::Config cfg;
+    cfg.bandwidth_bps = 1e9;
+    cfg.capture_at_server = true;
+    net::FaultPlan to_server;
+    to_server.duplicate_probability = 0.2;
+    cfg.faults_to_server = to_server;
+    net::FaultPlan from_server;
+    from_server.loss_probability = 0.05;
+    cfg.faults_from_server = from_server;
+    Testbed tb{cfg};
+    std::size_t received = 0;
+    auto sock = tb.client().udp_open(
+        [&received](net::Endpoint, const net::Payload&) { ++received; });
+    auto& sched = tb.sim().scheduler();
+    const sim::TimePoint t0 = tb.sim().now();
+    for (const sim::Duration burst :
+         {sim::Duration::zero(), sim::Duration::millis(50)}) {
+      for (int i = 0; i < 100; ++i) {
+        sched.post_at(t0 + burst + sim::Duration::micros(2 * i),
+                      [&tb, sock, payload] {
+                        sock->send_to(tb.udp_echo_endpoint(), payload);
+                      });
+      }
+    }
+    sched.run_until(t0 + sim::Duration::micros(50100));
+
+    const auto count = [](const net::PacketCapture& cap,
+                          net::CaptureDirection dir) {
+      std::size_t n = 0;
+      for (std::size_t i = 0; i < cap.size(); ++i) n += cap.direction(i) == dir;
+      return n;
+    };
+    const std::size_t client_out =
+        count(tb.client().capture(), net::CaptureDirection::kOutbound);
+    const std::size_t client_in =
+        count(tb.client().capture(), net::CaptureDirection::kInbound);
+    const std::size_t server_in =
+        count(tb.server().capture(), net::CaptureDirection::kInbound);
+    const std::size_t server_out =
+        count(tb.server().capture(), net::CaptureDirection::kOutbound);
+    const net::FaultCounters& in_faults = tb.faults_to_server()->counters();
+    const net::FaultCounters& out_faults = tb.faults_from_server()->counters();
+    EXPECT_GT(sock->datagrams_sent(), client_out);  // client stack, out
+    EXPECT_GT(client_out, in_faults.seen);  // client link, switch, server link
+    EXPECT_GT(in_faults.duplicated, 0u);
+    EXPECT_EQ(in_faults.forwarded, server_in);
+    EXPECT_GT(server_in, server_out);            // server stack, both ways
+    EXPECT_GT(server_out, out_faults.seen);      // netem
+    EXPECT_GT(out_faults.iid_losses, 0u);
+    EXPECT_GT(out_faults.forwarded, client_in);  // links and switch back
+    EXPECT_GT(client_in, received);              // client stack, in
+    EXPECT_GT(payload.buffer_use_count(), 100);
+  }
+  EXPECT_EQ(payload.buffer_use_count(), 1);
 }
 
 }  // namespace

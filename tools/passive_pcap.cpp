@@ -95,7 +95,13 @@ int main(int argc, char** argv) {
   live.consume(cap);
   const std::string live_report = live.report_json("pcap-roundtrip");
 
-  const std::size_t pcap_bytes = net::PcapWriter::write_file(cap, pcap_path);
+  std::size_t pcap_bytes = 0;
+  try {
+    pcap_bytes = net::PcapWriter::write_file(cap, pcap_path);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
+    return 1;
+  }
   std::printf("wrote %s (%zu bytes)\n", pcap_path.c_str(), pcap_bytes);
 
   const net::PcapReader::Result parsed = net::PcapReader::read_file(pcap_path);

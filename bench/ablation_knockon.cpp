@@ -246,6 +246,9 @@ void busy_page_section() {
                               browser::OsId::kUbuntu),
         0);
     double measured = 0;
+    // Owned here, not by its own callback: a callback holding the XHR that
+    // holds it is a cycle that leaks it and the connections it reaches.
+    std::unique_ptr<browser::XmlHttpRequest> xhr;
     session->load_container_page(browser::ProbeKind::kXhrGet, [&] {
       // The page starts large competing downloads that hold pool slots.
       for (int i = 0; i < busy_subresources; ++i) {
@@ -256,10 +259,10 @@ void busy_page_section() {
             testbed.http_endpoint(), sub,
             [](http::HttpResponse, http::HttpClient::TransferInfo) {});
       }
-      auto xhr = std::make_shared<browser::XmlHttpRequest>(*session);
+      xhr = std::make_unique<browser::XmlHttpRequest>(*session);
       auto& clock = session->clock(browser::ClockKind::kJsDate);
       auto t0 = std::make_shared<sim::TimePoint>();
-      xhr->set_onreadystatechange([&, xhr, t0] {
+      xhr->set_onreadystatechange([&, t0] {
         if (xhr->ready_state() != browser::XmlHttpRequest::ReadyState::kDone) {
           return;
         }
@@ -296,6 +299,8 @@ void event_loop_load_section() {
                               browser::OsId::kUbuntu),
         0);
     auto rtts = std::make_shared<std::vector<double>>();
+    // Owned here, not by its own callbacks (that cycle would leak it).
+    std::unique_ptr<browser::BrowserWebSocket> ws;
     session->load_container_page(browser::ProbeKind::kWebSocket, [&] {
       if (loaded) {
         // ~8 ms of main-thread work arriving with aperiodic ~10 ms gaps
@@ -310,12 +315,12 @@ void event_loop_load_section() {
                                      [] {});
         }
       }
-      auto ws = std::make_shared<browser::BrowserWebSocket>(
+      ws = std::make_unique<browser::BrowserWebSocket>(
           *session, testbed.ws_endpoint(), "/ws");
       auto& clock = session->clock(browser::ClockKind::kJsDate);
       auto t0 = std::make_shared<sim::TimePoint>();
       // 10 back-to-back probes sample different phases of the load.
-      ws->set_onmessage([&, ws, t0, rtts](const std::string&) {
+      ws->set_onmessage([&, t0, rtts](const std::string&) {
         rtts->push_back((clock.read(testbed.sim().now()) - *t0).ms_f());
         if (rtts->size() >= 10) {
           ws->close();
@@ -324,7 +329,7 @@ void event_loop_load_section() {
         *t0 = clock.read(testbed.sim().now());
         ws->send("probe");
       });
-      ws->set_onopen([&, ws, t0] {
+      ws->set_onopen([&, t0] {
         *t0 = clock.read(testbed.sim().now());
         ws->send("probe");
       });

@@ -1,14 +1,12 @@
 // Performance harness for the experiment pipeline. Three sections:
 //
 //   1. Full Figure-3 matrix, serial (jobs=1) vs parallel (--jobs, default
-//      all cores), with byte-identity checks between the result sets —
-//      including a pass on the binary-heap reference queue, which must
-//      match the calendar queue bit-for-bit across all 88 cells.
+//      all cores), with a byte-identity check between the result sets.
 //   2. Capture window extraction: linear scan (the old
 //      network_rtt_in_window behaviour) vs first_index_at_or_after.
 //   3. Scheduler event throughput: cancellable schedule_at path (pooled
-//      control blocks) vs fire-and-forget post_at path, calendar-vs-heap
-//      and batched-vs-stepwise sub-benches, and the events/sec headline
+//      control blocks) vs fire-and-forget post_at path, a batched-vs-
+//      stepwise sub-bench, and the events/sec headline
 //      the kernel gate puts a floor on.
 //
 // Emits BENCH_perf_matrix.json in the working directory, gates[] included,
@@ -92,14 +90,6 @@ struct MatrixTimings {
   std::uint64_t arena_allocs_avoided = 0;
   std::uint64_t arena_bytes_served = 0;
   std::uint64_t arena_peak_bytes = 0;
-  // Reference pass with arenas globally disabled: results must stay
-  // bit-identical, and its wall clock shows what the arena buys.
-  double arena_off_serial_ms = 0;
-  bool arena_identical = true;
-  // Reference pass on the binary-heap queue: the calendar queue must be a
-  // pure speedup, invisible in every sample of every cell.
-  double heap_serial_ms = 0;
-  bool queue_identical = true;
   double speedup() const {
     return parallel_ms > 0 ? serial_ms / parallel_ms : 0.0;
   }
@@ -142,29 +132,6 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
   t.arena_bytes_served = sim::ArenaStats::bytes();
   t.arena_peak_bytes = sim::ArenaStats::peak_arena_bytes();
 
-  // Reference pass: arenas disabled process-wide, same cells, same seeds.
-  // The appraisal output must not depend on where memory came from.
-  std::printf("  arena off (jobs=1) ... ");
-  std::fflush(stdout);
-  sim::Arena::set_enabled(false);
-  const auto a0 = Clock::now();
-  const auto arena_off = core::run_matrix(cells, 1);
-  const auto a1 = Clock::now();
-  sim::Arena::set_enabled(true);
-  t.arena_off_serial_ms = ms_between(a0, a1);
-  std::printf("%8.1f ms\n", t.arena_off_serial_ms);
-
-  // Reference pass: every scheduler in the process runs the binary heap.
-  std::printf("  heap queue (jobs=1) .. ");
-  std::fflush(stdout);
-  sim::Scheduler::set_default_impl(sim::Scheduler::QueueImpl::kHeap);
-  const auto q0 = Clock::now();
-  const auto heap_ref = core::run_matrix(cells, 1);
-  const auto q1 = Clock::now();
-  sim::Scheduler::set_default_impl(sim::Scheduler::QueueImpl::kCalendar);
-  t.heap_serial_ms = ms_between(q0, q1);
-  std::printf("%8.1f ms\n", t.heap_serial_ms);
-
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (!identical(serial[i], parallel[i])) {
       t.identical = false;
@@ -172,23 +139,8 @@ MatrixTimings bench_matrix(int runs, int jobs_flag) {
                   i, serial[i].case_label.c_str(),
                   serial[i].method_name.c_str());
     }
-    if (!identical(serial[i], arena_off[i])) {
-      t.arena_identical = false;
-      std::printf("  !! cell %zu (%s %s) differs with the arena disabled\n",
-                  i, serial[i].case_label.c_str(),
-                  serial[i].method_name.c_str());
-    }
-    if (!identical(serial[i], heap_ref[i])) {
-      t.queue_identical = false;
-      std::printf("  !! cell %zu (%s %s) differs between calendar and heap\n",
-                  i, serial[i].case_label.c_str(),
-                  serial[i].method_name.c_str());
-    }
   }
-  std::printf(
-      "  results byte-identical: %s (arena on/off: %s, calendar/heap: %s)\n",
-      t.identical ? "yes" : "NO", t.arena_identical ? "yes" : "NO",
-      t.queue_identical ? "yes" : "NO");
+  std::printf("  results byte-identical: %s\n", t.identical ? "yes" : "NO");
   std::printf("  arena: %" PRIu64 " allocs avoided, %" PRIu64
               " bytes served, peak %" PRIu64 " bytes\n",
               t.arena_allocs_avoided, t.arena_bytes_served,
@@ -386,18 +338,10 @@ struct SchedulerTimings {
   double handle_ns_per_event = 0;
   double post_ns_per_event = 0;
   std::size_t pooled_blocks = 0;
-  // Calendar-vs-heap sub-bench: identical spread workload on both queues.
-  double calendar_ns_per_event = 0;
-  double heap_ns_per_event = 0;
-  // Batched-vs-stepwise sub-bench: same calendar queue, run() (whole-bucket
-  // batches) vs a step() loop (one event per queue touch).
+  // Batched-vs-stepwise sub-bench: the same spread workload through run()
+  // (whole-bucket batches) and a step() loop (one event per queue touch).
   double batched_ns_per_event = 0;
   double stepwise_ns_per_event = 0;
-  double queue_speedup() const {
-    return calendar_ns_per_event > 0
-               ? heap_ns_per_event / calendar_ns_per_event
-               : 0.0;
-  }
   double batch_speedup() const {
     return batched_ns_per_event > 0
                ? stepwise_ns_per_event / batched_ns_per_event
@@ -460,11 +404,11 @@ SchedulerTimings bench_scheduler() {
     return ms_between(p0, p1) * 1e6 / kEvents;
   });
 
-  // Calendar vs heap, batched vs stepwise: the same spread workload (1000
-  // events across ~1 ms, i.e. ~16 calendar buckets per drain cycle) so the
-  // calendar actually pays its promotion/sort costs.
-  const auto drive = [&sink](sim::Scheduler::QueueImpl impl, bool batched) {
-    sim::Scheduler sched{impl};
+  // Batched vs stepwise: the same spread workload (1000 events across
+  // ~1 ms, i.e. ~16 calendar buckets per drain cycle) so the calendar
+  // actually pays its promotion/sort costs.
+  const auto drive = [&sink](bool batched) {
+    sim::Scheduler sched;
     const auto t0 = Clock::now();
     for (std::size_t done = 0; done < kEvents; done += kBatch) {
       for (std::size_t i = 0; i < kBatch; ++i) {
@@ -480,13 +424,8 @@ SchedulerTimings bench_scheduler() {
     }
     return ms_between(t0, Clock::now()) * 1e6 / kEvents;
   };
-  t.calendar_ns_per_event =
-      best_of([&] { return drive(sim::Scheduler::QueueImpl::kCalendar, true); });
-  t.heap_ns_per_event =
-      best_of([&] { return drive(sim::Scheduler::QueueImpl::kHeap, true); });
-  t.batched_ns_per_event = t.calendar_ns_per_event;
-  t.stepwise_ns_per_event = best_of(
-      [&] { return drive(sim::Scheduler::QueueImpl::kCalendar, false); });
+  t.batched_ns_per_event = best_of([&] { return drive(true); });
+  t.stepwise_ns_per_event = best_of([&] { return drive(false); });
 
   std::printf("scheduler: %zu events, batches of %zu\n", t.events, kBatch);
   std::printf("  schedule_after     ... %8.1f ns/event  (%zu pooled blocks, "
@@ -495,10 +434,8 @@ SchedulerTimings bench_scheduler() {
               t.events_per_sec() / 1e6);
   std::printf("  post_after         ... %8.1f ns/event\n",
               t.post_ns_per_event);
-  std::printf("  calendar (batched) ... %8.1f ns/event\n",
-              t.calendar_ns_per_event);
-  std::printf("  heap reference     ... %8.1f ns/event   (calendar %.2fx)\n",
-              t.heap_ns_per_event, t.queue_speedup());
+  std::printf("  batched dispatch   ... %8.1f ns/event\n",
+              t.batched_ns_per_event);
   std::printf("  stepwise dispatch  ... %8.1f ns/event   (batched %.2fx)\n",
               t.stepwise_ns_per_event, t.batch_speedup());
   return t;
@@ -555,12 +492,6 @@ benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
                           {"allocs_avoided", integer(m.arena_allocs_avoided)},
                           {"bytes_served", integer(m.arena_bytes_served)},
                           {"peak_arena_bytes", integer(m.arena_peak_bytes)},
-                          {"off_serial_ms", num(m.arena_off_serial_ms)},
-                          {"identical_on_off", flag(m.arena_identical)},
-                      }));
-  matrix.add("queue", obj({
-                          {"heap_serial_ms", num(m.heap_serial_ms)},
-                          {"identical_calendar_heap", flag(m.queue_identical)},
                       }));
   Json sites = Json::array();
   for (const auto& e : profile) {
@@ -601,9 +532,7 @@ benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
            {"schedule_ns_per_event", num(s.handle_ns_per_event)},
            {"post_ns_per_event", num(s.post_ns_per_event)},
            {"events_per_sec", num(s.events_per_sec())},
-           {"calendar_ns_per_event", num(s.calendar_ns_per_event)},
-           {"heap_ns_per_event", num(s.heap_ns_per_event)},
-           {"queue_speedup", num(s.queue_speedup())},
+           {"calendar_ns_per_event", num(s.batched_ns_per_event)},
            {"batched_ns_per_event", num(s.batched_ns_per_event)},
            {"stepwise_ns_per_event", num(s.stepwise_ns_per_event)},
            {"batch_speedup", num(s.batch_speedup())},
@@ -647,8 +576,6 @@ int main(int argc, char** argv) {
       "BENCH_perf_matrix.json", to_json(hw, m, k, c, s, profile),
       {
           is_true("matrix.identical"),
-          is_true("matrix.arena.identical_on_off"),
-          is_true("matrix.queue.identical_calendar_heap"),
           is_true("checkpoint.identical"),
           // The bare-loop baseline is only ~30-60 ms, so percentages of it
           // sit inside VM jitter: a sub-millisecond delta passes too.
@@ -656,8 +583,8 @@ int main(int argc, char** argv) {
                  below("checkpoint.disabled_delta_ms", 1.0)),
           either(below("checkpoint.enabled_overhead_percent", 10.0),
                  below("checkpoint.enabled_delta_ms", 1.0)),
-          // The binary heap managed ~4.2M events/s; the calendar queue
-          // should stay comfortably above 3x that on any host.
+          // The binary heap this queue replaced managed ~4.2M events/s;
+          // the calendar queue should stay comfortably above 3x that.
           at_least("scheduler.events_per_sec", 12e6),
       });
 }

@@ -3,8 +3,8 @@
 # and ThreadSanitizer passes, then the Release bench gates and the
 # crash-safety and round-trip gates. Every bench declares its own hard
 # gates and exits non-zero when one fails (docs/BENCH_SCHEMAS.md lists
-# them: byte-identity across serial/parallel, arena, queue, engine,
-# profiling, shard and replay variants; engine, checkpoint and
+# them: byte-identity across serial/parallel, engine, profiling, shard
+# and replay variants; engine, checkpoint and
 # observability overhead bounds; events/s, clients/s and packets/s floors;
 # payload copy reduction). check.sh only runs the binaries, then
 # validates the BENCH_*.json files this run wrote against their tables in
@@ -22,9 +22,11 @@
 #   scripts/check.sh --fast   # plain build + ctest only (skip the sanitizer
 #                             # builds, Release benches and gates)
 #
-# Each ctest call runs every registered test (all nine labels: tier1
-# faults perf obs kernel resilience campaign passive fingerprint); only the
-# TSan step picks the threaded subset.
+# Each ctest call runs every registered test (all ten labels: tier1
+# faults perf obs kernel resilience campaign passive fingerprint paper);
+# only the TSan step picks the threaded subset. The `paper` tests run the
+# ten paper benches, so the ASan and UBSan steps build them too (the
+# `paper_benches` target in bench/CMakeLists.txt).
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
 # build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
@@ -57,7 +59,7 @@ cmake -B build -S . $(gen_for build)
 step "tier-1: build"
 cmake --build build -j
 
-step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive fingerprint)"
+step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive fingerprint paper)"
 ctest --test-dir build --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
@@ -71,9 +73,12 @@ step "asan: configure (BNM_SANITIZE=address)"
 cmake -B build-asan -S . $(gen_for build-asan) -DBNM_SANITIZE=address
 
 step "asan: build tests"
-cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_fingerprint_tests
+cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_fingerprint_tests \
+  paper_benches
 
 step "asan: ctest"
+# Arena chunks are poisoned on reset() in this build, so a use of arena
+# memory after its cell or client ended aborts here.
 ctest --test-dir build-asan --output-on-failure
 
 step "ubsan: configure (BNM_SANITIZE=undefined)"
@@ -83,7 +88,7 @@ cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
 step "ubsan: build tests"
 cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
   bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests \
-  bnm_perf_tests bnm_fingerprint_tests
+  bnm_perf_tests bnm_fingerprint_tests paper_benches
 
 step "ubsan: ctest"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's
@@ -128,10 +133,9 @@ cmake --build build-release -j --target perf_matrix obs_overhead \
 rm -f build-release/BENCH_*.json
 
 step "perf: bench/perf_matrix --runs=4 (identity, engine-overhead and kernel gates)"
-# Serial == parallel, arena on == off and calendar queue == heap reference
-# across the full matrix; the crash-safe engine within 1% (disabled) and
-# 10% (checkpointing on) of a bare run_experiment loop, or within 1 ms;
-# a scheduler events/sec floor.
+# Serial == parallel across the full matrix; the crash-safe engine within
+# 1% (disabled) and 10% (checkpointing on) of a bare run_experiment loop,
+# or within 1 ms; a scheduler events/sec floor.
 (cd build-release && ./bench/perf_matrix --runs=4)
 
 step "obs: bench/obs_overhead --runs=8 (overhead + determinism gates)"

@@ -1,6 +1,7 @@
 #include "core/campaign.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -501,13 +502,12 @@ std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
 
 /// Simulate clients [first, last) into a fresh aggregate. The runner's
 /// arena is rewound wholesale after every client (the testbed dies with
-/// run_experiment; the aggregate uses the global allocator). The runner
-/// always installs a scope, but Arena::current() is null while arenas are
-/// globally disabled (Campaign.ReportByteIdenticalArenaOnAndOff).
+/// run_experiment; the aggregate uses the global allocator).
 CampaignAggregate run_shard_clients(const CampaignSampler& sampler,
                                     const CampaignSpec& spec,
                                     std::uint64_t first, std::uint64_t last) {
   sim::Arena* arena = sim::Arena::current();
+  assert(arena != nullptr && "core::run_units installs a scope per worker");
   CampaignAggregate agg{spec.grid, sampler.profile_count()};
   for (std::uint64_t client = first; client < last; ++client) {
     std::size_t profile_index = 0;
@@ -519,7 +519,7 @@ CampaignAggregate run_shard_clients(const CampaignSampler& sampler,
       ++agg.failed_clients;  // poisoned client, not a poisoned campaign
       client_failures_counter().add();
     }
-    if (arena != nullptr) arena->reset();
+    arena->reset();
   }
   return agg;
 }

@@ -146,6 +146,8 @@ std::size_t PcapWriter::write(const PacketCapture& capture, std::ostream& out) {
               static_cast<std::streamsize>(frame.size()));
     written += 16 + frame.size();
   }
+  // A stream that failed along the way did not take these bytes.
+  if (!out) throw std::runtime_error("cannot write pcap output");
   return written;
 }
 

@@ -27,7 +27,8 @@ class PcapWriter {
   static constexpr std::uint32_t kLinkTypeRaw = 101;
 
   /// Serialize `capture` to `out` in classic pcap format (microsecond
-  /// timestamps, magic 0xa1b2c3d4). Returns bytes written.
+  /// timestamps, magic 0xa1b2c3d4). Returns bytes written; throws
+  /// std::runtime_error when `out` has failed by the last record.
   static std::size_t write(const PacketCapture& capture, std::ostream& out);
 
   /// Convenience: write to a file path. Returns bytes written; throws

@@ -1,17 +1,33 @@
 #include "sim/arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "obs/metrics.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace bnm::sim {
 
 namespace {
 
 thread_local Arena* t_current = nullptr;
-std::atomic<bool> g_enabled{true};
+
+// Under ASan, memory no allocation owns is poisoned: a fresh chunk, and all
+// of every chunk after reset(). allocate() unpoisons what it hands out, so
+// a read or write through a pointer that outlived reset() is reported as
+// use-after-poison instead of silently seeing the next epoch's bytes.
+#if defined(__SANITIZE_ADDRESS__)
+void poison(const void* p, std::size_t n) { ASAN_POISON_MEMORY_REGION(p, n); }
+void unpoison(const void* p, std::size_t n) {
+  ASAN_UNPOISON_MEMORY_REGION(p, n);
+}
+#else
+void poison(const void*, std::size_t) {}
+void unpoison(const void*, std::size_t) {}
+#endif
 
 // Process aggregate lives in the obs metrics registry ("arena.*" in
 // docs/OBSERVABILITY.md); ArenaStats accessors stay the public API.
@@ -40,7 +56,9 @@ std::size_t align_up(std::size_t n, std::size_t align) {
 Arena::Arena(std::size_t chunk_bytes)
     : chunk_bytes_{std::max<std::size_t>(chunk_bytes, 1024)} {}
 
-Arena::~Arena() = default;
+Arena::~Arena() {
+  for (const Chunk& c : chunks_) unpoison(c.base.get(), c.capacity);
+}
 
 void* Arena::allocate(std::size_t size, std::size_t align) {
   assert((align & (align - 1)) == 0 && "alignment must be a power of two");
@@ -65,6 +83,7 @@ void* Arena::allocate(std::size_t size, std::size_t align) {
       allocations_counter().add(1);
       bytes_counter().add(size);
       peak_gauge().record_max(in_use_);
+      unpoison(c.base.get() + at, size);
       return c.base.get() + at;
     }
     add_chunk(size + align);
@@ -85,12 +104,16 @@ void Arena::add_chunk(std::size_t min_size) {
   Chunk c;
   c.base = std::make_unique<std::byte[]>(cap);
   c.capacity = cap;
+  poison(c.base.get(), cap);
   chunks_.push_back(std::move(c));
   active_ = chunks_.size() - 1;
 }
 
 void Arena::reset() {
-  for (Chunk& c : chunks_) c.used = 0;
+  for (Chunk& c : chunks_) {
+    c.used = 0;
+    poison(c.base.get(), c.capacity);
+  }
   active_ = 0;
   in_use_ = 0;
 }
@@ -101,15 +124,7 @@ std::size_t Arena::bytes_reserved() const {
   return total;
 }
 
-Arena* Arena::current() {
-  return g_enabled.load(std::memory_order_relaxed) ? t_current : nullptr;
-}
-
-void Arena::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool Arena::enabled() { return g_enabled.load(std::memory_order_relaxed); }
+Arena* Arena::current() { return t_current; }
 
 ArenaScope::ArenaScope(Arena* arena)
     : prev_{t_current}, installed_{arena != nullptr} {

@@ -13,11 +13,20 @@
 // that owns it. Code opts in through a thread-local "current arena"
 // installed with ArenaScope; allocation sites (Payload buffers,
 // ArenaAllocator-backed containers) consult Arena::current() and fall back
-// to the global allocator when no scope is active, so every component works
-// identically — bit for bit — with the arena on or off. The job runner
+// to the global allocator when no scope is active. The job runner
 // (core::run_units) gives each worker thread a private arena, reset after
 // every cell or shard, so parallel units never touch the global allocator
-// on the packet path and never contend with each other.
+// on the packet path and never contend with each other. Results do not
+// depend on which arena (or none) served them: per-worker arenas match one
+// serial arena (ArenaIdentity.PerWorkerArenasMatchSerialUnderRunMatrix),
+// and tests/test_fingerprint_scenarios.cpp pins the bytes.
+//
+// Memory safety: in an AddressSanitizer build, arena memory no live
+// allocation owns is poisoned (new chunks, and whole chunks on reset()) and
+// allocate() unpoisons what it hands out, so touching arena memory after
+// reset() aborts with use-after-poison (Arena.ReadAfterResetIsReportedUnderAsan;
+// ASan tracks poison per 8-byte granule, so bytes sharing a granule with a
+// live allocation stay addressable).
 //
 // Stats: each arena keeps cheap per-instance counters, and the process-wide
 // aggregate (ArenaStats, used by bench/perf_matrix) lives in the obs metrics
@@ -62,15 +71,8 @@ class Arena {
   std::size_t chunk_count() const { return chunks_.size(); }
   std::size_t bytes_reserved() const;  ///< sum of chunk capacities
 
-  /// The calling thread's active arena (nullptr when none, or when arenas
-  /// are globally disabled).
+  /// The calling thread's active arena (nullptr when no scope is active).
   static Arena* current();
-
-  /// Process-wide kill switch for A/B comparisons (bit-identity tests,
-  /// bench/perf_matrix's arena-off reference pass). Scopes installed while
-  /// disabled are ignored; existing arena-backed objects stay valid.
-  static void set_enabled(bool on);
-  static bool enabled();
 
  private:
   struct Chunk {

@@ -39,8 +39,6 @@ struct SchedulerMetrics {
   }
 };
 
-Scheduler::QueueImpl g_default_impl = Scheduler::QueueImpl::kCalendar;
-
 }  // namespace
 
 namespace detail {
@@ -87,10 +85,6 @@ void CallbackPool::grow() {
 
 }  // namespace detail
 
-void Scheduler::set_default_impl(QueueImpl impl) { g_default_impl = impl; }
-
-Scheduler::QueueImpl Scheduler::default_impl() { return g_default_impl; }
-
 /// Emptied storage of the last Scheduler destroyed on a thread: callback
 /// cells (all free), tier vectors (empty, capacity kept) and, when no
 /// handle outlived that Scheduler, its control blocks (all free). One per
@@ -102,7 +96,6 @@ struct Scheduler::Spare {
   std::vector<Entry> bottom;
   std::array<std::vector<Entry>, kBuckets> ring;
   std::vector<Entry> overflow;
-  std::vector<Entry> heap;
 
   ~Spare() {
     if (blocks != nullptr) blocks->release();
@@ -125,7 +118,6 @@ void Scheduler::for_each_queued(Fn&& fn) const {
     for (const Entry& e : bucket) fn(e);
   }
   for (const Entry& e : overflow_) fn(e);
-  for (const Entry& e : heap_) fn(e);
 }
 
 Scheduler::Spare* Scheduler::thread_spare() {
@@ -138,7 +130,7 @@ Scheduler::Spare* Scheduler::thread_spare() {
   return holder.spare.get();
 }
 
-Scheduler::Scheduler(QueueImpl impl) : impl_{impl} {
+Scheduler::Scheduler() {
   Spare* spare = thread_spare();
   if (spare == nullptr || !spare->full) {
     pool_ = new detail::ControlBlockPool;
@@ -155,7 +147,6 @@ void Scheduler::swap_storage(Spare& spare) {
   bottom_.swap(spare.bottom);
   for (std::size_t i = 0; i < kBuckets; ++i) ring_[i].swap(spare.ring[i]);
   overflow_.swap(spare.overflow);
-  heap_.swap(spare.heap);
 }
 
 Scheduler::~Scheduler() {
@@ -186,7 +177,6 @@ Scheduler::~Scheduler() {
     }
   }
   overflow_.clear();
-  heap_.clear();
   swap_storage(*spare);
   spare->full = true;
 }
@@ -198,10 +188,6 @@ void Scheduler::push_entry(TimePoint at, SmallCallback* cb,
   const std::uint64_t seq = next_seq_++;
   // The callable already sits in its stable pool cell; the queue tiers
   // shuffle 40-byte POD entries from here on.
-  if (impl_ == QueueImpl::kHeap) {
-    heap_push(Entry{at, seq, cb, block, now_});
-    return;
-  }
   const std::uint64_t abs = bucket_of(at);
   if (abs < next_abs_bucket_) {
     // Lands inside the active bottom's time range: merge-insert into the
@@ -356,7 +342,6 @@ void Scheduler::note_batch(std::size_t fired) {
 }
 
 bool Scheduler::step() {
-  if (impl_ == QueueImpl::kHeap) return heap_step();
   while (refill_bottom()) {
     const bool tracing = trace_ && trace_->enabled();
     if (fire_one(tracing)) return true;
@@ -365,10 +350,6 @@ bool Scheduler::step() {
 }
 
 std::size_t Scheduler::step_batch() {
-  if (impl_ == QueueImpl::kHeap) {
-    // The heap has no buckets; a "batch" degrades to one event.
-    return heap_step() ? 1 : 0;
-  }
   if (!refill_bottom()) return 0;
   BNM_PROF_SCOPE("scheduler.dispatch");
   const bool tracing = trace_ && trace_->enabled();
@@ -386,21 +367,12 @@ std::size_t Scheduler::step_batch() {
 }
 
 void Scheduler::run() {
-  if (impl_ == QueueImpl::kHeap) {
-    while (heap_step()) {
-    }
-    return;
-  }
   // step_batch can legitimately fire 0 events (a fully-cancelled bucket);
   // refill_bottom is the emptiness test, not the fired count.
   while (refill_bottom()) step_batch();
 }
 
 void Scheduler::run_until(TimePoint deadline) {
-  if (impl_ == QueueImpl::kHeap) {
-    heap_run_until(deadline);
-    return;
-  }
   while (true) {
     if (bottom_pos_ < bottom_.size()) {
       BNM_PROF_SCOPE("scheduler.dispatch");
@@ -469,61 +441,9 @@ void Scheduler::clear() {
   unsorted_.fill(0);
   ring_count_ = 0;
   overflow_.clear();
-  heap_.clear();
   // Re-anchor the ring at the current time so new near-future events use
   // the buckets instead of degenerating to sorted bottom inserts.
   next_abs_bucket_ = bucket_of(now_);
-}
-
-// ---- kHeap reference implementation ---------------------------------------
-
-void Scheduler::heap_push(Entry entry) {
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-Scheduler::Entry Scheduler::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry e = heap_.back();
-  heap_.pop_back();
-  return e;
-}
-
-bool Scheduler::heap_step() {
-  BNM_PROF_SCOPE("scheduler.dispatch");
-  while (!heap_.empty()) {
-    const Entry e = heap_pop();
-    if (e.block != 0 && !pool_->retire_was_alive(e.block - 1)) {
-      cbpool_.release(e.cb);
-      continue;  // skip dead entries
-    }
-    assert(e.at >= now_);
-    now_ = e.at;
-    ++executed_;
-    if (trace_ && trace_->enabled()) {
-      trace_->emit_span(e.posted, e.at - e.posted, "scheduler", "dispatch",
-                        {{"seq", static_cast<std::int64_t>(e.seq)}});
-    }
-    (*e.cb)();
-    cbpool_.release(e.cb);
-    return true;
-  }
-  return false;
-}
-
-void Scheduler::heap_run_until(TimePoint deadline) {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    if (top.block != 0 && !pool_->alive(top.block - 1)) {
-      const Entry dead = heap_pop();
-      pool_->retire(dead.block - 1);
-      cbpool_.release(dead.cb);
-      continue;
-    }
-    if (top.at > deadline) break;
-    heap_step();
-  }
-  if (now_ < deadline) now_ = deadline;
 }
 
 }  // namespace bnm::sim

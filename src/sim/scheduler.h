@@ -8,8 +8,7 @@
 // the pooled control block dead; the entry is skipped (and its block
 // recycled) when it surfaces.
 //
-// Queue layout (QueueImpl::kCalendar, the default): a two-tier
-// calendar/ladder queue.
+// Queue layout: a two-tier calendar/ladder queue.
 //
 //   * bottom   — the bucket currently being fired, sorted by (at, seq).
 //                Dispatch is an index increment; nested schedules landing
@@ -24,9 +23,10 @@
 //                Entries migrate into the ring lazily: when their bucket is
 //                promoted (epoch advance), never before.
 //
-// The old binary heap survives as QueueImpl::kHeap, a bit-identical
-// reference implementation: bench/perf_matrix runs the full experiment
-// matrix under both and fails if a single sample differs.
+// The firing order is pinned by the order-property test
+// Scheduler.FiresInAtThenScheduleOrderOnEveryDrive (tests/test_scheduler.cpp:
+// random schedules, cancels, nested posts, ties and far-future events) and,
+// at matrix scale, by the digests in tests/test_fingerprint_scenarios.cpp.
 //
 // Allocation contract: schedule_*/post_* are forwarding templates that
 // build the callable once, in place, in a pooled callback cell (a closure
@@ -220,23 +220,10 @@ class EventHandle {
 /// Calendar-queue event scheduler with deterministic same-instant ordering.
 class Scheduler {
  public:
-  /// Queue implementation selector: the calendar queue is the production
-  /// kernel; the binary heap is kept as the A/B reference (bit-identity
-  /// gated in bench/perf_matrix and scripts/check.sh).
-  enum class QueueImpl : std::uint8_t { kCalendar, kHeap };
-
-  /// Process-wide default for new Schedulers (like Arena::set_enabled, a
-  /// bench/test A/B knob — flip it only at quiescent points).
-  static void set_default_impl(QueueImpl impl);
-  static QueueImpl default_impl();
-
-  Scheduler() : Scheduler(default_impl()) {}
-  explicit Scheduler(QueueImpl impl);
+  Scheduler();
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
-
-  QueueImpl impl() const { return impl_; }
 
   /// Current simulated time. Advances only inside run()/step().
   TimePoint now() const { return now_; }
@@ -391,13 +378,6 @@ class Scheduler {
   void mark_bucket(std::uint64_t abs, bool occupied);
   void note_batch(std::size_t fired);
 
-  // ---- kHeap reference implementation ----
-  void heap_push(Entry entry);
-  Entry heap_pop();
-  bool heap_step();
-  void heap_run_until(TimePoint deadline);
-
-  QueueImpl impl_;
   detail::ControlBlockPool* pool_;
   detail::CallbackPool cbpool_;
 
@@ -413,9 +393,6 @@ class Scheduler {
   std::size_t ring_count_ = 0;
   std::uint64_t next_abs_bucket_ = 0;  ///< first un-promoted bucket index
   std::vector<Entry> overflow_;        ///< heap, Later{}
-
-  // kHeap tier.
-  std::vector<Entry> heap_;
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;

@@ -2,8 +2,7 @@
 // client sampling, byte-identical reports across shard counts and job
 // counts, checkpoint/resume identity after a mid-campaign cancellation or
 // a torn journal tail, shards persisted before they are announced,
-// aggregate JSON round trips, reports unchanged with arenas off, and the
-// campaign.* metrics family.
+// aggregate JSON round trips, and the campaign.* metrics family.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include "core/campaign.h"
 #include "core/journal.h"
 #include "obs/metrics.h"
-#include "sim/arena.h"
 #include "sim/trace.h"
 
 namespace bnm::core {
@@ -121,21 +119,6 @@ TEST(Campaign, ReportByteIdenticalAcrossShardAndJobCounts) {
   CampaignOptions pooled;
   pooled.jobs = 3;
   EXPECT_EQ(reference, campaign_report_json(many, run_campaign(many, pooled)));
-}
-
-TEST(Campaign, ReportByteIdenticalArenaOnAndOff) {
-  // With arenas globally disabled the runner's scope is hidden
-  // (Arena::current() is null) and shards fall back to the heap.
-  const CampaignSpec spec = small_spec(30, 3);
-  CampaignOptions serial;
-  serial.jobs = 1;
-  const std::string with_arena =
-      campaign_report_json(spec, run_campaign(spec, serial));
-  sim::Arena::set_enabled(false);
-  const std::string without_arena =
-      campaign_report_json(spec, run_campaign(spec, serial));
-  sim::Arena::set_enabled(true);
-  EXPECT_EQ(with_arena, without_arena);
 }
 
 TEST(Campaign, CancelThenResumeProducesIdenticalReport) {

@@ -546,6 +546,24 @@ TEST_F(PassiveTcpTest, PcapWriteFileThrowsWhenTheWriteFails) {
   }
 }
 
+// The stream overload reports a failed stream instead of the byte count
+// it meant to write: a stream with no buffer is bad from the start.
+TEST_F(PassiveTcpTest, PcapWriteThrowsWhenTheStreamFails) {
+  server->tcp_listen(9000, [](std::shared_ptr<net::TcpConnection>) {});
+  client->tcp_connect(server_ep(9000), {});
+  run_all();
+  const auto& cap = client->capture();
+  ASSERT_FALSE(cap.empty());
+  std::ostream out{nullptr};
+  ASSERT_TRUE(out.bad());
+  try {
+    net::PcapWriter::write(cap, out);
+    FAIL() << "write reported a failed stream as written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "cannot write pcap output");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end appraisal against capture ground truth
 // ---------------------------------------------------------------------------

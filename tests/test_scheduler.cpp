@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -283,43 +286,186 @@ TEST(Scheduler, StepBatchFiresWholeBucketAndCountsBatches) {
   EXPECT_EQ(s.executed_batches(), 2u);
 }
 
-TEST(Scheduler, CalendarAndHeapFireIdenticalSequences) {
-  // The same pseudo-random workload (schedules, nested schedules, cancels)
-  // under both queue implementations must fire the identical sequence of
-  // (time, tag) pairs — the A/B identity the Release gate enforces at
-  // matrix scale.
-  auto drive = [](Scheduler::QueueImpl impl) {
-    Scheduler s{impl};
-    std::vector<std::pair<std::int64_t, int>> fired;
-    std::vector<EventHandle> handles;
-    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
-    auto next = [&rng] {
-      rng ^= rng << 13;
-      rng ^= rng >> 7;
-      rng ^= rng << 17;
-      return rng;
-    };
-    for (int i = 0; i < 400; ++i) {
-      const auto delay = Duration::nanos(
-          static_cast<std::int64_t>(next() % 40'000'000));  // 0..40ms
-      handles.push_back(s.schedule_after(delay, [&s, &fired, &next, i] {
-        fired.emplace_back(s.now().ns_since_epoch(), i);
-        if (next() % 4 == 0) {
-          s.post_after(Duration::nanos(static_cast<std::int64_t>(
-                           next() % 1'000'000)),
-                       [&s, &fired, i] {
-                         fired.emplace_back(s.now().ns_since_epoch(),
-                                            i + 1000);
-                       });
-        }
-      }));
-    }
-    for (std::size_t i = 0; i < handles.size(); i += 7) handles[i].cancel();
-    s.run();
-    return fired;
+// Order-property oracle for the calendar queue. It needs no reference
+// queue: the oracle numbers every scheduling call itself, in the order the
+// calls are made, so the kernel's promise reads directly as "fired
+// (at, number) pairs strictly increase, each at its requested instant".
+struct OrderOracle {
+  struct Event {
+    TimePoint at;  ///< requested instant
+    bool cancelled = false;
+    int fired = 0;
   };
-  EXPECT_EQ(drive(Scheduler::QueueImpl::kCalendar),
-            drive(Scheduler::QueueImpl::kHeap));
+  static constexpr std::size_t kMaxEvents = 3000;
+
+  explicit OrderOracle(Scheduler& sched) : s{sched} {}
+
+  std::uint64_t next() {  // xorshift64
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  }
+  std::int64_t below(std::int64_t n) {
+    return static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(n));
+  }
+  /// Whole-millisecond instants tie across events scheduled from different
+  /// now()s; random nanosecond delays almost never do.
+  TimePoint ms_boundary_after(std::int64_t extra_ms) const {
+    constexpr std::int64_t kMs = 1'000'000;
+    return TimePoint::from_ns((s.now().ns_since_epoch() / kMs + 1 + extra_ms) *
+                              kMs);
+  }
+
+  /// Delay mix: the ring, past the ~16.8 ms horizon into the overflow tier,
+  /// onto whole milliseconds, inside the active bucket (merge-inserted when
+  /// scheduled from a callback) and at now() itself.
+  Duration delay() {
+    switch (next() % 5) {
+      case 0:
+        return Duration::nanos(below(12'000'000));
+      case 1:
+        return Duration::nanos(17'000'000 + below(30'000'000));
+      case 2:
+        return ms_boundary_after(below(20)) - s.now();
+      case 3:
+        return Duration::nanos(below(Scheduler::bucket_width().ns()));
+      default:
+        return Duration::zero();
+    }
+  }
+
+  /// Schedule one event (cancellable or fire-and-forget) `delay()` ahead.
+  void add() {
+    if (events.size() >= kMaxEvents) return;
+    const std::size_t id = events.size();
+    const Duration d = delay();
+    if (d > Scheduler::bucket_width() * Scheduler::kBuckets) ++far;
+    events.push_back({s.now() + d});
+    auto fire = [this, id] { on_fire(id); };
+    if (next() % 2 == 0) {
+      handles.emplace_back(id, s.schedule_after(d, fire));
+    } else {
+      s.post_after(d, fire);
+    }
+  }
+
+  /// Cancel a random cancellable event; only one that has not fired yet
+  /// counts as cancelled (cancelling a fired event is a no-op).
+  void cancel_one() {
+    if (handles.empty()) return;
+    auto& [id, handle] = handles[static_cast<std::size_t>(
+        below(static_cast<std::int64_t>(handles.size())))];
+    if (events[id].fired == 0) events[id].cancelled = true;
+    handle.cancel();
+  }
+
+  void fail(std::size_t id, const char* what) {
+    if (errors++ == 0) {
+      first_error = "event " + std::to_string(id) + ": " + what;
+    }
+  }
+
+  void on_fire(std::size_t id) {
+    Event& e = events[id];
+    if (e.cancelled) fail(id, "a cancelled event fired");
+    if (s.now() != e.at) fail(id, "fired away from its requested instant");
+    const std::pair<std::int64_t, std::size_t> key{e.at.ns_since_epoch(), id};
+    if (fired_total != 0) {
+      if (!(last < key)) fail(id, "fired out of (at, schedule order)");
+      if (key.first == last.first) ++ties;
+    }
+    last = key;
+    ++fired_total;
+    ++e.fired;  // `e` is not used past this point: add() may grow events
+    if (fired_total % 97 == 0) stop = true;
+    for (std::int64_t n = below(3); n > 0; --n) add();
+    if (next() % 8 == 0) cancel_one();
+  }
+
+  /// After run_until(deadline): nothing live at or before it stays queued.
+  void expect_nothing_due(TimePoint deadline) {
+    for (std::size_t id = 0; id < events.size(); ++id) {
+      const Event& e = events[id];
+      if (!e.cancelled && e.fired == 0 && e.at <= deadline) {
+        fail(id, "still queued after run_until passed its instant");
+      }
+    }
+  }
+
+  Scheduler& s;
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  std::vector<Event> events;
+  std::vector<std::pair<std::size_t, EventHandle>> handles;
+  std::pair<std::int64_t, std::size_t> last{};
+  std::size_t fired_total = 0;
+  std::size_t ties = 0;  ///< firings at the same instant as the previous one
+  std::size_t far = 0;   ///< events scheduled past the ring horizon
+  bool stop = false;     ///< run_while's stop flag, raised every 97 firings
+  std::size_t errors = 0;
+  std::string first_error;
+};
+
+TEST(Scheduler, FiresInAtThenScheduleOrderOnEveryDrive) {
+  enum class Drive { kRun, kRunUntil, kStep, kRunWhile };
+  for (const Drive drive :
+       {Drive::kRun, Drive::kRunUntil, Drive::kStep, Drive::kRunWhile}) {
+    SCOPED_TRACE("drive " + std::to_string(static_cast<int>(drive)));
+    Scheduler s;
+    OrderOracle o{s};
+    for (int i = 0; i < 400; ++i) o.add();
+    for (int i = 0; i < 60; ++i) o.cancel_one();
+    switch (drive) {
+      case Drive::kRun:
+        s.run();
+        break;
+      case Drive::kStep:
+        while (s.step()) {
+        }
+        break;
+      case Drive::kRunUntil:
+        // Slices end at random instants or exactly on a whole millisecond
+        // (where ties sit); the harness schedules and cancels in between.
+        while (s.pending_events() != 0) {
+          const TimePoint deadline =
+              o.next() % 2 == 0 ? s.now() + Duration::nanos(o.below(3'000'000))
+                                : o.ms_boundary_after(o.below(3));
+          s.run_until(deadline);
+          EXPECT_EQ(s.now(), deadline);
+          o.expect_nothing_due(deadline);
+          o.add();
+          o.cancel_one();
+        }
+        break;
+      case Drive::kRunWhile:
+        // Stops come from the flag, the time bound and an event budget.
+        while (s.pending_events() != 0) {
+          o.stop = false;
+          const Scheduler::RunLimits limits{nullptr, 1 + o.next() % 50};
+          s.run_while(o.stop, s.now() + Duration::nanos(o.below(2'000'000)),
+                      o.next() % 2 == 0 ? &limits : nullptr);
+          o.add();
+          o.cancel_one();
+        }
+        break;
+    }
+
+    EXPECT_EQ(o.errors, 0u) << o.first_error;
+    EXPECT_EQ(s.pending_events(), 0u);
+    std::size_t cancelled = 0, wrong_count = 0;
+    for (const OrderOracle::Event& e : o.events) {
+      cancelled += e.cancelled ? 1 : 0;
+      if (e.fired != (e.cancelled ? 0 : 1)) ++wrong_count;
+    }
+    EXPECT_EQ(wrong_count, 0u) << "events not fired exactly once (or, if "
+                                  "cancelled, never)";
+    EXPECT_EQ(o.fired_total + cancelled, o.events.size());
+    // The workload reached what it is meant to cover.
+    EXPECT_EQ(o.events.size(), OrderOracle::kMaxEvents);
+    EXPECT_GT(cancelled, 0u);
+    EXPECT_GT(o.ties, 0u);
+    EXPECT_GT(o.far, 0u);
+  }
 }
 
 TEST(Scheduler, ClearedSchedulerReanchorsAndKeepsWorking) {

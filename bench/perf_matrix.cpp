@@ -532,7 +532,6 @@ benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
            {"schedule_ns_per_event", num(s.handle_ns_per_event)},
            {"post_ns_per_event", num(s.post_ns_per_event)},
            {"events_per_sec", num(s.events_per_sec())},
-           {"calendar_ns_per_event", num(s.batched_ns_per_event)},
            {"batched_ns_per_event", num(s.batched_ns_per_event)},
            {"stepwise_ns_per_event", num(s.stepwise_ns_per_event)},
            {"batch_speedup", num(s.batch_speedup())},

@@ -302,20 +302,6 @@ BrowserProfile make_profile(BrowserId browser, OsId os) {
     p.policy.flash_post_always_new_connection = true;
   }
 
-  // Clock behaviour (Section 4.2): the Windows timer behind the Java
-  // plugin's currentTimeMillis() flips between 1 ms and 15.625 ms regimes.
-  p.js_date_clock.granularities = {sim::Duration::millis(1)};
-  if (os == OsId::kWindows7) {
-    p.java_date_clock.granularities = {
-        sim::Duration::millis(1),
-        sim::Duration::from_millis_f(15.625),
-    };
-    p.java_date_clock.epoch_min = sim::Duration::minutes(1);
-    p.java_date_clock.epoch_max = sim::Duration::minutes(4);
-  } else {
-    p.java_date_clock.granularities = {sim::Duration::millis(1)};
-  }
-
   // --- Overhead calibration (DESIGN.md §5) ---
   const HttpRow& h = http_row(browser, os);
   const double sig = os == OsId::kUbuntu ? 0.35 : 0.45;
@@ -400,10 +386,6 @@ BrowserProfile make_mobile_profile(MobilePlatform platform) {
   p.supports_websocket = true;
   p.flash_version = "-";
   p.java_version = "-";
-
-  // Both mobile OSes keep a steady 1 ms Date.getTime() granularity.
-  p.js_date_clock.granularities = {sim::Duration::millis(1)};
-  p.java_date_clock.granularities = {sim::Duration::millis(1)};
 
   // Phone-class CPUs: 2-4x the desktop dispatch overheads of the engine's
   // desktop sibling.

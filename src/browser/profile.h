@@ -20,7 +20,6 @@
 #include <tuple>
 #include <vector>
 
-#include "browser/timing.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -135,12 +134,6 @@ struct BrowserProfile {
   std::string browser_version;
 
   ConnectionPolicy policy;
-
-  /// OS timer behaviour behind Date.getTime() in the Java plugin.
-  QuantizedClock::Config java_date_clock;
-  /// Date.getTime() as the JS engine / Flash expose it (browsers run their
-  /// own 1 ms timer; the paper saw no Windows pathology outside Java).
-  QuantizedClock::Config js_date_clock;
 
   /// Safari's stock Java interface (JavaPlugin.jar / npJavaPlugin.dll)
   /// "runs into problems easily" (§5): warm-path Date.getTime()

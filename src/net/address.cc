@@ -1,5 +1,6 @@
 #include "net/address.h"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -16,15 +17,30 @@ IpAddress IpAddress::parse(const std::string& dotted) {
                    static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d)};
 }
 
+namespace {
+
+/// Writes the dotted quad at `out` (at most 15 bytes); returns its end.
+char* format_ip(char* out, std::uint32_t raw) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out = std::to_chars(out, out + 3, (raw >> shift) & 0xff).ptr;
+    if (shift != 0) *out++ = '.';
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string IpAddress::to_string() const {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (raw_ >> 24) & 0xff,
-                (raw_ >> 16) & 0xff, (raw_ >> 8) & 0xff, raw_ & 0xff);
-  return buf;
+  char buf[15];
+  return {buf, format_ip(buf, raw_)};
 }
 
 std::string Endpoint::to_string() const {
-  return ip.to_string() + ":" + std::to_string(port);
+  char buf[21];  // "255.255.255.255:65535"
+  char* end = format_ip(buf, ip.raw());
+  *end++ = ':';
+  end = std::to_chars(end, buf + sizeof buf, port).ptr;
+  return {buf, end};
 }
 
 std::string FourTuple::to_string() const {

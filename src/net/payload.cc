@@ -12,17 +12,12 @@ namespace bnm::net {
 namespace {
 
 // Counters live in the obs metrics registry (docs/OBSERVABILITY.md,
-// "payload.*"); the PayloadStats accessors below stay the public API.
+// "payload.*"); the PayloadStats accessors below stay the public API. The
+// aliased-bytes counter is in payload.h, for the inline subview().
 const obs::Counter& deep_copy_counter() {
   static const obs::Counter c = obs::MetricsRegistry::instance().counter(
       "payload.deep_copy_bytes", "bytes",
       "bytes memcpy'd into payload buffers");
-  return c;
-}
-const obs::Counter& aliased_counter() {
-  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
-      "payload.aliased_bytes", "bytes",
-      "bytes shared by reference instead of copied");
   return c;
 }
 const obs::Counter& buffers_counter() {
@@ -36,102 +31,50 @@ void count_deep(std::size_t bytes) {
   if (bytes) deep_copy_counter().add(bytes);
 }
 void count_alias(std::size_t bytes) {
-  if (bytes) aliased_counter().add(bytes);
+  if (bytes) detail::aliased_bytes_counter().add(bytes);
 }
 void count_buffer() { buffers_counter().add(1); }
 
-// The empty view needs no buffer at all.
-const std::uint8_t* empty_data() {
-  static const std::uint8_t b = 0;
-  return &b;
-}
-
 }  // namespace
 
-/// One refcounted immutable byte buffer. Two storage modes:
-///   * inline  — the bytes live directly after the header, in the same
-///     block (a single arena bump or a single ::operator new);
-///   * adopted — the buffer wraps a std::vector handed in by the caller
-///     (zero-copy adoption; the vector keeps its own heap storage).
-/// The block itself comes from the thread's current sim::Arena when one is
-/// installed; deref() then skips operator delete — the arena reclaims the
-/// memory wholesale at reset(). The refcount is atomic so a buffer may be
-/// observed from stats/teardown paths, but arena-backed buffers are
-/// thread-confined like the simulation that made them.
-class PayloadBuffer {
- public:
-  /// New inline buffer with `size` uninitialized bytes (size > 0).
-  static PayloadBuffer* create(std::size_t size) {
-    sim::Arena* arena = sim::Arena::current();
-    void* mem =
-        arena != nullptr
-            ? arena->allocate(sizeof(PayloadBuffer) + size,
-                              alignof(PayloadBuffer))
-            : ::operator new(sizeof(PayloadBuffer) + size);
-    return new (mem) PayloadBuffer{size, arena != nullptr};
-  }
+PayloadBuffer* PayloadBuffer::create(std::size_t size) {
+  sim::Arena* arena = sim::Arena::current();
+  void* mem = arena != nullptr
+                  ? arena->allocate(sizeof(PayloadBuffer) + size,
+                                    alignof(PayloadBuffer))
+                  : ::operator new(sizeof(PayloadBuffer) + size);
+  return new (mem) PayloadBuffer{size, arena != nullptr};
+}
 
-  /// Wrap a vector without copying its bytes (vector must be non-empty).
-  static PayloadBuffer* adopt(std::vector<std::uint8_t>&& bytes) {
-    sim::Arena* arena = sim::Arena::current();
-    void* mem = arena != nullptr
-                    ? arena->allocate(sizeof(PayloadBuffer),
-                                      alignof(PayloadBuffer))
-                    : ::operator new(sizeof(PayloadBuffer));
-    return new (mem) PayloadBuffer{std::move(bytes), arena != nullptr};
-  }
+PayloadBuffer* PayloadBuffer::adopt(std::vector<std::uint8_t>&& bytes) {
+  sim::Arena* arena = sim::Arena::current();
+  void* mem = arena != nullptr ? arena->allocate(sizeof(PayloadBuffer),
+                                                 alignof(PayloadBuffer))
+                               : ::operator new(sizeof(PayloadBuffer));
+  return new (mem) PayloadBuffer{std::move(bytes), arena != nullptr};
+}
 
-  void ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
-  void deref() {
-    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) destroy();
-  }
-  std::uint32_t use_count() const {
-    return refs_.load(std::memory_order_relaxed);
-  }
+void PayloadBuffer::destroy() noexcept {
+  const bool heap = !arena_backed_;
+  if (adopted_) vec_.~vector();
+  this->~PayloadBuffer();
+  if (heap) ::operator delete(static_cast<void*>(this));
+}
 
-  std::uint8_t* data() {
-    return adopted_ ? vec_.data()
-                    : reinterpret_cast<std::uint8_t*>(this + 1);
-  }
-  std::size_t size() const { return size_; }
-
- private:
-  PayloadBuffer(std::size_t size, bool arena_backed)
-      : size_{size}, adopted_{false}, arena_backed_{arena_backed} {}
-  PayloadBuffer(std::vector<std::uint8_t>&& bytes, bool arena_backed)
-      : size_{bytes.size()}, adopted_{true}, arena_backed_{arena_backed} {
-    new (&vec_) std::vector<std::uint8_t>(std::move(bytes));
-  }
-  ~PayloadBuffer() {}  // vec_ destroyed manually in destroy()
-
-  void destroy() {
-    const bool heap = !arena_backed_;
-    if (adopted_) vec_.~vector();
-    this->~PayloadBuffer();
-    if (heap) ::operator delete(static_cast<void*>(this));
-  }
-
-  std::atomic<std::uint32_t> refs_{1};
-  std::size_t size_;
-  const bool adopted_;
-  const bool arena_backed_;
-  union {
-    std::vector<std::uint8_t> vec_;  // active only when adopted_
-  };
-};
+const std::uint8_t Payload::kEmptyBytes[1] = {0};
 
 std::uint64_t PayloadStats::deep_copy_bytes() {
   return deep_copy_counter().total();
 }
 std::uint64_t PayloadStats::aliased_bytes() {
-  return aliased_counter().total();
+  return detail::aliased_bytes_counter().total();
 }
 std::uint64_t PayloadStats::buffers_allocated() {
   return buffers_counter().total();
 }
 void PayloadStats::reset() {
   deep_copy_counter().reset();
-  aliased_counter().reset();
+  detail::aliased_bytes_counter().reset();
   buffers_counter().reset();
 }
 
@@ -178,21 +121,6 @@ Payload& Payload::operator=(const Payload& other) {
     count_alias(size_);
   }
   return *this;
-}
-
-void Payload::release(PayloadBuffer* buf) noexcept { buf->deref(); }
-
-const std::uint8_t* Payload::data() const {
-  return buf_ != nullptr ? buf_->data() + offset_ : empty_data();
-}
-
-Payload Payload::subview(std::size_t offset, std::size_t len) const {
-  if (offset >= size_) return Payload{};
-  len = std::min(len, size_ - offset);
-  if (len == 0) return Payload{};
-  count_alias(len);
-  buf_->ref();
-  return Payload{buf_, offset_ + offset, len};
 }
 
 void Payload::clear() {

@@ -24,15 +24,17 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace bnm::net {
+#include "obs/metrics.h"
 
-class PayloadBuffer;
+namespace bnm::net {
 
 /// Global tallies of payload byte traffic. Relaxed atomics: cheap on the
 /// hot path, safe under the parallel matrix runner, precise enough for the
@@ -48,6 +50,70 @@ struct PayloadStats {
   static std::uint64_t buffers_allocated();
   static void reset();
 };
+
+/// One refcounted immutable byte buffer. Two storage modes:
+///   * inline  — the bytes live directly after the header, in the same
+///     block (a single arena bump or a single ::operator new);
+///   * adopted — the buffer wraps a std::vector handed in by the caller
+///     (zero-copy adoption; the vector keeps its own heap storage).
+/// The block itself comes from the thread's current sim::Arena when one is
+/// installed; deref() then skips operator delete — the arena reclaims the
+/// memory wholesale at reset(). The refcount is atomic so a buffer may be
+/// observed from stats/teardown paths, but arena-backed buffers are
+/// thread-confined like the simulation that made them. Declared here only
+/// so Payload's per-packet accessors inline; only Payload uses it.
+class PayloadBuffer {
+ public:
+  /// New inline buffer with `size` uninitialized bytes (size > 0).
+  static PayloadBuffer* create(std::size_t size);
+  /// Wrap a vector without copying its bytes (vector must be non-empty).
+  static PayloadBuffer* adopt(std::vector<std::uint8_t>&& bytes);
+
+  void ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
+  void deref() noexcept {
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) destroy();
+  }
+  std::uint32_t use_count() const {
+    return refs_.load(std::memory_order_relaxed);
+  }
+
+  std::uint8_t* data() {
+    return adopted_ ? vec_.data() : reinterpret_cast<std::uint8_t*>(this + 1);
+  }
+  const std::uint8_t* data() const {
+    return const_cast<PayloadBuffer*>(this)->data();
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  PayloadBuffer(std::size_t size, bool arena_backed)
+      : size_{size}, adopted_{false}, arena_backed_{arena_backed} {}
+  PayloadBuffer(std::vector<std::uint8_t>&& bytes, bool arena_backed)
+      : size_{bytes.size()}, adopted_{true}, arena_backed_{arena_backed} {
+    new (&vec_) std::vector<std::uint8_t>(std::move(bytes));
+  }
+  ~PayloadBuffer() {}  // vec_ destroyed manually in destroy()
+  void destroy() noexcept;
+
+  std::atomic<std::uint32_t> refs_{1};
+  std::size_t size_;
+  const bool adopted_;
+  const bool arena_backed_;
+  union {
+    std::vector<std::uint8_t> vec_;  // active only when adopted_
+  };
+};
+
+namespace detail {
+/// The `payload.aliased_bytes` counter (docs/OBSERVABILITY.md). Inline so
+/// that subview(), which bumps it, inlines too.
+inline const obs::Counter& aliased_bytes_counter() {
+  static const obs::Counter c = obs::MetricsRegistry::instance().counter(
+      "payload.aliased_bytes", "bytes",
+      "bytes shared by reference instead of copied");
+  return c;
+}
+}  // namespace detail
 
 /// An immutable view (offset + length) into a refcounted byte buffer.
 /// Copying is O(1); the bytes are shared, never duplicated. The API is
@@ -68,15 +134,16 @@ class Payload {
 
   Payload(const Payload& other);
   Payload& operator=(const Payload& other);
-  // Moves and destruction run on every packet hop, so they stay inline;
-  // only dropping a reference reaches into payload.cc.
+  // Moves, destruction, data() and subview() run on every packet hop or
+  // pcap record, so they stay inline; only freeing a buffer reaches into
+  // payload.cc.
   Payload(Payload&& other) noexcept
       : buf_{std::exchange(other.buf_, nullptr)},
         offset_{std::exchange(other.offset_, 0)},
         size_{std::exchange(other.size_, 0)} {}
   Payload& operator=(Payload&& other) noexcept {
     if (this != &other) {
-      if (buf_ != nullptr) release(buf_);
+      if (buf_ != nullptr) buf_->deref();
       buf_ = std::exchange(other.buf_, nullptr);
       offset_ = std::exchange(other.offset_, 0);
       size_ = std::exchange(other.size_, 0);
@@ -84,19 +151,28 @@ class Payload {
     return *this;
   }
   ~Payload() {
-    if (buf_ != nullptr) release(buf_);
+    if (buf_ != nullptr) buf_->deref();
   }
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  const std::uint8_t* data() const;
+  const std::uint8_t* data() const {
+    return buf_ != nullptr ? buf_->data() + offset_ : kEmptyBytes;
+  }
   const_iterator begin() const { return data(); }
   const_iterator end() const { return data() + size_; }
   std::uint8_t operator[](std::size_t i) const { return data()[i]; }
 
   /// Zero-copy sub-view: `len` bytes starting at `offset` (clamped to the
   /// view's bounds). Shares the backing buffer.
-  Payload subview(std::size_t offset, std::size_t len) const;
+  Payload subview(std::size_t offset, std::size_t len) const {
+    if (offset >= size_) return Payload{};
+    len = std::min(len, size_ - offset);
+    if (len == 0) return Payload{};
+    detail::aliased_bytes_counter().add(len);
+    buf_->ref();
+    return Payload{buf_, offset_ + offset, len};
+  }
   /// Zero-copy prefix of at most `n` bytes.
   Payload first(std::size_t n) const { return subview(0, n); }
   /// Zero-copy suffix starting at `offset`.
@@ -150,8 +226,10 @@ class Payload {
   /// Takes ownership of one reference (the caller must have ref'd `buf`).
   Payload(PayloadBuffer* buf, std::size_t offset, std::size_t size)
       : buf_{buf}, offset_{offset}, size_{size} {}
-  /// Drop one reference to `buf`, freeing it with the last one.
-  static void release(PayloadBuffer* buf) noexcept;
+  /// What data() points at for the empty view, which has no buffer. Its
+  /// bound is left out here so that inlined reads behind an empty() check
+  /// do not trip -Warray-bounds.
+  static const std::uint8_t kEmptyBytes[];
 
   PayloadBuffer* buf_ = nullptr;
   std::size_t offset_ = 0;

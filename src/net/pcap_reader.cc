@@ -43,18 +43,22 @@ std::uint32_t u32be(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
 }
 
-}  // namespace
+constexpr std::size_t kFileHeader = 24;
+constexpr std::size_t kRecordHeader = 16;
 
-std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
-  if (frame.size() < kIpHeaderBytes) return std::nullopt;
-  const unsigned char* p = frame.data();
-  if ((p[0] >> 4) != 4) return std::nullopt;  // IPv4 only
+/// Parses the on-wire IPv4 frame at [off, off + len) of `buf` into `pkt`
+/// (a default Packet). The transport payload becomes a subview of `buf`:
+/// the only reference the frame costs. False on malformed input.
+bool parse_frame_at(const Payload& buf, std::size_t off, std::size_t len,
+                    Packet& pkt) {
+  if (len < kIpHeaderBytes) return false;
+  const unsigned char* p = buf.data() + off;
+  if ((p[0] >> 4) != 4) return false;  // IPv4 only
   const std::size_t ihl = static_cast<std::size_t>(p[0] & 0x0f) * 4;
-  if (ihl < kIpHeaderBytes || frame.size() < ihl) return std::nullopt;
+  if (ihl < kIpHeaderBytes || len < ihl) return false;
   const std::size_t total = u16be(p + 2);
-  if (total < ihl || total > frame.size()) return std::nullopt;
+  if (total < ihl || total > len) return false;
 
-  Packet pkt;
   pkt.id = u16be(p + 4);
   pkt.src.ip = IpAddress{u32be(p + 12)};
   pkt.dst.ip = IpAddress{u32be(p + 16)};
@@ -65,14 +69,14 @@ std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
 
   if (proto == 6) {
     pkt.protocol = Protocol::kTcp;
-    if (remaining < kTcpHeaderBytes) return std::nullopt;
+    if (remaining < kTcpHeaderBytes) return false;
     pkt.src.port = u16be(t);
     pkt.dst.port = u16be(t + 2);
     pkt.seq = u32be(t + 4);
     pkt.ack = u32be(t + 8);
     const std::size_t data_offset = static_cast<std::size_t>(t[12] >> 4) * 4;
     if (data_offset < kTcpHeaderBytes || remaining < data_offset) {
-      return std::nullopt;
+      return false;
     }
     const unsigned char flags = t[13];
     pkt.flags.fin = flags & 0x01;
@@ -90,27 +94,49 @@ std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
         continue;
       }
       if (o + 1 >= data_offset) break;
-      const std::size_t len = t[o + 1];
-      if (len < 2 || o + len > data_offset) break;  // malformed: stop
-      if (kind == 8 && len == 10) {
+      const std::size_t opt_len = t[o + 1];
+      if (opt_len < 2 || o + opt_len > data_offset) break;  // malformed: stop
+      if (kind == 8 && opt_len == 10) {
         pkt.ts.present = true;
         pkt.ts.tsval = u32be(t + o + 2);
         pkt.ts.tsecr = u32be(t + o + 6);
       }
-      o += len;
+      o += opt_len;
     }
-    pkt.payload = frame.subview(ihl + data_offset, remaining - data_offset);
+    pkt.payload = buf.subview(off + ihl + data_offset, remaining - data_offset);
   } else if (proto == 17) {
     pkt.protocol = Protocol::kUdp;
-    if (remaining < kUdpHeaderBytes) return std::nullopt;
+    if (remaining < kUdpHeaderBytes) return false;
     pkt.src.port = u16be(t);
     pkt.dst.port = u16be(t + 2);
     const std::size_t udp_len = u16be(t + 4);
-    if (udp_len < kUdpHeaderBytes || udp_len > remaining) return std::nullopt;
-    pkt.payload = frame.subview(ihl + kUdpHeaderBytes, udp_len - kUdpHeaderBytes);
+    if (udp_len < kUdpHeaderBytes || udp_len > remaining) return false;
+    pkt.payload =
+        buf.subview(off + ihl + kUdpHeaderBytes, udp_len - kUdpHeaderBytes);
   } else {
-    return std::nullopt;  // other protocols not modelled
+    return false;  // other protocols not modelled
   }
+  return true;
+}
+
+/// Records whose header and frame bytes are all present, counted over the
+/// record headers alone with read()'s own bounds checks: read() reserves
+/// this many once. `size` must cover the file header.
+std::size_t complete_records(const unsigned char* p, std::size_t size) {
+  std::size_t n = 0;
+  for (std::size_t off = kFileHeader; size - off >= kRecordHeader; ++n) {
+    const std::size_t incl_len = u32le(p + off + 8);
+    if (incl_len > size - off - kRecordHeader) break;
+    off += kRecordHeader + incl_len;
+  }
+  return n;
+}
+
+}  // namespace
+
+std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
+  Packet pkt;
+  if (!parse_frame_at(frame, 0, frame.size(), pkt)) return std::nullopt;
   return pkt;
 }
 
@@ -124,8 +150,6 @@ PcapReader::Result PcapReader::read(std::istream& in) {
   const Payload stream{read_all(in)};
   const unsigned char* p = stream.data();
   const std::size_t size = stream.size();
-  constexpr std::size_t kFileHeader = 24;
-  constexpr std::size_t kRecordHeader = 16;
 
   // Big-endian or nanosecond variants are not produced by PcapWriter.
   if (size >= 4 && u32le(p) != 0xa1b2c3d4) return fail(Error::kBadMagic);
@@ -134,21 +158,25 @@ PcapReader::Result PcapReader::read(std::istream& in) {
   if (result.link_type != PcapWriter::kLinkTypeRaw) {
     return fail(Error::kUnsupportedLinkType);
   }
+  result.records.reserve(complete_records(p, size));
 
   // Every length is checked against the bytes at hand before it is used,
   // so a hostile incl_len costs nothing. Fewer than 4 bytes at a record
-  // boundary (not even a timestamp) is a clean end of file.
+  // boundary (not even a timestamp) is a clean end of file. Each frame is
+  // parsed in place from the stream buffer, straight into its record.
   for (std::size_t off = kFileHeader; size - off >= 4;) {
     if (size - off < kRecordHeader) return fail(Error::kTruncated);
     const std::size_t incl_len = u32le(p + off + 8);
     if (incl_len > size - off - kRecordHeader) return fail(Error::kTruncated);
-    auto packet = parse_frame(stream.subview(off + kRecordHeader, incl_len));
-    if (!packet) return fail(Error::kBadIpHeader);
+    PcapRecord& rec = result.records.emplace_back();
+    if (!parse_frame_at(stream, off + kRecordHeader, incl_len, rec.packet)) {
+      result.records.pop_back();
+      return fail(Error::kBadIpHeader);
+    }
     const std::int64_t ts_sec = u32le(p + off);
     const std::int64_t ts_usec = u32le(p + off + 4);
-    result.records.push_back(PcapRecord{
-        sim::TimePoint::from_ns(ts_sec * 1'000'000'000 + ts_usec * 1'000),
-        std::move(*packet)});
+    rec.timestamp =
+        sim::TimePoint::from_ns(ts_sec * 1'000'000'000 + ts_usec * 1'000);
     off += kRecordHeader + incl_len;
   }
   return result;

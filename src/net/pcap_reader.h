@@ -42,13 +42,21 @@ class PcapReader {
   /// stream is read into one buffer: every record's payload is a zero-copy
   /// view of it and keeps it alive, so records outlive the stream.
   /// Lengths are bounds-checked against the bytes read before use.
+  ///
+  /// Cost: a pre-walk over the record headers, with the same bounds
+  /// checks, counts the complete records so `records` is reserved once.
+  /// Each frame is then parsed in place from the buffer straight into its
+  /// record, so a record costs one buffer reference (its transport
+  /// payload; none when that is empty) and no allocation. On an error,
+  /// `records` holds the records before the failing one.
   static Result read(std::istream& in);
   /// read() over a file; an unopenable file is kTruncated.
   static Result read_file(const std::string& path);
 
   /// Parse one on-wire IPv4 frame (header + transport + payload) into a
-  /// Packet. The packet's payload is a zero-copy subview of `frame`'s
-  /// buffer. Returns nullopt on malformed input. Exposed for tests.
+  /// Packet, with the same checks read() applies to each record. The
+  /// packet's payload is a zero-copy subview of `frame`'s buffer. Returns
+  /// nullopt on malformed input. Exposed for tests.
   static std::optional<Packet> parse_frame(const Payload& frame);
 };
 

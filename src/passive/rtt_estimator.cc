@@ -1,6 +1,10 @@
 #include "passive/rtt_estimator.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "obs/json.h"
@@ -22,6 +26,30 @@ bool seq_lt(std::uint32_t a, std::uint32_t b) {
 
 // Sweep cadence for anchor eviction: amortized, content-deterministic.
 constexpr std::uint64_t kEvictEvery = 4096;
+
+// Linear probing in an open-addressing index: `slots` has a power-of-two
+// size, and each entry holds a position + 1, or 0 when free. Returns the
+// entry whose position `is_key` accepts, or the free one where `key`
+// belongs. Fibonacci hashing (the top bits of key * 2^64/phi) sends
+// sequential TSvals far apart.
+template <typename IsKey>
+std::uint32_t& probe(std::vector<std::uint32_t>& slots, std::uint64_t key,
+                     IsKey is_key) {
+  const std::uint64_t mask = slots.size() - 1;
+  const int shift = std::countl_zero(mask);
+  for (std::uint64_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift;;
+       i = (i + 1) & mask) {
+    std::uint32_t& slot = slots[i];
+    if (slot == 0 || is_key(slot - 1)) return slot;
+  }
+}
+
+std::uint64_t flow_key(const net::Endpoint& src, const net::Endpoint& dst) {
+  const auto key = [](const net::Endpoint& e) {
+    return (std::uint64_t{e.ip.raw()} << 16) | e.port;
+  };
+  return key(src) * 31 + key(dst);
+}
 
 // One row per PassiveCounters field, in report order: its report_json key
 // and the `passive.*` registry counter it is published to.
@@ -59,6 +87,18 @@ constexpr CounterField kCounterFields[] = {
      "directional (src,dst) pairs observed"},
 };
 
+/// Writes a string literal at `p`; returns the end.
+template <std::size_t N>
+char* put_literal(char* p, const char (&text)[N]) {
+  std::memcpy(p, text, N - 1);
+  return p + N - 1;
+}
+
+/// Writes `v` in decimal at `p` (room for 20 chars); returns the end.
+char* put_integer(char* p, std::int64_t v) {
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
 /// The registry counters of kCounterFields, index for index.
 const std::vector<obs::Counter>& counter_metrics() {
   static const std::vector<obs::Counter> metrics = [] {
@@ -80,6 +120,53 @@ void PassiveRttEstimator::observe(const net::Packet& pkt, sim::TimePoint at,
   ++next_index_;
 }
 
+std::uint32_t& PassiveRttEstimator::flow_slot(const net::Endpoint& src,
+                                              const net::Endpoint& dst) {
+  return probe(flow_slots_, flow_key(src, dst), [&](std::uint32_t f) {
+    return flows_[f].src == src && flows_[f].dst == dst;
+  });
+}
+
+std::uint32_t PassiveRttEstimator::flow_index(const net::Endpoint& src,
+                                              const net::Endpoint& dst) {
+  if ((flows_.size() + 1) * 2 > flow_slots_.size()) {
+    // Grow at half load: re-index every half-flow into twice the slots.
+    flow_slots_.assign(std::max<std::size_t>(16, flow_slots_.size() * 2), 0);
+    for (std::uint32_t f = 0; f < flows_.size(); ++f) {
+      flow_slot(flows_[f].src, flows_[f].dst) = f + 1;
+    }
+  }
+  std::uint32_t& slot = flow_slot(src, dst);
+  if (slot != 0) return slot - 1;
+  const auto f = static_cast<std::uint32_t>(flows_.size());
+  slot = f + 1;
+  HalfFlow& fresh = flows_.emplace_back();
+  fresh.src = src;
+  fresh.dst = dst;
+  ++counters_.half_flows;
+  // Link the two directions once, so a TSecr lookup never hashes.
+  if (const std::uint32_t r = flow_slot(dst, src); r != 0) {
+    fresh.reverse = r - 1;
+    flows_[r - 1].reverse = f;
+  }
+  return f;
+}
+
+std::uint32_t& PassiveRttEstimator::anchor_slot(std::uint32_t flow,
+                                                std::uint32_t tsval) {
+  return probe(anchor_slots_, (std::uint64_t{flow} << 32) | tsval,
+               [&](std::uint32_t a) {
+                 return anchors_[a].flow == flow && anchors_[a].tsval == tsval;
+               });
+}
+
+void PassiveRttEstimator::reindex_anchors(std::size_t capacity) {
+  anchor_slots_.assign(capacity, 0);
+  for (std::uint32_t pos = 0; pos < anchors_.size(); ++pos) {
+    anchor_slot(anchors_[pos].flow, anchors_[pos].tsval) = pos + 1;
+  }
+}
+
 void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
                                      std::size_t wire_payload_len,
                                      std::size_t index) {
@@ -90,9 +177,8 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   ++counters_.ts_packets;
 
   // --- forward half-flow: anchor this packet's TSval ---
-  auto [fit, fresh_flow] = flows_.try_emplace(HalfFlowKey{pkt.src, pkt.dst});
-  HalfFlow& fw = fit->second;
-  if (fresh_flow) ++counters_.half_flows;
+  const std::uint32_t fi = flow_index(pkt.src, pkt.dst);
+  HalfFlow& fw = flows_[fi];
 
   // Karn's-rule analogue: a segment whose sequence space was already covered
   // (RTO/fast retransmit, zero-window probe poking an acked byte) cannot be
@@ -112,15 +198,23 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
     }
   }
 
-  auto [ait, fresh_anchor] = fw.anchors.try_emplace(
-      pkt.ts.tsval, Anchor{t, index, /*matched=*/false, retransmit});
-  if (fresh_anchor) {
+  // Grow at half load before probing, so the slot stays valid.
+  if ((anchors_.size() + 1) * 2 > anchor_slots_.size()) {
+    reindex_anchors(std::max<std::size_t>(64, anchor_slots_.size() * 2));
+  }
+  std::uint32_t& slot = anchor_slot(fi, pkt.ts.tsval);
+  if (slot == 0) {
+    anchors_.push_back(
+        Anchor{t, index, fi, pkt.ts.tsval, /*matched=*/false, retransmit});
+    slot = static_cast<std::uint32_t>(anchors_.size());
+    oldest_anchor_ = std::min(oldest_anchor_, t);
     ++counters_.anchors;
     if (retransmit) ++counters_.retransmit_poisoned;
-  } else if (retransmit && !ait->second.poisoned) {
+  } else if (Anchor& first = anchors_[slot - 1];
+             retransmit && !first.poisoned) {
     // A coarse clock let the retransmit reuse the original's TSval: the
     // original anchor is now ambiguous too.
-    ait->second.poisoned = true;
+    first.poisoned = true;
     ++counters_.retransmit_poisoned;
   } else if (!retransmit) {
     ++counters_.duplicate_tsvals;  // first sight keeps the anchor
@@ -130,24 +224,24 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   // TSecr is only meaningful on ACK segments, and zero means "never seen a
   // timestamp from you" (an initial SYN).
   if (!pkt.flags.ack || pkt.ts.tsecr == 0) return;
-  const auto rit = flows_.find(HalfFlowKey{pkt.dst, pkt.src});
-  if (rit == flows_.end()) {
+  const std::uint32_t ri = fw.reverse;
+  if (ri == kNoFlow) {
     ++counters_.unmatched_echoes;
     return;
   }
-  HalfFlow& rv = rit->second;
-  const auto eit = rv.anchors.find(pkt.ts.tsecr);
-  if (eit == rv.anchors.end()) {
+  const std::uint32_t echoed = anchor_slot(ri, pkt.ts.tsecr);
+  if (echoed == 0) {
     ++counters_.unmatched_echoes;
     return;
   }
-  Anchor& anchor = eit->second;
+  Anchor& anchor = anchors_[echoed - 1];
   if (anchor.matched) return;  // cumulative ACKs repeat TSecr: one sample only
   anchor.matched = true;
   if (anchor.poisoned) {
     ++counters_.suppressed_samples;
     return;
   }
+  HalfFlow& rv = flows_[ri];
   PassiveSample s;
   s.from = pkt.dst;
   s.to = pkt.src;
@@ -160,21 +254,22 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   s.first_on_flow = !rv.sampled;
   rv.sampled = true;
   samples_.push_back(s);
+  sample_flows_.push_back(ri);
   ++counters_.samples;
 }
 
 void PassiveRttEstimator::maybe_evict(sim::TimePoint now) {
   const sim::TimePoint cutoff = now - config_.anchor_window;
-  for (auto& [key, flow] : flows_) {
-    for (auto it = flow.anchors.begin(); it != flow.anchors.end();) {
-      if (it->second.at.ns_since_epoch() < cutoff.ns_since_epoch()) {
-        it = flow.anchors.erase(it);
-        ++counters_.evicted;
-      } else {
-        ++it;
-      }
-    }
+  if (oldest_anchor_.ns_since_epoch() >= cutoff.ns_since_epoch()) return;
+  counters_.evicted += std::erase_if(anchors_, [cutoff](const Anchor& a) {
+    return a.at.ns_since_epoch() < cutoff.ns_since_epoch();
+  });
+  oldest_anchor_ =
+      sim::TimePoint::from_ns(std::numeric_limits<std::int64_t>::max());
+  for (const Anchor& a : anchors_) {
+    oldest_anchor_ = std::min(oldest_anchor_, a.at);
   }
+  reindex_anchors(anchor_slots_.size());
 }
 
 void PassiveRttEstimator::consume(const net::PacketCapture& capture) {
@@ -212,33 +307,31 @@ std::string PassiveRttEstimator::report_json(const std::string& label) const {
   using obs::json::escape_to;
   using obs::json::integer_to;
 
-  // Group samples by (from, to) once: each flow's endpoint strings, its
+  // Group samples by half-flow once: each flow's endpoint strings, its
   // "from > to" label and the text its samples open with are rendered once.
   struct Flow {
     std::string label;
-    std::string head;  ///< a sample object up to its anchor_ns value
+    std::string head;  ///< ',' and a sample object up to its anchor_ns value
     std::vector<double> rtts;
   };
   std::vector<Flow> flows;
-  std::vector<std::size_t> flow_of;  // sample index -> flows index
-  flow_of.reserve(samples_.size());
-  std::unordered_map<HalfFlowKey, std::size_t, HalfFlowKeyHash> index;
-  for (const PassiveSample& s : samples_) {
-    const auto [it, fresh] =
-        index.try_emplace(HalfFlowKey{s.from, s.to}, flows.size());
-    if (fresh) {  // endpoint strings are digits, dots and a colon
-      const std::string from = s.from.to_string();
-      const std::string to = s.to.to_string();
+  std::vector<std::uint32_t> flow_of(flows_.size(), kNoFlow);  // half-flow
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    std::uint32_t& f = flow_of[sample_flows_[i]];
+    if (f == kNoFlow) {  // endpoint strings are digits, dots and a colon
+      const HalfFlow& hf = flows_[sample_flows_[i]];
+      const std::string from = hf.src.to_string();
+      const std::string to = hf.dst.to_string();
+      f = static_cast<std::uint32_t>(flows.size());
       flows.push_back({from + " > " + to,
-                       "{\"from\":\"" + from + "\",\"to\":\"" + to +
+                       ",{\"from\":\"" + from + "\",\"to\":\"" + to +
                            "\",\"anchor_ns\":",
                        {}});
     }
-    flows[it->second].rtts.push_back(static_cast<double>(s.rtt.ns()));
-    flow_of.push_back(it->second);
+    flows[f].rtts.push_back(static_cast<double>(samples_[i].rtt.ns()));
   }
   // Flow summaries are ordered by label string, so the serialization never
-  // depends on hash-map iteration order ("10.0.0.10:80" < "10.0.0.9:80").
+  // depends on first-sight order ("10.0.0.10:80" < "10.0.0.9:80").
   std::vector<Flow*> by_label;
   by_label.reserve(flows.size());
   for (Flow& f : flows) by_label.push_back(&f);
@@ -263,33 +356,40 @@ std::string PassiveRttEstimator::report_json(const std::string& label) const {
 
   out += ",\"flows\":[";
   for (std::size_t i = 0; i < by_label.size(); ++i) {
+    // Extremes from one linear pass, the median by selection: no sort.
     std::vector<double>& rtts = by_label[i]->rtts;
-    std::sort(rtts.begin(), rtts.end());
+    const auto [lo, hi] = std::minmax_element(rtts.begin(), rtts.end());
+    const double min_rtt = *lo;
+    const double max_rtt = *hi;
     out += i == 0 ? "{\"flow\":\"" : ",{\"flow\":\"";
     escape_to(out, by_label[i]->label);
     out += "\",\"samples\":";
     integer_to(out, static_cast<std::int64_t>(rtts.size()));
     out += ",\"min_rtt_ns\":";
-    integer_to(out, static_cast<std::int64_t>(rtts.front()));
+    integer_to(out, static_cast<std::int64_t>(min_rtt));
     out += ",\"median_rtt_ns\":";
     integer_to(out,
-               static_cast<std::int64_t>(stats::quantile_sorted(rtts, 0.5)));
+               static_cast<std::int64_t>(stats::quantile_select(rtts, 0.5)));
     out += ",\"max_rtt_ns\":";
-    integer_to(out, static_cast<std::int64_t>(rtts.back()));
+    integer_to(out, static_cast<std::int64_t>(max_rtt));
     out += '}';
   }
 
+  // A sample is its flow's head (without the comma when first) and a tail
+  // rendered on the stack: two appends per sample.
   out += "],\"samples\":[";
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const PassiveSample& s = samples_[i];
-    if (i != 0) out += ',';
-    out += flows[flow_of[i]].head;
-    integer_to(out, s.anchor_at.ns_since_epoch());
-    out += ",\"rtt_ns\":";
-    integer_to(out, s.rtt.ns());
-    out += ",\"tsval\":";
-    integer_to(out, static_cast<std::int64_t>(s.tsval));
-    out += s.first_on_flow ? ",\"first\":true}" : ",\"first\":false}";
+    out.append(flows[flow_of[sample_flows_[i]]].head, i == 0 ? 1 : 0);
+    char tail[96];  // three integers of at most 20 chars and 40 of literals
+    char* p = put_integer(tail, s.anchor_at.ns_since_epoch());
+    p = put_literal(p, ",\"rtt_ns\":");
+    p = put_integer(p, s.rtt.ns());
+    p = put_literal(p, ",\"tsval\":");
+    p = put_integer(p, s.tsval);
+    p = s.first_on_flow ? put_literal(p, ",\"first\":true}")
+                        : put_literal(p, ",\"first\":false}");
+    out.append(tail, p);
   }
   out += "]}";
   return out;

@@ -25,11 +25,19 @@
 // Observation timestamps are quantized (default 1 µs — libpcap fidelity)
 // before matching, so a live tap and the same capture re-read from a pcap
 // file produce byte-identical reports; scripts/check.sh gates on this.
+//
+// Storage is flat, so the per-packet path does not touch the allocator once
+// the tables have grown: half-flows are numbered in order of first sight in
+// one vector, every anchor of every half-flow is appended to one vector, and
+// one open-addressing table keyed by (half-flow number, TSval) indexes the
+// anchors. The eviction sweep compacts the contiguous anchor vector and
+// re-indexes it; it is skipped outright while no stored anchor is older
+// than the window.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.h"
@@ -77,8 +85,10 @@ class PassiveRttEstimator {
     /// The default matches classic libpcap's microsecond resolution, which
     /// is what makes live-tap and offline-pcap runs byte-identical.
     sim::Duration timestamp_quantum = sim::Duration::micros(1);
-    /// Anchors unmatched for longer than this are evicted (bounds memory on
-    /// long captures; pping's flow timeout).
+    /// Anchors older than this are evicted by the sweep that runs on every
+    /// 4096th observation (bounds memory on long captures; pping's flow
+    /// timeout), matched or not. A sweep costs nothing while every stored
+    /// anchor is inside the window.
     sim::Duration anchor_window = sim::Duration::seconds(10);
     /// consume(PacketCapture): match on the jitter-free true_time column
     /// instead of the capture clock (ground-truth mode for calibration).
@@ -91,6 +101,8 @@ class PassiveRttEstimator {
   /// Feed one observation (live-tap incremental use). `wire_payload_len` is
   /// the on-wire payload size (may exceed pkt.payload.size() under snap-len
   /// truncation); it drives the retransmission detector's sequence math.
+  /// Costs one half-flow lookup and at most two anchor-table probes; it
+  /// allocates only when a table or the sample vector grows (geometrically).
   void observe(const net::Packet& pkt, sim::TimePoint at,
                std::size_t wire_payload_len);
   void observe(const net::Packet& pkt, sim::TimePoint at) {
@@ -110,7 +122,10 @@ class PassiveRttEstimator {
   /// packet stream (counters, per-flow summaries, every sample in
   /// microseconds). Streamed into one string, no obs::json::Value tree;
   /// the bytes are pinned by a literal-bytes test, and the live-vs-offline
-  /// byte-identity gate compares these strings.
+  /// byte-identity gate compares these strings. Samples are grouped by
+  /// half-flow number; each flow's min and max come from one linear pass
+  /// and its median from stats::quantile_select (the interpolation of
+  /// quantile_sorted), so no flow's RTTs are sorted.
   std::string report_json(const std::string& label) const;
 
   /// Fold counter deltas since the last call into the `passive.*` metrics
@@ -119,39 +134,56 @@ class PassiveRttEstimator {
   void publish_metrics();
 
  private:
-  /// Directional half-flow: all packets src -> dst.
-  struct HalfFlowKey {
+  static constexpr std::uint32_t kNoFlow =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Directional half-flow: all packets src -> dst. Numbered by its index
+  /// in flows_, in order of first sight; never removed.
+  struct HalfFlow {
     net::Endpoint src;
     net::Endpoint dst;
-    bool operator==(const HalfFlowKey&) const = default;
+    std::uint32_t reverse = kNoFlow;  ///< the dst -> src half-flow, once seen
+    std::uint32_t max_seq_end = 0;    ///< highest sequence-space byte sent
+    bool seen_seq = false;
+    bool sampled = false;  ///< a sample has been emitted for this direction
   };
-  struct HalfFlowKeyHash {
-    std::size_t operator()(const HalfFlowKey& k) const {
-      const std::size_t a = std::hash<net::Endpoint>{}(k.src);
-      const std::size_t b = std::hash<net::Endpoint>{}(k.dst);
-      return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-    }
-  };
+  /// The first sight of `tsval` on half-flow `flow`.
   struct Anchor {
     sim::TimePoint at;
     std::size_t index = 0;
+    std::uint32_t flow = 0;
+    std::uint32_t tsval = 0;
     bool matched = false;
     bool poisoned = false;
-  };
-  struct HalfFlow {
-    std::unordered_map<std::uint32_t, Anchor> anchors;
-    std::uint32_t max_seq_end = 0;  ///< highest sequence-space byte sent
-    bool seen_seq = false;
-    bool sampled = false;  ///< a sample has been emitted for this direction
   };
 
   void observe_at(const net::Packet& pkt, sim::TimePoint at,
                   std::size_t wire_payload_len, std::size_t index);
+  /// The half-flow src -> dst, numbered on first sight.
+  std::uint32_t flow_index(const net::Endpoint& src, const net::Endpoint& dst);
+  /// The flow_slots_ entry of src -> dst, or the free one where it belongs.
+  std::uint32_t& flow_slot(const net::Endpoint& src, const net::Endpoint& dst);
+  /// The anchor_slots_ entry of (flow, tsval), or the free one where it
+  /// belongs.
+  std::uint32_t& anchor_slot(std::uint32_t flow, std::uint32_t tsval);
+  /// Index every anchor afresh in `capacity` slots (a power of two).
+  void reindex_anchors(std::size_t capacity);
   void maybe_evict(sim::TimePoint now);
 
   Config config_;
-  std::unordered_map<HalfFlowKey, HalfFlow, HalfFlowKeyHash> flows_;
+  std::vector<HalfFlow> flows_;
+  /// Open-addressing index over flows_: half-flow number + 1, 0 when free.
+  std::vector<std::uint32_t> flow_slots_;
+  std::vector<Anchor> anchors_;  ///< every stored anchor, in order of sight
+  /// Open-addressing index over anchors_, keyed by (half-flow, TSval):
+  /// position + 1, 0 when free. Linear probing, at most half full.
+  std::vector<std::uint32_t> anchor_slots_;
+  /// No stored anchor is older than this, so a sweep whose cutoff is not
+  /// past it has nothing to evict.
+  sim::TimePoint oldest_anchor_ =
+      sim::TimePoint::from_ns(std::numeric_limits<std::int64_t>::max());
   std::vector<PassiveSample> samples_;
+  std::vector<std::uint32_t> sample_flows_;  ///< half-flow of each sample
   PassiveCounters counters_;
   PassiveCounters published_;  ///< high-water marks already in the registry
   std::size_t next_index_ = 0;

@@ -18,6 +18,8 @@ TEST(IpAddress, OctetLayout) {
   const IpAddress a{10, 20, 30, 40};
   EXPECT_EQ(a.raw(), 0x0A141E28u);
   EXPECT_EQ(a.to_string(), "10.20.30.40");
+  EXPECT_EQ(IpAddress{0u}.to_string(), "0.0.0.0");
+  EXPECT_EQ(IpAddress{0xffffffffu}.to_string(), "255.255.255.255");
 }
 
 TEST(IpAddress, ParseRejectsMalformed) {
@@ -35,6 +37,9 @@ TEST(IpAddress, Ordering) {
 TEST(Endpoint, Format) {
   const Endpoint e{IpAddress{10, 0, 0, 2}, 8080};
   EXPECT_EQ(e.to_string(), "10.0.0.2:8080");
+  EXPECT_EQ((Endpoint{IpAddress{0u}, 0}).to_string(), "0.0.0.0:0");
+  EXPECT_EQ((Endpoint{IpAddress{0xffffffffu}, 65535}).to_string(),
+            "255.255.255.255:65535");
 }
 
 TEST(Endpoint, Equality) {

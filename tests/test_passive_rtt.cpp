@@ -431,6 +431,41 @@ TEST(PassiveMatcher, WrapAdjacentTsvalsMatchByEquality) {
   EXPECT_EQ(est.samples()[1].rtt.ns(), sim::Duration::millis(30).ns());
 }
 
+TEST(PassiveMatcher, EvictionSweepAgesOutOnlyAnchorsPastTheWindow) {
+  PassiveRttEstimator est;  // 10 s window, a sweep every 4096th packet
+  // Two anchors: TSval 100 at 0 s, TSval 150 at 2 s.
+  est.observe(mk_packet(kA, kB, 1000, 100, 1, 100, 0), at_ms(0));
+  est.observe(mk_packet(kA, kB, 1100, 100, 1, 150, 0), at_ms(2'000));
+  // No-timestamp filler up to packet 4096, which lands at 11 s: its sweep
+  // cuts off at 1 s, so TSval 100 goes and TSval 150 stays.
+  net::Packet filler;
+  filler.protocol = net::Protocol::kUdp;
+  for (int i = 3; i < 4096; ++i) est.observe(filler, at_ms(2'000));
+  EXPECT_EQ(est.counters().evicted, 0u);
+  est.observe(filler, at_ms(11'000));
+  EXPECT_EQ(est.counters().packets, 4096u);
+  EXPECT_EQ(est.counters().evicted, 1u);
+
+  // A late echo of the evicted TSval has nothing to match.
+  est.observe(mk_packet(kB, kA, 1, 0, 1100, 500, 100), at_ms(11'010));
+  EXPECT_EQ(est.counters().unmatched_echoes, 1u);
+  EXPECT_EQ(est.counters().samples, 0u);
+  // The anchor inside the window still matches.
+  est.observe(mk_packet(kB, kA, 1, 0, 1200, 501, 150), at_ms(11'020));
+  ASSERT_EQ(est.counters().samples, 1u);
+  EXPECT_EQ(est.samples()[0].rtt.ns(), sim::Duration::millis(9'020).ns());
+  // After the sweep the evicted TSval anchors afresh, and matches.
+  est.observe(mk_packet(kA, kB, 1200, 100, 1, 100, 0), at_ms(11'030));
+  EXPECT_EQ(est.counters().anchors, 5u);
+  EXPECT_EQ(est.counters().duplicate_tsvals, 0u);
+  est.observe(mk_packet(kB, kA, 1, 0, 1300, 502, 100), at_ms(11'060));
+  ASSERT_EQ(est.counters().samples, 2u);
+  EXPECT_EQ(est.samples()[1].rtt.ns(), sim::Duration::millis(30).ns());
+  EXPECT_EQ(est.samples()[1].anchor_index, 4098u);
+  EXPECT_EQ(est.counters().unmatched_echoes, 1u);
+  EXPECT_EQ(est.counters().evicted, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Pinned report bytes
 // ---------------------------------------------------------------------------

@@ -60,14 +60,6 @@ TEST(MakeProfile, OperaConnectionPolicyQuirks) {
   EXPECT_FALSE(chrome.policy.flash_post_always_new_connection);
 }
 
-TEST(MakeProfile, WindowsJavaClockHasTwoGranularities) {
-  const auto w = make_profile(BrowserId::kFirefox, OsId::kWindows7);
-  EXPECT_EQ(w.java_date_clock.granularities.size(), 2u);
-  const auto u = make_profile(BrowserId::kFirefox, OsId::kUbuntu);
-  EXPECT_EQ(u.java_date_clock.granularities.size(), 1u);
-  EXPECT_EQ(w.js_date_clock.granularities.size(), 1u);
-}
-
 TEST(MakeProfile, SafariPluginNoiseOnlyOnSafariWindows) {
   EXPECT_TRUE(make_profile(BrowserId::kSafari, OsId::kWindows7)
                   .java_date_warm_noise.has_value());

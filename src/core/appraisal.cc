@@ -20,11 +20,7 @@ MethodAppraisal appraise_method(
   std::vector<std::vector<double>> d2_samples;
   for (const auto& series : per_case_series) {
     a.total_samples += static_cast<int>(series.samples.size());
-    a.resilience.timeouts += series.accounting.timeouts;
-    a.resilience.transport_errors += series.accounting.transport_errors;
-    a.resilience.degraded += series.accounting.degraded;
-    a.resilience.http_retries += series.accounting.http_retries;
-    a.resilience.http_timeouts += series.accounting.http_timeouts;
+    record_add(a.resilience, series.accounting);
     if (series.samples.empty()) continue;
     if (a.method_name.empty()) a.method_name = series.method_name;
     const auto box = series.d2_box();

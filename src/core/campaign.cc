@@ -111,29 +111,6 @@ std::size_t pick_weighted(double u, const std::vector<Weight>& weights) {
   return weights.size() - 1;  // fp edge: u == total
 }
 
-// ---------------------------------------------------------------------------
-// Aggregate JSON helpers.
-
-Value u64_json(std::uint64_t v) {
-  return Value::integer(static_cast<std::int64_t>(v));
-}
-
-bool read_u64(const Value* v, std::uint64_t* out) {
-  if (!v || !v->is_int() || v->as_int() < 0) return false;
-  *out = static_cast<std::uint64_t>(v->as_int());
-  return true;
-}
-
-/// Parse a sketch member and require its grid to match `expected`'s.
-bool read_sketch(const Value* v, stats::QuantileSketch* expected) {
-  if (!v) return false;
-  stats::QuantileSketch parsed;
-  if (!stats::QuantileSketch::from_json(*v, &parsed)) return false;
-  if (!(parsed.grid() == expected->grid())) return false;
-  *expected = std::move(parsed);
-  return true;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -311,32 +288,7 @@ void CampaignAggregate::fold(const OverheadSeries& series,
 }
 
 void CampaignAggregate::merge(const CampaignAggregate& other) {
-  clients += other.clients;
-  samples += other.samples;
-  failed_clients += other.failed_clients;
-  for (std::size_t i = 0; i < methods.size(); ++i) {
-    MethodAggregate& a = methods[i];
-    const MethodAggregate& b = other.methods.at(i);
-    a.clients += b.clients;
-    a.samples += b.samples;
-    a.timeouts += b.timeouts;
-    a.transport_errors += b.transport_errors;
-    a.degraded += b.degraded;
-    a.http_retries += b.http_retries;
-    a.http_timeouts += b.http_timeouts;
-    a.d1.merge(b.d1);
-    a.d2.merge(b.d2);
-    for (std::size_t j = 0; j < a.overhead_us.size(); ++j) {
-      a.overhead_us[j] += b.overhead_us[j];
-    }
-  }
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    profiles[i].clients += other.profiles.at(i).clients;
-    profiles[i].samples += other.profiles.at(i).samples;
-    profiles[i].d.merge(other.profiles.at(i).d);
-  }
-  net_rtt.merge(other.net_rtt);
-  rtt_inflation.merge(other.rtt_inflation);
+  record_add(*this, other);
 }
 
 std::size_t CampaignAggregate::memory_bytes() const {
@@ -354,100 +306,6 @@ std::size_t CampaignAggregate::memory_bytes() const {
   return bytes;
 }
 
-obs::json::Value CampaignAggregate::to_json() const {
-  Value v = Value::object();
-  v.add("clients", u64_json(clients));
-  v.add("samples", u64_json(samples));
-  v.add("failed_clients", u64_json(failed_clients));
-  Value ms = Value::array();
-  for (const MethodAggregate& m : methods) {
-    Value mv = Value::object();
-    mv.add("clients", u64_json(m.clients));
-    mv.add("samples", u64_json(m.samples));
-    mv.add("timeouts", u64_json(m.timeouts));
-    mv.add("transport_errors", u64_json(m.transport_errors));
-    mv.add("degraded", u64_json(m.degraded));
-    mv.add("http_retries", u64_json(m.http_retries));
-    mv.add("http_timeouts", u64_json(m.http_timeouts));
-    mv.add("d1", m.d1.to_json());
-    mv.add("d2", m.d2.to_json());
-    Value hist = Value::array();
-    for (std::uint64_t b : m.overhead_us) hist.push(u64_json(b));
-    mv.add("overhead_us", std::move(hist));
-    ms.push(std::move(mv));
-  }
-  v.add("methods", std::move(ms));
-  Value ps = Value::array();
-  for (const ProfileAggregate& p : profiles) {
-    Value pv = Value::object();
-    pv.add("clients", u64_json(p.clients));
-    pv.add("samples", u64_json(p.samples));
-    pv.add("d", p.d.to_json());
-    ps.push(std::move(pv));
-  }
-  v.add("profiles", std::move(ps));
-  v.add("net_rtt", net_rtt.to_json());
-  v.add("rtt_inflation", rtt_inflation.to_json());
-  return v;
-}
-
-bool CampaignAggregate::from_json(const obs::json::Value& v,
-                                  CampaignAggregate* out) {
-  if (!v.is_object()) return false;
-  if (!read_u64(v.find("clients"), &out->clients) ||
-      !read_u64(v.find("samples"), &out->samples) ||
-      !read_u64(v.find("failed_clients"), &out->failed_clients)) {
-    return false;
-  }
-  const Value* ms = v.find("methods");
-  if (!ms || !ms->is_array() || ms->items().size() != out->methods.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < out->methods.size(); ++i) {
-    const Value& mv = ms->items()[i];
-    if (!mv.is_object()) return false;
-    MethodAggregate& m = out->methods[i];
-    if (!read_u64(mv.find("clients"), &m.clients) ||
-        !read_u64(mv.find("samples"), &m.samples) ||
-        !read_u64(mv.find("timeouts"), &m.timeouts) ||
-        !read_u64(mv.find("transport_errors"), &m.transport_errors) ||
-        !read_u64(mv.find("degraded"), &m.degraded) ||
-        !read_u64(mv.find("http_retries"), &m.http_retries) ||
-        !read_u64(mv.find("http_timeouts"), &m.http_timeouts) ||
-        !read_sketch(mv.find("d1"), &m.d1) ||
-        !read_sketch(mv.find("d2"), &m.d2)) {
-      return false;
-    }
-    const Value* hist = mv.find("overhead_us");
-    if (!hist || !hist->is_array() ||
-        hist->items().size() != m.overhead_us.size()) {
-      return false;
-    }
-    for (std::size_t j = 0; j < m.overhead_us.size(); ++j) {
-      if (!read_u64(&hist->items()[j], &m.overhead_us[j])) return false;
-    }
-  }
-  const Value* ps = v.find("profiles");
-  if (!ps || !ps->is_array() || ps->items().size() != out->profiles.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < out->profiles.size(); ++i) {
-    const Value& pv = ps->items()[i];
-    if (!pv.is_object()) return false;
-    ProfileAggregate& p = out->profiles[i];
-    if (!read_u64(pv.find("clients"), &p.clients) ||
-        !read_u64(pv.find("samples"), &p.samples) ||
-        !read_sketch(pv.find("d"), &p.d)) {
-      return false;
-    }
-  }
-  if (!read_sketch(v.find("net_rtt"), &out->net_rtt) ||
-      !read_sketch(v.find("rtt_inflation"), &out->rtt_inflation)) {
-    return false;
-  }
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Campaign checkpoint: the matrix checkpoint's journal (core/journal.h),
 // with the spec hash, client count and shard count in the header and one
@@ -460,42 +318,39 @@ std::string checkpoint_header(const CampaignSpec& spec, std::size_t shards) {
   v.add("format", Value::string(kCampaignCheckpointFormat));
   v.add("version", Value::integer(kCampaignCheckpointVersion));
   v.add("spec_hash", Value::string(campaign_spec_hash_hex(spec)));
-  v.add("clients", u64_json(spec.clients));
-  v.add("shards", u64_json(shards));
+  v.add("clients", Value::integer(spec.clients));
+  v.add("shards", Value::integer(shards));
   return v.dump();
 }
 
-std::string shard_record(std::size_t shard, const CampaignAggregate& state) {
-  Value r = Value::object();
-  r.add("shard", u64_json(shard));
-  r.add("state", state.to_json());
-  return r.dump();
-}
+/// One journal record: a completed shard and its aggregate.
+struct ShardRecord {
+  std::size_t shard = 0;
+  CampaignAggregate state;
 
-/// Load a campaign checkpoint and return per-shard aggregates. Forgiving
-/// like CheckpointReader: a header for another spec, layout or version
-/// gives "no records", and records stop at the first one that is torn,
-/// corrupt or does not decode.
-std::map<std::size_t, CampaignAggregate> load_campaign_checkpoint(
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{Field{"shard", s.shard}, Field{"state", s.state}};
+  }
+};
+
+/// Load a campaign checkpoint and return its shard records by shard.
+/// Forgiving like CheckpointReader: a header for another spec, layout or
+/// version gives "no records", and records stop at the first one that is
+/// torn, corrupt or does not decode.
+std::map<std::size_t, ShardRecord> load_campaign_checkpoint(
     const std::string& path, const CampaignSpec& spec, std::size_t shards,
     std::size_t profile_count) {
-  std::map<std::size_t, CampaignAggregate> out;
+  std::map<std::size_t, ShardRecord> out;
   std::optional<Journal> journal = read_journal(path);
   if (!journal ||
       journal->header.dump() != checkpoint_header(spec, shards)) {
     return out;
   }
   for (const Value& r : journal->records) {
-    const Value* shard = r.find("shard");
-    const Value* state = r.find("state");
-    CampaignAggregate agg{spec.grid, profile_count};
-    if (!shard || !shard->is_int() || shard->as_int() < 0 ||
-        shard->as_int() >= static_cast<std::int64_t>(shards) || !state ||
-        !CampaignAggregate::from_json(*state, &agg)) {
-      break;
-    }
-    out.insert_or_assign(static_cast<std::size_t>(shard->as_int()),
-                         std::move(agg));
+    ShardRecord record{0, CampaignAggregate{spec.grid, profile_count}};
+    if (!record_from_json(r, &record) || record.shard >= shards) break;
+    out.insert_or_assign(record.shard, std::move(record));
   }
   return out;
 }
@@ -550,19 +405,19 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   if (!options.checkpoint.empty()) {
     std::vector<std::string> carried;
     if (options.resume) {
-      for (auto& [shard, agg] :
+      for (const auto& [shard, record] :
            load_campaign_checkpoint(options.checkpoint, spec, shards,
                                     sampler.profile_count())) {
-        result.aggregate.merge(agg);
+        result.aggregate.merge(record.state);
         resumed[shard] = 1;
         ++result.shards_resumed;
-        carried.push_back(shard_record(shard, agg));
+        carried.push_back(record_json(record));
       }
       shards_resumed_counter().add(result.shards_resumed);
     }
+    // Every shard record is fflushed before its shard is announced.
     checkpoint.emplace(options.checkpoint, checkpoint_header(spec, shards),
-                       carried, options.flush_every,
-                       checkpoint_flushes_counter());
+                       carried, 1, checkpoint_flushes_counter());
   }
 
   // A shard is one runner unit: simulate its clients, then merge,
@@ -583,9 +438,11 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const MatrixResult run = run_units(
       resumed, policy, [&](std::size_t shard, CellWatchdog*) {
         const auto t0 = std::chrono::steady_clock::now();
-        const CampaignAggregate agg = run_shard_clients(
-            sampler, spec, spec.clients * shard / shards,
-            spec.clients * (shard + 1) / shards);
+        const ShardRecord record{
+            shard, run_shard_clients(sampler, spec,
+                                     spec.clients * shard / shards,
+                                     spec.clients * (shard + 1) / shards)};
+        const CampaignAggregate& agg = record.state;
         const auto t1 = std::chrono::steady_clock::now();
         std::lock_guard<std::mutex> lock{mu};
         result.aggregate.merge(agg);
@@ -594,7 +451,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         samples_counter().add(agg.samples);
         if (checkpoint) {
           BNM_PROF_SCOPE("campaign.checkpoint_flush");
-          checkpoint->append(shard_record(shard, agg));
+          checkpoint->append(record_json(record));
         }
         if (options.trace) {
           options.trace->emit_span(
@@ -617,7 +474,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   result.shards_run = run.cells_run;
   result.progress_errors = run.progress_errors;
   result.cancelled = run.cancelled;
-  return result;  // ~JournalWriter flushes any flush_every remainder
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -631,7 +488,7 @@ Value sketch_summary_json(const stats::QuantileSketch& s) {
   const bool some = s.count() > 0;
   const auto num = [&](double v) { return Value::number(some ? v : 0.0); };
   Value v = Value::object();
-  v.add("count", u64_json(s.count()));
+  v.add("count", Value::integer(s.count()));
   v.add("min_ms", num(s.min()));
   v.add("max_ms", num(s.max()));
   v.add("mean_ms", num(s.mean()));
@@ -654,8 +511,8 @@ std::string campaign_report_json(const CampaignSpec& spec,
   // Population echo only — no shard count, no jobs, no resume provenance:
   // the report must be byte-identical across execution layouts.
   Value sp = Value::object();
-  sp.add("seed", u64_json(spec.seed));
-  sp.add("clients", u64_json(spec.clients));
+  sp.add("seed", Value::integer(spec.seed));
+  sp.add("clients", Value::integer(spec.clients));
   sp.add("runs_per_client", Value::integer(spec.runs_per_client));
   sp.add("min_rtt_window", Value::integer(spec.min_rtt_window));
   sp.add("rtt_median_ms", Value::number(spec.rtt_ms.median_ms()));
@@ -665,9 +522,9 @@ std::string campaign_report_json(const CampaignSpec& spec,
 
   const CampaignAggregate& agg = result.aggregate;
   Value totals = Value::object();
-  totals.add("clients", u64_json(agg.clients));
-  totals.add("samples", u64_json(agg.samples));
-  totals.add("failed_clients", u64_json(agg.failed_clients));
+  totals.add("clients", Value::integer(agg.clients));
+  totals.add("samples", Value::integer(agg.samples));
+  totals.add("failed_clients", Value::integer(agg.failed_clients));
   v.add("totals", std::move(totals));
 
   Value methods = Value::array();
@@ -676,21 +533,21 @@ std::string campaign_report_json(const CampaignSpec& spec,
     Value mv = Value::object();
     mv.add("kind", Value::string(browser::probe_kind_name(
                        static_cast<methods::ProbeKind>(i))));
-    mv.add("clients", u64_json(m.clients));
-    mv.add("samples", u64_json(m.samples));
-    mv.add("timeouts", u64_json(m.timeouts));
-    mv.add("transport_errors", u64_json(m.transport_errors));
-    mv.add("degraded", u64_json(m.degraded));
-    mv.add("http_retries", u64_json(m.http_retries));
-    mv.add("http_timeouts", u64_json(m.http_timeouts));
+    mv.add("clients", Value::integer(m.clients));
+    mv.add("samples", Value::integer(m.samples));
+    mv.add("timeouts", Value::integer(m.timeouts));
+    mv.add("transport_errors", Value::integer(m.transport_errors));
+    mv.add("degraded", Value::integer(m.degraded));
+    mv.add("http_retries", Value::integer(m.http_retries));
+    mv.add("http_timeouts", Value::integer(m.http_timeouts));
     mv.add("d1", sketch_summary_json(m.d1));
     mv.add("d2", sketch_summary_json(m.d2));
     Value hist = Value::object();
     Value bounds = Value::array();
-    for (std::uint64_t b : kOverheadBucketBoundsUs) bounds.push(u64_json(b));
+    for (auto b : kOverheadBucketBoundsUs) bounds.push(Value::integer(b));
     hist.add("bounds_us", std::move(bounds));
     Value buckets = Value::array();
-    for (std::uint64_t b : m.overhead_us) buckets.push(u64_json(b));
+    for (auto b : m.overhead_us) buckets.push(Value::integer(b));
     hist.add("buckets", std::move(buckets));
     mv.add("overhead_us", std::move(hist));
     methods.push(std::move(mv));
@@ -704,8 +561,8 @@ std::string campaign_report_json(const CampaignSpec& spec,
     pv.add("case", Value::string(i < result.profile_labels.size()
                                      ? result.profile_labels[i]
                                      : std::string{"?"}));
-    pv.add("clients", u64_json(p.clients));
-    pv.add("samples", u64_json(p.samples));
+    pv.add("clients", Value::integer(p.clients));
+    pv.add("samples", Value::integer(p.samples));
     pv.add("d", sketch_summary_json(p.d));
     profiles.push(std::move(pv));
   }

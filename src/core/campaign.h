@@ -30,7 +30,8 @@
 //   * Checkpoint/resume shares the matrix checkpoint's append-only journal
 //     (core/journal.h): a header keyed by a stable hash of every
 //     population-affecting spec field, then one checksummed line per
-//     completed shard, appended before the shard is announced.
+//     completed shard, fflushed before the shard is announced; the record
+//     walk (core/record.h) renders, decodes and merges the aggregates.
 //     tools/campaign --kill-after exercises the crash path the same way
 //     tools/chaos_matrix does for matrices.
 //
@@ -49,7 +50,7 @@
 
 #include "browser/profile.h"
 #include "core/experiment.h"
-#include "obs/json.h"
+#include "core/record.h"
 #include "stats/quantile_sketch.h"
 
 namespace bnm::sim {
@@ -192,6 +193,17 @@ struct MethodAggregate {
   /// |Δd| in µs, binned like obs' experiment.browser_overhead_us: bucket i
   /// holds samples <= bounds[i]; the 13th bucket is overflow.
   std::array<std::uint64_t, kOverheadBucketBoundsUs.size() + 1> overhead_us{};
+
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"clients", s.clients}, Field{"samples", s.samples},
+        Field{"timeouts", s.timeouts},
+        Field{"transport_errors", s.transport_errors},
+        Field{"degraded", s.degraded}, Field{"http_retries", s.http_retries},
+        Field{"http_timeouts", s.http_timeouts}, Field{"d1", s.d1},
+        Field{"d2", s.d2}, Field{"overhead_us", s.overhead_us}};
+  }
 };
 
 /// Per-(browser, OS)-case aggregate over both measurements.
@@ -199,6 +211,13 @@ struct ProfileAggregate {
   std::uint64_t clients = 0;
   std::uint64_t samples = 0;
   stats::QuantileSketch d;  ///< Δd1 and Δd2 combined
+
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"clients", s.clients}, Field{"samples", s.samples},
+        Field{"d", s.d}};
+  }
 };
 
 /// Everything one shard (or the whole campaign) accumulates. All state is
@@ -217,6 +236,17 @@ struct CampaignAggregate {
   stats::QuantileSketch net_rtt;           ///< network-level RTTs (ms)
   stats::QuantileSketch rtt_inflation;     ///< RTT − MovingMin baseline (ms)
 
+  /// Record field list (core/record.h). The constructors keep the walk from
+  /// counting members here; a test's layout twin does (test_campaign_engine).
+  template <class S>
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"clients", s.clients}, Field{"samples", s.samples},
+        Field{"failed_clients", s.failed_clients}, Field{"methods", s.methods},
+        Field{"profiles", s.profiles}, Field{"net_rtt", s.net_rtt},
+        Field{"rtt_inflation", s.rtt_inflation}};
+  }
+
   /// Fold one client's finished series in. `profile_index` is the
   /// sampler's index for the client's case; `min_rtt_window` sizes the
   /// MovingMin baseline for the inflation sketch.
@@ -228,11 +258,6 @@ struct CampaignAggregate {
 
   /// Bytes this aggregate holds live (sketch buckets dominate).
   std::size_t memory_bytes() const;
-
-  obs::json::Value to_json() const;
-  /// Rebuild from JSON. `out` supplies the expected shape (grid + profile
-  /// count, from the spec); any mismatch fails.
-  static bool from_json(const obs::json::Value& v, CampaignAggregate* out);
 };
 
 /// Shard-level completion callback: (shards done, shards total). The job
@@ -247,7 +272,6 @@ struct CampaignOptions {
   CampaignProgress progress;
   std::string checkpoint;  ///< empty = checkpointing off
   bool resume = false;     ///< load `checkpoint` and skip stored shards
-  int flush_every = 1;     ///< appended shard records per journal fflush
   const std::atomic<bool>* cancel = nullptr;
   /// Optional span sink: one "campaign" span per executed shard (wall time
   /// mapped onto the trace's epoch). The trace must outlive run_campaign.

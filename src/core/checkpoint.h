@@ -23,6 +23,9 @@
 //     so a killed-and-resumed run produces a final matrix report that is
 //     byte-identical to an uninterrupted run's. tools/chaos_matrix and
 //     scripts/check.sh gate this on every run.
+//   * Header, records and series render and decode through their
+//     record_fields() lists (core/record.h); a record that decodes
+//     re-renders to its own bytes, one that does not ends the prefix.
 //
 // The reader is deliberately forgiving: a missing or unreadable checkpoint,
 // one from another format version, or one whose header is torn degrades to
@@ -35,9 +38,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/record.h"
 #include "obs/json.h"
 
 namespace bnm::core {
@@ -74,6 +79,13 @@ struct CheckpointRecord {
   std::size_t cell = 0;      ///< index into the matrix, in input order
   std::string config_hash;   ///< cell_config_hash_hex at completion time
   OverheadSeries series;
+
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"cell", s.cell}, Field{"config_hash", s.config_hash},
+        Field{"series", s.series}};
+  }
 };
 
 class JournalWriter;

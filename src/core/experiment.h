@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "browser/profile.h"
+#include "core/record.h"
 #include "core/testbed.h"
 #include "methods/method.h"
 #include "methods/registry.h"
@@ -90,6 +91,13 @@ struct OverheadSample {
   double net_rtt1_ms = 0, net_rtt2_ms = 0;
   /// TCP connections opened during each measurement window (0 = reused).
   int connections_opened1 = 0, connections_opened2 = 0;
+
+  template <class S>  ///< record field list (core/record.h): an 8-array
+  static auto record_fields(S& s) {
+    return std::tie(s.d1_ms, s.d2_ms, s.browser_rtt1_ms, s.browser_rtt2_ms,
+                    s.net_rtt1_ms, s.net_rtt2_ms, s.connections_opened1,
+                    s.connections_opened2);
+  }
 };
 
 /// How an experiment's repetitions degraded under faults. All-zero on a
@@ -103,6 +111,15 @@ struct SampleAccounting {
   std::uint64_t http_retries = 0;   ///< HTTP request retries across all runs
   std::uint64_t http_timeouts = 0;  ///< HTTP per-request timeouts across all runs
   int total() const { return timeouts + transport_errors + degraded; }
+
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"timeouts", s.timeouts},
+        Field{"transport_errors", s.transport_errors},
+        Field{"degraded", s.degraded}, Field{"http_retries", s.http_retries},
+        Field{"http_timeouts", s.http_timeouts}};
+  }
 };
 
 /// A full experiment's results plus summary statistics.
@@ -121,6 +138,17 @@ struct OverheadSeries {
   stats::BoxStats d2_box() const { return stats::box_stats(d2()); }
   stats::ConfidenceInterval d1_ci() const { return stats::mean_ci(d1()); }
   stats::ConfidenceInterval d2_ci() const { return stats::mean_ci(d2()); }
+
+  template <class S>  ///< record field list (core/record.h)
+  static auto record_fields(S& s) {
+    return std::tuple{
+        Field{"case_label", s.case_label}, Field{"method_name", s.method_name},
+        Field{"failures", s.failures}, Field{"first_error", s.first_error},
+        Field{"accounting", s.accounting}, Field{"samples", s.samples}};
+  }
+  /// Not recorded: a resuming run supplies the config from its own matrix.
+  template <class S>
+  static auto unrecorded_fields(S& s) { return std::tie(s.config); }
 };
 
 /// Run-level watchdog context for one cell attempt, shared between the

@@ -1,6 +1,5 @@
 #include "net/pcap_reader.h"
 
-#include <algorithm>
 #include <fstream>
 #include <utility>
 
@@ -9,22 +8,6 @@
 namespace bnm::net {
 
 namespace {
-
-/// The rest of `in` in one buffer. in_avail() is the whole rest of an
-/// in-memory stream, so one read usually takes everything; a stream that
-/// reports less is read in doubling chunks.
-std::vector<std::uint8_t> read_all(std::istream& in) {
-  std::vector<std::uint8_t> bytes;
-  while (in && in.peek() != std::istream::traits_type::eof()) {
-    const std::size_t have = bytes.size();
-    const std::streamsize chunk = std::max<std::streamsize>(
-        {in.rdbuf()->in_avail(), static_cast<std::streamsize>(have), 4096});
-    bytes.resize(have + static_cast<std::size_t>(chunk));
-    in.read(reinterpret_cast<char*>(bytes.data() + have), chunk);
-    bytes.resize(have + static_cast<std::size_t>(in.gcount()));
-  }
-  return bytes;
-}
 
 std::uint32_t u32le(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
@@ -147,7 +130,7 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     return std::move(result);
   };
   // One buffer for the whole stream; every record's payload aliases it.
-  const Payload stream{read_all(in)};
+  const Payload stream = Payload::read_rest(in);
   const unsigned char* p = stream.data();
   const std::size_t size = stream.size();
 

@@ -104,13 +104,6 @@ void number_to(std::string& out, double d) {
                       .ptr);
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  escape_to(out, s);
-  return out;
-}
-
 namespace {
 
 void dump_to(const Value& v, std::string& out) {

@@ -103,7 +103,6 @@ std::optional<Value> parse(std::string_view text, std::string* error = nullptr);
 
 /// JSON string escaping (shared by every emitter in obs/).
 void escape_to(std::string& out, std::string_view s);
-std::string escape(std::string_view s);
 
 /// Number spellings dump() uses, for emitters that stream JSON text:
 /// integers in decimal; finite doubles as printf("%.17g") (exact round

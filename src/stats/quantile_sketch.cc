@@ -155,14 +155,16 @@ bool QuantileSketch::from_json(const obs::json::Value& v, QuantileSketch* out) {
       !sum->is_int() || !buckets || !buckets->is_array()) {
     return false;
   }
+  // Range-check cells before it narrows to int: 2^32 + 512 is not 512.
+  if (cells->as_int() < 1 || cells->as_int() > (1 << 20) ||
+      count->as_int() < 0) {
+    return false;
+  }
   Grid grid;
   grid.lo = lo->as_double();
   grid.hi = hi->as_double();
   grid.cells = static_cast<int>(cells->as_int());
-  if (!(grid.lo > 0) || !(grid.hi > grid.lo) || grid.cells < 1 ||
-      grid.cells > (1 << 20) || count->as_int() < 0) {
-    return false;
-  }
+  if (!(grid.lo > 0) || !(grid.hi > grid.lo)) return false;
   QuantileSketch sketch{grid};
   sketch.count_ = static_cast<std::uint64_t>(count->as_int());
   sketch.min_ = min_v->as_double();
@@ -176,15 +178,20 @@ bool QuantileSketch::from_json(const obs::json::Value& v, QuantileSketch* out) {
     }
     const std::int64_t idx = pair.items()[0].as_int();
     const std::int64_t n = pair.items()[1].as_int();
+    // Bucket counts may not add up past `count` (nor wrap around to it).
     if (idx < 0 || static_cast<std::size_t>(idx) >= sketch.buckets_.size() ||
-        n < 1) {
+        n < 1 || static_cast<std::uint64_t>(n) > sketch.count_ - total) {
       return false;
     }
     sketch.buckets_[static_cast<std::size_t>(idx)] =
         static_cast<std::uint64_t>(n);
     total += static_cast<std::uint64_t>(n);
   }
-  if (total != sketch.count_) return false;
+  // Only the canonical form (buckets sorted and distinct, an empty sketch's
+  // extrema 0) decodes, so what is accepted re-renders to the same bytes.
+  if (total != sketch.count_ || sketch.to_json().dump() != v.dump()) {
+    return false;
+  }
   *out = std::move(sketch);
   return true;
 }

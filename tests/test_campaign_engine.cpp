@@ -12,10 +12,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "config_walk.h"
 #include "core/campaign.h"
+#include "core/fnv1a.h"
 #include "core/journal.h"
 #include "obs/metrics.h"
 #include "sim/trace.h"
@@ -205,7 +207,6 @@ TEST(Campaign, ShardIsPersistedBeforeItIsAnnounced) {
   CampaignOptions opts;
   opts.jobs = 4;
   opts.checkpoint = ck;
-  opts.flush_every = 1;
   opts.progress = [&](std::size_t done, std::size_t) {
     const std::optional<Journal> journal = read_journal(ck);
     const std::size_t on_disk = journal ? journal->records.size() : 0;
@@ -268,6 +269,56 @@ TEST(Campaign, ResumeRecompactsATornJournal) {
   std::remove(ck.c_str());
 }
 
+TEST(Campaign, CheckpointGoldenBytes) {
+  // The whole campaign journal of a fixed tiny spec, pinned by size and
+  // FNV-1a: header, then one record per shard in completion order (jobs 1).
+  // Every client is lossy so the resilience tallies are not all zero.
+  const std::string ck = "test_campaign_golden_ck.json";
+  std::remove(ck.c_str());
+  CampaignSpec spec = small_spec(6, 2);
+  spec.lossy_fraction = 1.0;
+  spec.loss_probability = 0.3;
+  CampaignOptions opts;
+  opts.jobs = 1;
+  opts.checkpoint = ck;
+  const CampaignResult clean = run_campaign(spec, opts);
+  std::string bytes;
+  {
+    std::ifstream in{ck, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{in}, {});
+  }
+  EXPECT_EQ(bytes.size(), 10905u);
+  EXPECT_EQ(hex16(fnv1a(bytes)), "86350330d1292ae9");
+
+  // Both records decode: a resume takes every shard from the journal.
+  opts.resume = true;
+  const CampaignResult resumed = run_campaign(spec, opts);
+  EXPECT_EQ(resumed.shards_resumed, 2u);
+  EXPECT_EQ(campaign_report_json(spec, resumed),
+            campaign_report_json(spec, clean));
+  std::remove(ck.c_str());
+}
+
+// CampaignAggregate has constructors, so the record walk cannot count its
+// members (core/record.h): a twin with exactly its seven listed members, in
+// order, must have the same size, and its list must name seven. A member
+// added to the struct changes its size and fails this build.
+struct CampaignAggregateTwin {
+  std::uint64_t clients, samples, failed_clients;
+  std::vector<MethodAggregate> methods;
+  std::vector<ProfileAggregate> profiles;
+  stats::QuantileSketch net_rtt, rtt_inflation;
+};
+static_assert(sizeof(CampaignAggregate) == sizeof(CampaignAggregateTwin),
+              "a CampaignAggregate member is missing from its record list");
+
+TEST(Campaign, AggregateRecordListNamesEveryMember) {
+  CampaignAggregate agg;
+  EXPECT_EQ(std::tuple_size_v<decltype(CampaignAggregate::record_fields(agg))>,
+            7u);
+  EXPECT_EQ(obs::json::parse(record_json(agg))->members().size(), 7u);
+}
+
 TEST(Campaign, AggregateJsonRoundTrip) {
   const CampaignSpec spec = small_spec(40, 1);
   CampaignOptions opts;
@@ -276,9 +327,9 @@ TEST(Campaign, AggregateJsonRoundTrip) {
   ASSERT_GT(result.aggregate.samples, 0u);
 
   CampaignAggregate back{spec.grid, result.profile_labels.size()};
-  ASSERT_TRUE(
-      CampaignAggregate::from_json(result.aggregate.to_json(), &back));
-  EXPECT_EQ(back.to_json().dump(), result.aggregate.to_json().dump());
+  const std::string text = record_json(result.aggregate);
+  ASSERT_TRUE(record_from_json(*obs::json::parse(text), &back));
+  EXPECT_EQ(record_json(back), text);
   EXPECT_EQ(back.clients, result.aggregate.clients);
   EXPECT_EQ(back.samples, result.aggregate.samples);
 }

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -155,6 +157,44 @@ TEST(QuantileSketch, FromJsonRejectsShapeMismatches) {
   obs::json::Value bad2 = v;
   bad2.members()[3].second = obs::json::Value::integer(5);
   EXPECT_FALSE(QuantileSketch::from_json(bad2, &out));
+}
+
+TEST(QuantileSketch, FromJsonRejectsWhatItWouldNotRender) {
+  QuantileSketch s;
+  s.insert(1.0);
+  s.insert(50.0);
+  const obs::json::Value v = s.to_json();
+  QuantileSketch out;
+  ASSERT_TRUE(QuantileSketch::from_json(v, &out));
+  // cells = 2^32 + 512 would narrow to the default 512.
+  obs::json::Value wide = v;
+  wide.members()[2].second = obs::json::Value::integer(4294967808LL);
+  EXPECT_FALSE(QuantileSketch::from_json(wide, &out));
+  // Buckets out of index order, and a repeated index.
+  obs::json::Value swapped = v;
+  std::swap(swapped.members()[7].second.items()[0],
+            swapped.members()[7].second.items()[1]);
+  EXPECT_FALSE(QuantileSketch::from_json(swapped, &out));
+  obs::json::Value repeated = v;
+  repeated.members()[7].second.items()[1].items()[0] =
+      repeated.members()[7].second.items()[0].items()[0];
+  EXPECT_FALSE(QuantileSketch::from_json(repeated, &out));
+  // Bucket counts whose uint64 sum wraps around to the stated count:
+  // (2^63 - 1) + (2^63 - 1) + 4 = 2^64 + 2.
+  QuantileSketch three;
+  for (double x : {1.0, 50.0, 2000.0}) three.insert(x);
+  obs::json::Value wrapped = three.to_json();
+  wrapped.members()[3].second = obs::json::Value::integer(2);
+  for (std::int64_t i : {0, 1, 2}) {
+    wrapped.members()[7].second.items()[static_cast<std::size_t>(i)]
+        .items()[1] = obs::json::Value::integer(i < 2 ? INT64_MAX : 4);
+  }
+  EXPECT_FALSE(QuantileSketch::from_json(wrapped, &out));
+  // An empty sketch with a non-zero extremum.
+  obs::json::Value empty = QuantileSketch{}.to_json();
+  ASSERT_TRUE(QuantileSketch::from_json(empty, &out));
+  empty.members()[4].second = obs::json::Value::number(2.5);
+  EXPECT_FALSE(QuantileSketch::from_json(empty, &out));
 }
 
 TEST(QuantileSketch, MemoryIsFixedForAGrid) {

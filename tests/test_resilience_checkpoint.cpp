@@ -24,6 +24,7 @@
 #include "core/checkpoint.h"
 #include "core/config_hash.h"
 #include "core/experiment.h"
+#include "core/fnv1a.h"
 #include "browser/profile.h"
 #include "core/parallel_runner.h"
 #include "net/fault.h"
@@ -511,6 +512,80 @@ std::vector<ExperimentConfig> seeded_cells(int n) {
 void spit(const std::string& path, const std::string& bytes) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
   out << bytes;
+}
+
+/// `text` with its first `from` replaced by `to` (which must be there).
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(SeriesJson, RejectsIntegersThatDoNotFitTheirMember) {
+  OverheadSeries s;
+  s.case_label = "C (U)";
+  s.samples.resize(1);
+  s.samples[0].connections_opened1 = 2;
+  const std::string dumped = series_to_json(s).dump();
+  const auto decodes = [](const std::string& text) {
+    const std::optional<obs::json::Value> v = obs::json::parse(text);
+    return v.has_value() && series_from_json(*v).has_value();
+  };
+  ASSERT_TRUE(decodes(dumped));
+  // 2^32 + 1 would narrow to 1 in an int, 2^32 + 2 to 2, and -1 would wrap
+  // to 2^64 - 1 in a uint64_t: each is rejected, not silently changed.
+  EXPECT_FALSE(decodes(
+      replaced(dumped, "\"failures\":0", "\"failures\":4294967297")));
+  EXPECT_FALSE(decodes(replaced(dumped, ",2,0]]", ",4294967298,0]]")));
+  EXPECT_FALSE(decodes(
+      replaced(dumped, "\"http_retries\":0", "\"http_retries\":-1")));
+  EXPECT_TRUE(decodes(
+      replaced(dumped, "\"failures\":0", "\"failures\":2147483647")));
+}
+
+TEST(SeriesJson, ControlCharactersRenderAsSpaces) {
+  // The parser decodes \u escapes lossily, so a control character could not
+  // round-trip: it renders as a space, and a record holding one is refused.
+  OverheadSeries s;
+  s.first_error = "reset\tby \"peer\"\n\\";
+  const std::string dumped = series_to_json(s).dump();
+  EXPECT_NE(dumped.find("\"first_error\":\"reset by \\\"peer\\\" \\\\\""),
+            std::string::npos)
+      << dumped;
+  const std::optional<obs::json::Value> v = obs::json::parse(
+      replaced(dumped, "reset by", "reset\\nby"));
+  ASSERT_TRUE(v.has_value());
+  EXPECT_FALSE(series_from_json(*v).has_value());
+}
+
+TEST(CheckpointJournal, OutOfRangeRecordEndsTheIntactPrefix) {
+  const std::vector<ExperimentConfig> cells = seeded_cells(3);
+  OverheadSeries s;
+  s.case_label = "C (U)";
+  TempFile ck{"range"};
+  {
+    CheckpointWriter writer{ck.path(), cells.size()};
+    for (std::size_t i = 0; i < cells.size(); ++i) writer.add(i, cells[i], s);
+  }
+  // Edit the second record and give its line a valid checksum, so the
+  // decoder, not the checksum, has to catch it.
+  std::string text = slurp(ck.path());
+  const std::size_t begin = text.find('\n', text.find('\n') + 1) + 1;
+  const std::size_t end = text.find('\n', begin);
+  const std::string record = replaced(
+      text.substr(begin, end - begin - 17), "\"failures\":0",
+      "\"failures\":4294967297");
+  text.replace(begin, end - begin, record + ' ' + hex16(fnv1a(record)));
+  spit(ck.path(), text);
+
+  std::optional<CheckpointReader> reader = CheckpointReader::load(ck.path());
+  ASSERT_TRUE(reader.has_value());
+  EXPECT_EQ(reader->records(), 1u);
+  EXPECT_NE(reader->lookup(0, cells[0]), nullptr);
+  EXPECT_EQ(reader->lookup(1, cells[1]), nullptr);
+  EXPECT_EQ(reader->lookup(2, cells[2]), nullptr);
 }
 
 TEST(CheckpointJournal, TornTailKeepsEveryEarlierRecord) {

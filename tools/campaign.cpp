@@ -33,7 +33,6 @@ struct Options {
   std::string report;
   std::string checkpoint;
   bool resume = false;
-  int flush_every = 1;
   long kill_after = -1;  ///< hard _Exit(42) after K completed shards
   bool quiet = false;
 };
@@ -43,7 +42,7 @@ struct Options {
       stderr,
       "usage: %s [--clients=N] [--shards=N] [--runs=N] [--jobs=N]\n"
       "          [--seed=N] [--report=PATH] [--checkpoint=PATH] [--resume]\n"
-      "          [--flush-every=N] [--kill-after=K] [--quiet]\n",
+      "          [--kill-after=K] [--quiet]\n",
       argv0);
   std::exit(2);
 }
@@ -87,9 +86,6 @@ Options parse_args(int argc, char** argv) {
       opt.checkpoint = s;
     } else if (arg == "--resume") {
       opt.resume = true;
-    } else if (const char* s = value("--flush-every=")) {
-      if (!parse_long(s, &v) || v < 1) usage(argv[0]);
-      opt.flush_every = static_cast<int>(v);
     } else if (const char* s = value("--kill-after=")) {
       if (!parse_long(s, &opt.kill_after) || opt.kill_after < 1) {
         usage(argv[0]);
@@ -113,7 +109,6 @@ int main(int argc, char** argv) {
   options.jobs = opt.jobs;
   options.checkpoint = opt.checkpoint;
   options.resume = opt.resume;
-  options.flush_every = opt.flush_every;
   options.progress = [&](std::size_t done, std::size_t total) {
     const long n = ++completed;
     if (!opt.quiet) {

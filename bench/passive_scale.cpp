@@ -1,7 +1,7 @@
 // Passive-matcher throughput: how many captured packets per second the
 // TSval<->TSecr matcher sustains, independent of the simulator.
 //
-// Three sections, emitted to BENCH_passive_scale.json with its gates[];
+// Four sections, emitted to BENCH_passive_scale.json with its gates[];
 // the bench exits non-zero when a gate fails:
 //
 //   1. Headline throughput: a pre-synthesized capture stream (default 64
@@ -16,18 +16,31 @@
 //   3. Yield: fraction of data packets that produced an RTT sample (every
 //      echoed anchor, minus coarse-clock duplicates), sanity that the
 //      throughput number measures real matching work, not early-outs.
+//   4. Offline replay: the headline packets recorded by a tap in time order
+//      (flows interleaved, as a real capture holds them), written with
+//      PcapWriter::write, then PcapReader::read, consume and report_json
+//      each timed, in packets/s. The offline report must equal the report
+//      of a live estimator consuming the tap ("offline.identical").
 //
 //   $ passive_scale [--flows=N] [--packets=N]
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "net/capture.h"
+#include "net/pcap_reader.h"
+#include "net/pcap_writer.h"
 #include "passive/rtt_estimator.h"
+#include "sim/simulation.h"
 
 using namespace bnm;
 
@@ -92,6 +105,10 @@ std::vector<Observation> synthesize(int flows, int packets_per_flow) {
   return stream;
 }
 
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 double per_sec(std::uint64_t n, double ms) {
   return ms > 0 ? static_cast<double>(n) / (ms / 1e3) : 0;
 }
@@ -117,13 +134,75 @@ Headline bench_headline(const std::vector<Observation>& stream, int flows,
   for (const Observation& ob : stream) {
     est.observe(ob.packet, ob.at, ob.packet.payload.size());
   }
-  h.wall_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  h.wall_ms = ms_since(t0);
   h.samples = est.counters().samples;
   h.duplicate_tsvals = est.counters().duplicate_tsvals;
   std::printf("%.1f ms   (%.0f packets/s, %" PRIu64 " samples)\n", h.wall_ms,
               h.packets_per_sec(), h.samples);
   return h;
+}
+
+struct Offline {
+  std::uint64_t packets = 0;
+  std::uint64_t pcap_bytes = 0;
+  double read_ms = 0;
+  double consume_ms = 0;
+  double report_ms = 0;
+  bool identical = false;
+};
+
+/// The stream as a tap records it (time order, stable), in classic pcap
+/// bytes; `live_report` gets the report of an estimator consuming the tap.
+std::string tap_pcap(const std::vector<Observation>& stream,
+                     std::string& live_report) {
+  std::vector<std::size_t> order(stream.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&stream](std::size_t a, std::size_t b) {
+                     return stream[a].at < stream[b].at;
+                   });
+  sim::Simulation sim{1};
+  net::PacketCapture tap{sim};
+  tap.reserve(stream.size());
+  for (const std::size_t i : order) {
+    sim.scheduler().run_until(stream[i].at);
+    tap.record(net::CaptureDirection::kOutbound, stream[i].packet);
+  }
+  passive::PassiveRttEstimator live;
+  live.consume(tap);
+  live_report = live.report_json("passive_scale");
+  std::ostringstream out;
+  net::PcapWriter::write(tap, out);
+  return std::move(out).str();
+}
+
+Offline bench_offline(const std::vector<Observation>& stream) {
+  Offline o;
+  std::string live_report;
+  std::string pcap = tap_pcap(stream, live_report);
+  o.pcap_bytes = pcap.size();
+  std::printf("offline: replaying a %" PRIu64 "-byte pcap ... ", o.pcap_bytes);
+  std::fflush(stdout);
+
+  std::istringstream in{std::move(pcap)};  // takes the bytes, no copy
+  auto t0 = Clock::now();
+  const net::PcapReader::Result parsed = net::PcapReader::read(in);
+  o.read_ms = ms_since(t0);
+  t0 = Clock::now();
+  passive::PassiveRttEstimator est;
+  est.consume(parsed.records);
+  o.consume_ms = ms_since(t0);
+  t0 = Clock::now();
+  const std::string report = est.report_json("passive_scale");
+  o.report_ms = ms_since(t0);
+
+  o.packets = parsed.records.size();
+  o.identical = parsed.ok() && o.packets == stream.size() &&
+                report == live_report;
+  std::printf("read %.1f ms, consume %.1f ms, report %.1f ms (%s)\n",
+              o.read_ms, o.consume_ms, o.report_ms,
+              o.identical ? "identical to the live tap" : "DIFFERS");
+  return o;
 }
 
 }  // namespace
@@ -158,8 +237,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   const auto t0 = Clock::now();
   const std::string r1 = est.report_json("passive_scale");
-  const double report_ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  const double report_ms = ms_since(t0);
   std::printf("%.1f ms   (%.0f packets/s)\n", report_ms,
               per_sec(h.packets, report_ms));
 
@@ -182,6 +260,9 @@ int main(int argc, char** argv) {
   benchutil::shape_check(h.duplicate_tsvals > 0,
                          "coarse-clock duplicate path exercised");
 
+  const Offline off = bench_offline(stream);
+  const double replay_ms = off.read_ms + off.consume_ms + off.report_ms;
+
   // The throughput floor sits far below the millions of packets/s a
   // hash-map matcher manages in Release, but far above anything a
   // per-packet-allocation regression or an O(flows) scan would leave.
@@ -200,9 +281,25 @@ int main(int argc, char** argv) {
           {"report_packets_per_sec", num(per_sec(h.packets, report_ms))},
           {"report_bytes", integer(r1.size())},
           {"identical_reports", benchutil::flag(identical)},
+          {"offline",
+           benchutil::obj({
+               {"packets", integer(off.packets)},
+               {"pcap_bytes", integer(off.pcap_bytes)},
+               {"read_ms", num(off.read_ms)},
+               {"read_packets_per_sec", num(per_sec(off.packets, off.read_ms))},
+               {"consume_ms", num(off.consume_ms)},
+               {"consume_packets_per_sec",
+                num(per_sec(off.packets, off.consume_ms))},
+               {"report_ms", num(off.report_ms)},
+               {"report_packets_per_sec",
+                num(per_sec(off.packets, off.report_ms))},
+               {"packets_per_sec", num(per_sec(off.packets, replay_ms))},
+               {"identical", benchutil::flag(off.identical)},
+           })},
       }),
       {
           benchutil::is_true("identical_reports"),
+          benchutil::is_true("offline.identical"),
           benchutil::at_least("packets_per_sec", 200000),
       });
 }

@@ -11,9 +11,8 @@ std::vector<OfflineRtt> OfflineAnalyzer::request_response_rtts(
   bool awaiting_response = false;
   OfflineRtt current;
 
-  for (const auto& rec : records) {
-    const net::Packet& p = rec.packet;
-    if (!p.carries_data()) continue;
+  for (const net::PcapRecord& p : records) {
+    if (p.payload_len == 0) continue;
 
     const bool outbound_request =
         p.src.ip == client_ip && p.dst.port == server_port;
@@ -26,12 +25,12 @@ std::vector<OfflineRtt> OfflineAnalyzer::request_response_rtts(
         awaiting_response = false;
       }
       current = OfflineRtt{};
-      current.request_at = rec.timestamp;
-      current.request_bytes = p.payload_size();
+      current.request_at = p.timestamp;
+      current.request_bytes = p.payload_len;
       awaiting_response = true;
     } else if (inbound_response && awaiting_response) {
-      current.response_at = rec.timestamp;
-      current.response_bytes = p.payload_size();
+      current.response_at = p.timestamp;
+      current.response_bytes = p.payload_len;
       current.rtt_ms = (current.response_at - current.request_at).ms_f();
       if (current.rtt_ms > 0) out.push_back(current);
       awaiting_response = false;

@@ -29,45 +29,46 @@ std::uint32_t u32be(const unsigned char* p) {
 constexpr std::size_t kFileHeader = 24;
 constexpr std::size_t kRecordHeader = 16;
 
-/// Parses the on-wire IPv4 frame at [off, off + len) of `buf` into `pkt`
-/// (a default Packet). The transport payload becomes a subview of `buf`:
-/// the only reference the frame costs. False on malformed input.
-bool parse_frame_at(const Payload& buf, std::size_t off, std::size_t len,
-                    Packet& pkt) {
-  if (len < kIpHeaderBytes) return false;
-  const unsigned char* p = buf.data() + off;
-  if ((p[0] >> 4) != 4) return false;  // IPv4 only
+/// Parses the on-wire IPv4 frame at `p` (`len` bytes) into `rec`, a default
+/// record: the one frame walker. With `full` given, the walk also sets its IP
+/// id and TCP window, the header fields a record does not carry. Returns the
+/// offset of the transport payload in the frame, or 0 on malformed input (a
+/// payload never starts there).
+std::size_t parse_frame_at(const unsigned char* p, std::size_t len,
+                           PcapRecord& rec, Packet* full = nullptr) {
+  if (len < kIpHeaderBytes) return 0;
+  if ((p[0] >> 4) != 4) return 0;  // IPv4 only
   const std::size_t ihl = static_cast<std::size_t>(p[0] & 0x0f) * 4;
-  if (ihl < kIpHeaderBytes || len < ihl) return false;
+  if (ihl < kIpHeaderBytes || len < ihl) return 0;
   const std::size_t total = u16be(p + 2);
-  if (total < ihl || total > len) return false;
+  if (total < ihl || total > len) return 0;
 
-  pkt.id = u16be(p + 4);
-  pkt.src.ip = IpAddress{u32be(p + 12)};
-  pkt.dst.ip = IpAddress{u32be(p + 16)};
+  rec.src.ip = IpAddress{u32be(p + 12)};
+  rec.dst.ip = IpAddress{u32be(p + 16)};
+  if (full != nullptr) full->id = u16be(p + 4);
 
   const unsigned char proto = p[9];
   const unsigned char* t = p + ihl;
   const std::size_t remaining = total - ihl;
 
   if (proto == 6) {
-    pkt.protocol = Protocol::kTcp;
-    if (remaining < kTcpHeaderBytes) return false;
-    pkt.src.port = u16be(t);
-    pkt.dst.port = u16be(t + 2);
-    pkt.seq = u32be(t + 4);
-    pkt.ack = u32be(t + 8);
+    rec.protocol = Protocol::kTcp;
+    if (remaining < kTcpHeaderBytes) return 0;
+    rec.src.port = u16be(t);
+    rec.dst.port = u16be(t + 2);
+    rec.seq = u32be(t + 4);
+    rec.ack = u32be(t + 8);
     const std::size_t data_offset = static_cast<std::size_t>(t[12] >> 4) * 4;
     if (data_offset < kTcpHeaderBytes || remaining < data_offset) {
-      return false;
+      return 0;
     }
     const unsigned char flags = t[13];
-    pkt.flags.fin = flags & 0x01;
-    pkt.flags.syn = flags & 0x02;
-    pkt.flags.rst = flags & 0x04;
-    pkt.flags.psh = flags & 0x08;
-    pkt.flags.ack = flags & 0x10;
-    pkt.window = u16be(t + 14);
+    if (full != nullptr) full->window = u16be(t + 14);
+    rec.flags.fin = flags & 0x01;
+    rec.flags.syn = flags & 0x02;
+    rec.flags.rst = flags & 0x04;
+    rec.flags.psh = flags & 0x08;
+    rec.flags.ack = flags & 0x10;
     // Walk the option bytes for the RFC 7323 timestamp (kind 8, len 10).
     for (std::size_t o = kTcpHeaderBytes; o < data_offset;) {
       const unsigned char kind = t[o];
@@ -80,26 +81,26 @@ bool parse_frame_at(const Payload& buf, std::size_t off, std::size_t len,
       const std::size_t opt_len = t[o + 1];
       if (opt_len < 2 || o + opt_len > data_offset) break;  // malformed: stop
       if (kind == 8 && opt_len == 10) {
-        pkt.ts.present = true;
-        pkt.ts.tsval = u32be(t + o + 2);
-        pkt.ts.tsecr = u32be(t + o + 6);
+        rec.ts.present = true;
+        rec.ts.tsval = u32be(t + o + 2);
+        rec.ts.tsecr = u32be(t + o + 6);
       }
       o += opt_len;
     }
-    pkt.payload = buf.subview(off + ihl + data_offset, remaining - data_offset);
-  } else if (proto == 17) {
-    pkt.protocol = Protocol::kUdp;
-    if (remaining < kUdpHeaderBytes) return false;
-    pkt.src.port = u16be(t);
-    pkt.dst.port = u16be(t + 2);
-    const std::size_t udp_len = u16be(t + 4);
-    if (udp_len < kUdpHeaderBytes || udp_len > remaining) return false;
-    pkt.payload =
-        buf.subview(off + ihl + kUdpHeaderBytes, udp_len - kUdpHeaderBytes);
-  } else {
-    return false;  // other protocols not modelled
+    rec.payload_len = static_cast<std::uint32_t>(remaining - data_offset);
+    return ihl + data_offset;
   }
-  return true;
+  if (proto == 17) {
+    rec.protocol = Protocol::kUdp;
+    if (remaining < kUdpHeaderBytes) return 0;
+    rec.src.port = u16be(t);
+    rec.dst.port = u16be(t + 2);
+    const std::size_t udp_len = u16be(t + 4);
+    if (udp_len < kUdpHeaderBytes || udp_len > remaining) return 0;
+    rec.payload_len = static_cast<std::uint32_t>(udp_len - kUdpHeaderBytes);
+    return ihl + kUdpHeaderBytes;
+  }
+  return 0;  // other protocols not modelled
 }
 
 /// Records whose header and frame bytes are all present, counted over the
@@ -118,8 +119,19 @@ std::size_t complete_records(const unsigned char* p, std::size_t size) {
 }  // namespace
 
 std::optional<Packet> PcapReader::parse_frame(const Payload& frame) {
+  PcapRecord rec;
   Packet pkt;
-  if (!parse_frame_at(frame, 0, frame.size(), pkt)) return std::nullopt;
+  const std::size_t payload_at =
+      parse_frame_at(frame.data(), frame.size(), rec, &pkt);
+  if (payload_at == 0) return std::nullopt;
+  pkt.protocol = rec.protocol;
+  pkt.src = rec.src;
+  pkt.dst = rec.dst;
+  pkt.flags = rec.flags;
+  pkt.seq = rec.seq;
+  pkt.ack = rec.ack;
+  pkt.ts = rec.ts;
+  pkt.payload = frame.subview(payload_at, rec.payload_len);
   return pkt;
 }
 
@@ -129,7 +141,8 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     result.error = error;
     return std::move(result);
   };
-  // One buffer for the whole stream; every record's payload aliases it.
+  // One buffer for the whole stream, freed on return: records hold no
+  // reference to it.
   const Payload stream = Payload::read_rest(in);
   const unsigned char* p = stream.data();
   const std::size_t size = stream.size();
@@ -152,7 +165,7 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     const std::size_t incl_len = u32le(p + off + 8);
     if (incl_len > size - off - kRecordHeader) return fail(Error::kTruncated);
     PcapRecord& rec = result.records.emplace_back();
-    if (!parse_frame_at(stream, off + kRecordHeader, incl_len, rec.packet)) {
+    if (parse_frame_at(p + off + kRecordHeader, incl_len, rec) == 0) {
       result.records.pop_back();
       return fail(Error::kBadIpHeader);
     }

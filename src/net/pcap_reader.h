@@ -1,7 +1,7 @@
 // libpcap file reader: the inverse of PcapWriter. Parses classic pcap
-// (microsecond timestamps, LINKTYPE_RAW IPv4) back into packet records, so
-// captures can round-trip through files and externally produced captures
-// can be analysed with the library's capture tooling.
+// (microsecond timestamps, LINKTYPE_RAW IPv4) back into flat header
+// records, so captures can round-trip through files and externally
+// produced captures can be analysed with the library's capture tooling.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +15,29 @@
 
 namespace bnm::net {
 
+/// One pcap record as the passive path reads it: the capture time and the
+/// header fields a TSval/TSecr matcher uses (DlyLoc's field set), flat.
+/// It references no bytes. UDP records leave the TCP-only fields at their
+/// defaults.
 struct PcapRecord {
   sim::TimePoint timestamp;
-  Packet packet;
+  Endpoint src;
+  Endpoint dst;
+  std::uint32_t seq = 0;
+  std::uint32_t ack = 0;
+  TcpTimestampOption ts;
+  std::uint32_t payload_len = 0;  ///< transport payload bytes
+  Protocol protocol = Protocol::kTcp;
+  TcpFlags flags;
+
+  /// The header fields of `pkt` seen at `at`, carrying `payload_len` bytes.
+  static PcapRecord of(const Packet& pkt, sim::TimePoint at,
+                       std::size_t payload_len) {
+    return {at,     pkt.src, pkt.dst, pkt.seq, pkt.ack,
+            pkt.ts, static_cast<std::uint32_t>(payload_len),
+            pkt.protocol, pkt.flags};
+  }
+  bool operator==(const PcapRecord&) const = default;
 };
 
 class PcapReader {
@@ -37,26 +57,29 @@ class PcapReader {
     bool ok() const { return error == Error::kNone; }
   };
 
-  /// Parse a whole pcap stream. Transport payloads are preserved;
-  /// timestamps become TimePoints relative to the epoch. The rest of the
-  /// stream is read into one buffer: every record's payload is a zero-copy
-  /// view of it and keeps it alive, so records outlive the stream.
-  /// Lengths are bounds-checked against the bytes read before use.
+  /// Parse a whole pcap stream into flat header records; timestamps
+  /// become TimePoints relative to the epoch. A record keeps no payload
+  /// bytes and no reference to the stream (`payload_len` counts the
+  /// transport payload the frame holds), so records outlive the stream and
+  /// the stream's buffer is freed on return. For full packets, payload
+  /// bytes included, run parse_frame() over a record's frame. Lengths are
+  /// bounds-checked against the bytes read before use.
   ///
-  /// Cost: a pre-walk over the record headers, with the same bounds
-  /// checks, counts the complete records so `records` is reserved once.
-  /// Each frame is then parsed in place from the buffer straight into its
-  /// record, so a record costs one buffer reference (its transport
-  /// payload; none when that is empty) and no allocation. On an error,
-  /// `records` holds the records before the failing one.
+  /// Cost: the rest of the stream is read into one buffer, and a pre-walk
+  /// over the record headers, with the same bounds checks, counts the
+  /// complete records so `records` is reserved once. Each frame is then
+  /// parsed in place from the buffer straight into its record: no
+  /// allocation and no reference count per record. On an error, `records`
+  /// holds the records before the failing one.
   static Result read(std::istream& in);
   /// read() over a file; an unopenable file is kTruncated.
   static Result read_file(const std::string& path);
 
   /// Parse one on-wire IPv4 frame (header + transport + payload) into a
-  /// Packet, with the same checks read() applies to each record. The
-  /// packet's payload is a zero-copy subview of `frame`'s buffer. Returns
-  /// nullopt on malformed input. Exposed for tests.
+  /// Packet. The same walk read() runs, with the same checks, fills the
+  /// header fields and here also the IP id and TCP window; the payload is
+  /// a zero-copy subview of `frame`'s buffer. Returns nullopt on malformed
+  /// input.
   static std::optional<Packet> parse_frame(const Payload& frame);
 };
 

@@ -265,13 +265,7 @@ class Parser {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u':
-            // Our emitters only escape control chars; decode is lossy here.
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
-              return false;
-            }
-            pos_ += 4;
-            out += '?';
+            if (!parse_unicode_escape(out)) return false;
             break;
           default:
             fail("invalid escape");
@@ -283,6 +277,75 @@ class Parser {
     }
     fail("unterminated string");
     return false;
+  }
+
+  /// The four hex digits of a \u escape, as a UTF-16 code unit.
+  bool parse_hex4(std::uint32_t& unit) {
+    if (text_.size() - pos_ < 4) {
+      fail("truncated \\u escape");
+      return false;
+    }
+    unit = 0;
+    for (const char c : text_.substr(pos_, 4)) {
+      int digit = 0;
+      if (c >= '0' && c <= '9') {
+        digit = c - '0';
+      } else if (c >= 'a' && c <= 'f') {
+        digit = c - 'a' + 10;
+      } else if (c >= 'A' && c <= 'F') {
+        digit = c - 'A' + 10;
+      } else {
+        fail("non-hex digit in \\u escape");
+        return false;
+      }
+      unit = unit << 4 | static_cast<std::uint32_t>(digit);
+    }
+    pos_ += 4;
+    return true;
+  }
+
+  /// A \u escape (its backslash and u already read) decoded to UTF-8: a
+  /// surrogate pair is one code point, a lone surrogate is an error.
+  bool parse_unicode_escape(std::string& out) {
+    std::uint32_t cp = 0;
+    if (!parse_hex4(cp)) return false;
+    if (cp >= 0xdc00 && cp <= 0xdfff) {
+      fail("lone low surrogate in \\u escape");
+      return false;
+    }
+    if (cp >= 0xd800 && cp <= 0xdbff) {
+      std::uint32_t low = 0;
+      if (text_.substr(pos_, 2) != "\\u") {
+        fail("lone high surrogate in \\u escape");
+        return false;
+      }
+      pos_ += 2;
+      if (!parse_hex4(low)) return false;
+      if (low < 0xdc00 || low > 0xdfff) {
+        fail("lone high surrogate in \\u escape");
+        return false;
+      }
+      cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+    }
+    const auto byte = [&out](std::uint32_t b) {
+      out += static_cast<char>(b);
+    };
+    if (cp < 0x80) {
+      byte(cp);
+    } else if (cp < 0x800) {
+      byte(0xc0 | cp >> 6);
+      byte(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+      byte(0xe0 | cp >> 12);
+      byte(0x80 | (cp >> 6 & 0x3f));
+      byte(0x80 | (cp & 0x3f));
+    } else {
+      byte(0xf0 | cp >> 18);
+      byte(0x80 | (cp >> 12 & 0x3f));
+      byte(0x80 | (cp >> 6 & 0x3f));
+      byte(0x80 | (cp & 0x3f));
+    }
+    return true;
   }
 
   bool parse_string(Value& out) {

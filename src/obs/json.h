@@ -3,9 +3,11 @@
 // Exists so the repo's tooling can *read back* the JSON it emits — the
 // trace exporters' round-trip tests (tests/test_obs.cpp) and the bench
 // schema validator (tools/bench_schema_check) both parse real output files
-// with it. It is deliberately small: full JSON per RFC 8259 minus \uXXXX
-// surrogate pairs (escapes decode to '?') — none of our emitters produce
-// non-ASCII. Not a streaming parser; documents here are tens of KiB.
+// with it. It is deliberately small: full JSON per RFC 8259, with \uXXXX
+// escapes (surrogate pairs included) decoded to UTF-8 and lone surrogates
+// or non-hex digits rejected, so every control character escape_to()
+// writes parses back to itself. Not a streaming parser; documents here are
+// tens of KiB.
 //
 // Objects preserve insertion order (vector of pairs), so a parse→write
 // round trip of our own deterministic output is byte-stable apart from

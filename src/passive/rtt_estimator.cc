@@ -27,6 +27,29 @@ bool seq_lt(std::uint32_t a, std::uint32_t b) {
 // Sweep cadence for anchor eviction: amortized, content-deterministic.
 constexpr std::uint64_t kEvictEvery = 4096;
 
+// The most anchors a scan of `n` observations, seen in order at times
+// `time_at(0..n-1)`, holds at once: a sweep keeps those inside one `reach`
+// (the window, plus a quantum for the flooring) of its own observation, and
+// at most kEvictEvery more arrive before the next sweep; never more than
+// `n`. A scan whose clock steps back can exceed it, and its anchor table
+// then grows inside the loop as observe()'s does. A scan that ends within
+// one reach of its start is all one stretch, and costs no pass.
+template <typename TimeAt>
+std::size_t most_live_anchors(std::size_t n, sim::Duration reach,
+                              TimeAt time_at) {
+  if (n == 0 || time_at(n - 1).ns_since_epoch() -
+                        time_at(0).ns_since_epoch() <= reach.ns()) {
+    return n;
+  }
+  std::size_t most = 0;
+  for (std::size_t lo = 0, hi = 0; hi < n && most + kEvictEvery < n; ++hi) {
+    const std::int64_t from = time_at(hi).ns_since_epoch() - reach.ns();
+    while (time_at(lo).ns_since_epoch() < from) ++lo;
+    most = std::max(most, hi - lo + 1);
+  }
+  return std::min<std::size_t>(n, most + kEvictEvery);
+}
+
 // Linear probing in an open-addressing index: `slots` has a power-of-two
 // size, and each entry holds a position + 1, or 0 when free. Returns the
 // entry whose position `is_key` accepts, or the free one where `key`
@@ -116,7 +139,7 @@ const std::vector<obs::Counter>& counter_metrics() {
 
 void PassiveRttEstimator::observe(const net::Packet& pkt, sim::TimePoint at,
                                   std::size_t wire_payload_len) {
-  observe_at(pkt, at, wire_payload_len, next_index_);
+  observe_at(net::PcapRecord::of(pkt, at, wire_payload_len), next_index_);
   ++next_index_;
 }
 
@@ -167,17 +190,17 @@ void PassiveRttEstimator::reindex_anchors(std::size_t capacity) {
   }
 }
 
-void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
-                                     std::size_t wire_payload_len,
+void PassiveRttEstimator::observe_at(const net::PcapRecord& rec,
                                      std::size_t index) {
   ++counters_.packets;
-  const sim::TimePoint t = at.quantized_floor(config_.timestamp_quantum);
+  const sim::TimePoint t =
+      rec.timestamp.quantized_floor(config_.timestamp_quantum);
   if (counters_.packets % kEvictEvery == 0) maybe_evict(t);
-  if (pkt.protocol != net::Protocol::kTcp || !pkt.ts.present) return;
+  if (rec.protocol != net::Protocol::kTcp || !rec.ts.present) return;
   ++counters_.ts_packets;
 
   // --- forward half-flow: anchor this packet's TSval ---
-  const std::uint32_t fi = flow_index(pkt.src, pkt.dst);
+  const std::uint32_t fi = flow_index(rec.src, rec.dst);
   HalfFlow& fw = flows_[fi];
 
   // Karn's-rule analogue: a segment whose sequence space was already covered
@@ -185,10 +208,9 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   // attributed a unique send time, so its TSval must never anchor a sample.
   bool retransmit = false;
   const std::uint32_t occupies =
-      static_cast<std::uint32_t>(wire_payload_len) +
-      (pkt.flags.syn ? 1 : 0) + (pkt.flags.fin ? 1 : 0);
+      rec.payload_len + (rec.flags.syn ? 1 : 0) + (rec.flags.fin ? 1 : 0);
   if (occupies > 0) {
-    const std::uint32_t end = pkt.seq + occupies;
+    const std::uint32_t end = rec.seq + occupies;
     if (fw.seen_seq && seq_leq(end, fw.max_seq_end)) {
       retransmit = true;
     } else {
@@ -202,10 +224,10 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   if ((anchors_.size() + 1) * 2 > anchor_slots_.size()) {
     reindex_anchors(std::max<std::size_t>(64, anchor_slots_.size() * 2));
   }
-  std::uint32_t& slot = anchor_slot(fi, pkt.ts.tsval);
+  std::uint32_t& slot = anchor_slot(fi, rec.ts.tsval);
   if (slot == 0) {
     anchors_.push_back(
-        Anchor{t, index, fi, pkt.ts.tsval, /*matched=*/false, retransmit});
+        Anchor{t, index, fi, rec.ts.tsval, /*matched=*/false, retransmit});
     slot = static_cast<std::uint32_t>(anchors_.size());
     oldest_anchor_ = std::min(oldest_anchor_, t);
     ++counters_.anchors;
@@ -223,13 +245,13 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   // --- reverse half-flow: match this packet's TSecr against an anchor ---
   // TSecr is only meaningful on ACK segments, and zero means "never seen a
   // timestamp from you" (an initial SYN).
-  if (!pkt.flags.ack || pkt.ts.tsecr == 0) return;
+  if (!rec.flags.ack || rec.ts.tsecr == 0) return;
   const std::uint32_t ri = fw.reverse;
   if (ri == kNoFlow) {
     ++counters_.unmatched_echoes;
     return;
   }
-  const std::uint32_t echoed = anchor_slot(ri, pkt.ts.tsecr);
+  const std::uint32_t echoed = anchor_slot(ri, rec.ts.tsecr);
   if (echoed == 0) {
     ++counters_.unmatched_echoes;
     return;
@@ -243,12 +265,12 @@ void PassiveRttEstimator::observe_at(const net::Packet& pkt, sim::TimePoint at,
   }
   HalfFlow& rv = flows_[ri];
   PassiveSample s;
-  s.from = pkt.dst;
-  s.to = pkt.src;
+  s.from = rec.dst;
+  s.to = rec.src;
   s.anchor_at = anchor.at;
   s.echo_at = t;
   s.rtt = t - anchor.at;
-  s.tsval = pkt.ts.tsecr;
+  s.tsval = rec.ts.tsecr;
   s.anchor_index = anchor.index;
   s.echo_index = index;
   s.first_on_flow = !rv.sampled;
@@ -269,16 +291,38 @@ void PassiveRttEstimator::maybe_evict(sim::TimePoint now) {
   for (const Anchor& a : anchors_) {
     oldest_anchor_ = std::min(oldest_anchor_, a.at);
   }
-  reindex_anchors(anchor_slots_.size());
+  // Slots for the survivors and for every anchor the observations before
+  // the next sweep can add, so a sweep costs what the window holds.
+  reindex_anchors(std::bit_ceil(
+      std::max<std::size_t>(64, 2 * (anchors_.size() + kEvictEvery))));
+}
+
+void PassiveRttEstimator::reserve_for(std::size_t observations,
+                                      std::size_t live_anchors) {
+  const auto make_room = [](auto& v, std::size_t more) {
+    if (v.capacity() - v.size() < more) {
+      v.reserve(std::max(v.size() + more, 2 * v.capacity()));
+    }
+  };
+  make_room(anchors_, live_anchors);
+  make_room(samples_, observations);
+  make_room(sample_flows_, observations);
+  const std::size_t slots = std::bit_ceil(
+      std::max<std::size_t>(64, 2 * (anchors_.size() + live_anchors)));
+  if (slots > anchor_slots_.size()) reindex_anchors(slots);
 }
 
 void PassiveRttEstimator::consume(const net::PacketCapture& capture) {
+  const auto time_at = [&](std::size_t i) {
+    return config_.use_true_time ? capture.true_time(i) : capture.timestamp(i);
+  };
+  reserve_for(capture.size(),
+              most_live_anchors(capture.size(), reach(), time_at));
   for (std::size_t i = 0; i < capture.size(); ++i) {
-    const sim::TimePoint at =
-        config_.use_true_time ? capture.true_time(i) : capture.timestamp(i);
     const net::Packet& pkt = capture.packet(i);
-    observe_at(pkt, at,
-               std::max(capture.wire_payload_len(i), pkt.payload.size()),
+    observe_at(net::PcapRecord::of(pkt, time_at(i),
+                                   std::max(capture.wire_payload_len(i),
+                                            pkt.payload.size())),
                next_index_);
     ++next_index_;
   }
@@ -286,9 +330,12 @@ void PassiveRttEstimator::consume(const net::PacketCapture& capture) {
 }
 
 void PassiveRttEstimator::consume(const std::vector<net::PcapRecord>& records) {
+  reserve_for(records.size(),
+              most_live_anchors(records.size(), reach(), [&](std::size_t i) {
+                return records[i].timestamp;
+              }));
   for (const net::PcapRecord& rec : records) {
-    observe_at(rec.packet, rec.timestamp, rec.packet.payload.size(),
-               next_index_);
+    observe_at(rec, next_index_);
     ++next_index_;
   }
   publish_metrics();

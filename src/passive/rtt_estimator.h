@@ -26,12 +26,25 @@
 // before matching, so a live tap and the same capture re-read from a pcap
 // file produce byte-identical reports; scripts/check.sh gates on this.
 //
+// The matcher reads one flat header record per observation (net::PcapRecord:
+// capture time, 4-tuple, flags, seq, TSval/TSecr, payload length — DlyLoc's
+// field set). A pcap replay hands over the records PcapReader::read parsed;
+// a live tap or observe() fills one record from each packet. There is one
+// matching path.
+//
 // Storage is flat, so the per-packet path does not touch the allocator once
 // the tables have grown: half-flows are numbered in order of first sight in
 // one vector, every anchor of every half-flow is appended to one vector, and
 // one open-addressing table keyed by (half-flow number, TSval) indexes the
-// anchors. The eviction sweep compacts the contiguous anchor vector and
-// re-indexes it; it is skipped outright while no stored anchor is older
+// anchors. Both consume() overloads size these tables once before the
+// loop: the sample vectors for one sample per observation, the anchor vector
+// and its slots for the most anchors the scan can hold at once (those of
+// the densest window-long stretch, plus one sweep interval). So a
+// time-ordered scan never allocates for these tables in its loop. The
+// eviction sweep compacts the contiguous anchor vector and re-indexes it
+// into slots for its survivors plus one sweep interval, so on a capture
+// longer than the window a sweep costs what the window holds, not what the
+// capture holds; it is skipped outright while no stored anchor is older
 // than the window.
 #pragma once
 
@@ -110,8 +123,12 @@ class PassiveRttEstimator {
   }
 
   /// Scan a whole capture (any tap point, both directions interleaved).
+  /// The anchor, slot and sample tables are sized once up front (see the
+  /// file comment), so a time-ordered scan allocates only when the
+  /// half-flow table grows.
   void consume(const net::PacketCapture& capture);
-  /// Scan records parsed from a pcap file (the offline path).
+  /// Scan records parsed from a pcap file (the offline path); the tables
+  /// are sized once as above.
   void consume(const std::vector<net::PcapRecord>& records);
 
   const std::vector<PassiveSample>& samples() const { return samples_; }
@@ -157,8 +174,20 @@ class PassiveRttEstimator {
     bool poisoned = false;
   };
 
-  void observe_at(const net::Packet& pkt, sim::TimePoint at,
-                  std::size_t wire_payload_len, std::size_t index);
+  /// The one matching path: observation number `index`, whose time is
+  /// `rec.timestamp` and whose on-wire payload length is `rec.payload_len`.
+  void observe_at(const net::PcapRecord& rec, std::size_t index);
+  /// Room for a scan of `observations` that holds at most `live_anchors`
+  /// of its own anchors at once, without an allocation: each
+  /// observation samples at most once, so the sample vectors get
+  /// `observations` spare capacity, the anchor vector `live_anchors`, and
+  /// the anchor slots a power of two at most half full with all of them.
+  void reserve_for(std::size_t observations, std::size_t live_anchors);
+  /// How far back a sweep can keep an anchor: the window, plus one quantum
+  /// because the sweep compares floored times.
+  sim::Duration reach() const {
+    return config_.anchor_window + config_.timestamp_quantum;
+  }
   /// The half-flow src -> dst, numbered on first sight.
   std::uint32_t flow_index(const net::Endpoint& src, const net::Endpoint& dst);
   /// The flow_slots_ entry of src -> dst, or the free one where it belongs.

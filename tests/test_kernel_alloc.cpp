@@ -1,11 +1,12 @@
 // Kernel allocation contract: in steady state (pool primed, calendar
 // vectors at capacity), schedule_after / post_after / dispatch perform zero
 // heap allocations; a Scheduler built on a thread that already ran one
-// reuses its storage; and whole paper repetitions and campaign clients stay
+// reuses its storage; whole paper repetitions and campaign clients stay
 // inside a pinned global-heap budget (paper repetitions inside a pinned
-// arena budget too). Lives in the bnm_kernel_tests binary
-// (ctest label `kernel`) because it replaces the global operator new, which
-// must not perturb the tier1 executable.
+// arena budget too); and the passive matcher's consume() sizes its tables
+// once, so its allocation count does not grow with the capture. Lives in
+// the bnm_kernel_tests binary (ctest label `kernel`) because it replaces
+// the global operator new, which must not perturb the tier1 executable.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -19,10 +20,13 @@
 #include "core/campaign.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
+#include "net/pcap_reader.h"
+#include "passive/rtt_estimator.h"
 #include "sim/arena.h"
 #include "sim/scheduler.h"
 
 static std::atomic<std::uint64_t> g_allocs{0};
+static std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 // GCC pairs our replaced operator new (malloc-backed) with std::free and
 // flags a mismatch; the pairing is intentional and correct for a full
@@ -31,6 +35,7 @@ static std::atomic<std::uint64_t> g_allocs{0};
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -58,6 +63,12 @@ constexpr double kCampaignClientBudget = 265.3;
 // staged them in arena-backed lists. Like the heap budgets, it only moves
 // down.
 constexpr double kPaperRepetitionArenaBudget = 19.9;
+// Heap allocations of one PassiveRttEstimator::consume(records) on a fresh
+// estimator: the anchor, slot and two sample tables once each, plus the
+// half-flow table and its index growing to the capture's 16 half-flows.
+// Measured 12 at 1k and at 12.8k records; when the anchor and sample tables
+// grew inside the loop it was 45 and 61.
+constexpr std::uint64_t kPassiveConsumeBudget = 12;
 
 // One round of the workload both phases share: a bucket's worth of
 // cancellable events, a couple of cancels, then drain. Walking this for
@@ -255,6 +266,103 @@ TEST(KernelAlloc, CampaignClientHeapBudget) {
   RecordProperty("allocs_per_client", std::to_string(per_client));
   std::printf("campaign client: %.2f heap allocations\n", per_client);
   EXPECT_LE(per_client, kBudgetPerClient);
+}
+
+/// `n` records of a tap between 8 clients and one server, 1 ms apart and
+/// round-robin over the clients: a data segment with a fresh TSval, then
+/// the server's ACK echoing it. 12.8k records span 12.8 s, past the 10 s
+/// anchor window, so the eviction sweep drops anchors on the way.
+std::vector<bnm::net::PcapRecord> ping_pong_records(int n) {
+  using bnm::net::Endpoint;
+  using bnm::net::IpAddress;
+  const Endpoint server{IpAddress{10, 0, 0, 2}, 80};
+  std::vector<std::uint32_t> seq(8, 1);
+  std::vector<bnm::net::PcapRecord> records;
+  for (int k = 0; k < n; ++k) {
+    const auto f = static_cast<std::size_t>(k / 2 % 8);
+    const Endpoint client{IpAddress{10, 0, 1, static_cast<std::uint8_t>(f)},
+                          static_cast<bnm::net::Port>(40000 + f)};
+    bnm::net::PcapRecord r;
+    r.timestamp = bnm::sim::TimePoint::from_ns(std::int64_t{k} * 1'000'000);
+    r.flags.ack = true;
+    r.ts = {true, static_cast<std::uint32_t>(k + 1),
+            static_cast<std::uint32_t>(k)};
+    if (k % 2 == 0) {
+      r.src = client;
+      r.dst = server;
+      r.seq = seq[f];
+      r.payload_len = 100;
+      seq[f] += 100;
+    } else {
+      r.src = server;
+      r.dst = client;
+      r.ack = seq[f];
+    }
+    records.push_back(r);
+  }
+  return records;
+}
+
+struct ConsumeAllocs {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
+
+ConsumeAllocs allocs_for_consume(
+    const std::vector<bnm::net::PcapRecord>& records,
+    bnm::passive::PassiveRttEstimator::Config config = {}) {
+  bnm::passive::PassiveRttEstimator est{config};
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t bytes_before =
+      g_alloc_bytes.load(std::memory_order_relaxed);
+  est.consume(records);
+  const ConsumeAllocs used{
+      g_allocs.load(std::memory_order_relaxed) - before,
+      g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before};
+  EXPECT_EQ(est.counters().samples, records.size() / 2);
+  EXPECT_EQ(est.counters().evicted > 0,
+            records.back().timestamp - records.front().timestamp >
+                config.anchor_window);
+  return used;
+}
+
+TEST(KernelAlloc, PassiveConsumeSizesItsTablesOnce) {
+  const std::vector<bnm::net::PcapRecord> small = ping_pong_records(1'000);
+  const std::vector<bnm::net::PcapRecord> large = ping_pong_records(12'800);
+  allocs_for_consume(small);  // warm: the registry's passive.* counters
+  const std::uint64_t a_small = allocs_for_consume(small).count;
+  const std::uint64_t a_large = allocs_for_consume(large).count;
+  std::printf("passive consume: %llu heap allocations at 1k records, "
+              "%llu at 12.8k\n",
+              static_cast<unsigned long long>(a_small),
+              static_cast<unsigned long long>(a_large));
+  EXPECT_EQ(a_small, a_large);
+  EXPECT_LE(a_large, kPassiveConsumeBudget);
+}
+
+// On a capture many windows long, the anchor vector and its slot table are
+// sized for what one window holds, not for the capture: a 64k-record scan
+// asks for more bytes than a 12.8k-record one only through its two sample
+// vectors. So every sweep re-indexes a window-sized table, however long the
+// capture, and still nothing regrows inside the loop.
+TEST(KernelAlloc, PassiveConsumeSizesAnchorTablesByTheWindow) {
+  bnm::passive::PassiveRttEstimator::Config config;
+  config.anchor_window = bnm::sim::Duration::millis(100);
+  const std::vector<bnm::net::PcapRecord> shorter = ping_pong_records(12'800);
+  const std::vector<bnm::net::PcapRecord> longer = ping_pong_records(64'000);
+  allocs_for_consume(shorter, config);  // warm the registry
+  const ConsumeAllocs a_shorter = allocs_for_consume(shorter, config);
+  const ConsumeAllocs a_longer = allocs_for_consume(longer, config);
+  std::printf("passive consume, 100 ms window: %llu allocations / %llu bytes "
+              "at 12.8k records, %llu / %llu at 64k\n",
+              static_cast<unsigned long long>(a_shorter.count),
+              static_cast<unsigned long long>(a_shorter.bytes),
+              static_cast<unsigned long long>(a_longer.count),
+              static_cast<unsigned long long>(a_longer.bytes));
+  EXPECT_EQ(a_shorter.count, a_longer.count);
+  EXPECT_EQ(a_longer.bytes - a_shorter.bytes,
+            (longer.size() - shorter.size()) *
+                (sizeof(bnm::passive::PassiveSample) + sizeof(std::uint32_t)));
 }
 
 }  // namespace

@@ -503,6 +503,47 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_EQ(v->dump(), "{\"a\":[1,2.5,\"x\\n\",true,null]}");
 }
 
+TEST(Json, UnicodeEscapesRoundTripControlBytesAndDecodeToUtf8) {
+  using bnm::obs::json::parse;
+  // Every control byte escape_to() writes as \u00XX parses back to itself.
+  std::string controls;
+  for (int c = 0; c < 0x20; ++c) controls += static_cast<char>(c);
+  std::string text = "\"";
+  bnm::obs::json::escape_to(text, controls);
+  text += '"';
+  ASSERT_NE(text.find("\\u001f"), std::string::npos);
+  auto v = parse(text);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->as_string(), controls);
+  EXPECT_EQ(v->dump(), text);
+
+  // Non-ASCII code points: two- and three-byte UTF-8, either hex case,
+  // and a surrogate pair (U+1F600) as one four-byte code point.
+  v = parse("\"\\u00e9|\\u20AC|\\ud83d\\ude00|\\u0041\"");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->as_string(), "\xc3\xa9|\xe2\x82\xac|\xf0\x9f\x98\x80|A");
+}
+
+TEST(Json, MalformedUnicodeEscapesAreParseErrors) {
+  using bnm::obs::json::parse;
+  for (const char* bad : {
+           "\"\\u00\"",           // truncated by the closing quote
+           "\"\\u12",             // truncated by the end of input
+           "\"\\u00g1\"",         // non-hex digit
+           "\"\\u-001\"",         // sign is not a digit
+           "\"\\ud83d\"",         // high surrogate alone
+           "\"\\ud83dx\"",        // high surrogate, then a plain char
+           "\"\\ud83d\\n\"",      // high surrogate, then another escape
+           "\"\\ud83d\\u0041\"",  // high surrogate, then a non-surrogate
+           "\"\\ud83d\\ud83d\"",  // two high surrogates
+           "\"\\ude00\"",         // low surrogate alone
+       }) {
+    std::string err;
+    EXPECT_FALSE(parse(bad, &err).has_value()) << bad;
+    EXPECT_NE(err.find("escape"), std::string::npos) << bad << ": " << err;
+  }
+}
+
 TEST(Json, ParseRejectsNestingPastTheCapInsteadOfOverflowingTheStack) {
   using bnm::obs::json::kMaxDepth;
   using bnm::obs::json::parse;

@@ -17,12 +17,12 @@ net::PcapRecord rec_at(double ms, net::Endpoint src, net::Endpoint dst,
                        const std::string& payload) {
   net::PcapRecord r;
   r.timestamp = sim::TimePoint::epoch() + sim::Duration::from_millis_f(ms);
-  r.packet.protocol = net::Protocol::kTcp;
-  r.packet.src = src;
-  r.packet.dst = dst;
-  r.packet.flags.ack = true;
-  r.packet.flags.psh = !payload.empty();
-  r.packet.payload = net::to_bytes(payload);
+  r.protocol = net::Protocol::kTcp;
+  r.src = src;
+  r.dst = dst;
+  r.flags.ack = true;
+  r.flags.psh = !payload.empty();
+  r.payload_len = static_cast<std::uint32_t>(payload.size());
   return r;
 }
 

@@ -1,11 +1,12 @@
 // Hostile input for PcapReader::read: a real capture (TCP with RFC 7323
 // timestamp options, plus UDP) put through a fixed-seed series of byte
 // flips, incl_len rewrites, TCP option-length corruptions and truncations.
-// Every read must end in ok() or one of the named errors, and every record
-// of an ok() read must carry a payload that lies inside its own frame and a
-// timestamp, if any, that lies inside its own TCP options. The
-// ASan and UBSan builds run this file (label `passive`), so a read past the
-// stream buffer fails there even where the bytes happen to compare equal.
+// Every read must end in ok() or one of the named errors, and every flat
+// record of an ok() read must equal the header fields parse_frame() finds
+// in its frame, whose payload lies inside that frame and whose timestamp,
+// if any, lies inside its own TCP options. The ASan and UBSan builds run
+// this file (label `passive`), so a read past the stream buffer or a
+// frame's buffer fails there even where the bytes happen to compare equal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -105,8 +106,8 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
     ASSERT_EQ(clean.records.size(), original_records.size());
     int udp = 0, ts = 0;
     for (const PcapRecord& r : clean.records) {
-      udp += r.packet.protocol == Protocol::kUdp;
-      ts += r.packet.ts.present;
+      udp += r.protocol == Protocol::kUdp;
+      ts += r.ts.present;
     }
     ASSERT_GE(udp, 6);
     ASSERT_GE(ts, 10);
@@ -180,8 +181,9 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
       continue;
     }
     ++ok_reads;
-    // Every complete record was read, and each payload is the tail of its
-    // own frame's transport segment, byte for byte.
+    // Every complete record was read, and parse_frame() over each frame
+    // agrees with its record and yields a payload that is the tail of the
+    // frame's own transport segment, byte for byte.
     const std::vector<std::size_t> offs = record_offsets(bytes);
     ASSERT_EQ(result.records.size(), offs.size()) << "round " << round;
     for (std::size_t i = 0; i < offs.size(); ++i) {
@@ -193,8 +195,14 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
       const std::size_t start =
           f[9] == 6 ? ihl + static_cast<std::size_t>(f[ihl + 12] >> 4) * 4
                     : ihl + 8;
-      const Packet& pkt = result.records[i].packet;
+      const PcapRecord& rec = result.records[i];
+      const auto parsed = PcapReader::parse_frame(
+          Payload{bytes.substr(frame, incl)});
+      ASSERT_TRUE(parsed.has_value()) << "round " << round << " record " << i;
+      const Packet& pkt = *parsed;
       const Payload& p = pkt.payload;
+      ASSERT_EQ(rec, PcapRecord::of(pkt, rec.timestamp, p.size()))
+          << "round " << round << " record " << i;
       ASSERT_LE(start + p.size(), incl) << "round " << round;
       ASSERT_EQ(std::memcmp(p.data(), f + start, p.size()), 0)
           << "round " << round << " record " << i;

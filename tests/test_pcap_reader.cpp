@@ -6,6 +6,7 @@
 #include "net/capture.h"
 #include "net/pcap_reader.h"
 #include "net/pcap_writer.h"
+#include "sim/random.h"
 #include "sim/simulation.h"
 
 namespace bnm::net {
@@ -83,8 +84,8 @@ TEST(PcapReader, StreamRoundTripPreservesTimestampsAndOrder) {
   const auto result = PcapReader::read(buf);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.records.size(), 2u);
-  EXPECT_EQ(result.records[0].packet.protocol, Protocol::kTcp);
-  EXPECT_EQ(result.records[1].packet.protocol, Protocol::kUdp);
+  EXPECT_EQ(result.records[0].protocol, Protocol::kTcp);
+  EXPECT_EQ(result.records[1].protocol, Protocol::kUdp);
   // Microsecond timestamp fidelity.
   EXPECT_EQ(result.records[0].timestamp.ns_since_epoch(), 5'000'000);
   EXPECT_EQ(result.records[1].timestamp.ns_since_epoch(), 55'000'000);
@@ -221,25 +222,92 @@ TEST(PcapReader, TruncationAtEveryByteOffset) {
   }
 }
 
-TEST(PcapReader, RecordsOutliveTheirSourceStream) {
+/// A seeded mix of TCP segments with timestamps, TCP segments without them
+/// and UDP datagrams, with random endpoints, flags, sequence numbers and
+/// payload sizes (empty included), recorded at whole microseconds.
+std::vector<Packet> mixed_packets(std::uint64_t seed, int n) {
+  sim::Rng rng{seed};
+  const auto u32 = [&rng] {
+    return static_cast<std::uint32_t>(rng.next_u64());
+  };
+  std::vector<Packet> out;
+  for (int i = 0; i < n; ++i) {
+    Packet p;
+    p.id = rng.next_u64() & 0xffff;
+    const auto kind = rng.uniform_int(0, 2);  // TCP+TS, bare TCP, UDP
+    p.protocol = kind == 2 ? Protocol::kUdp : Protocol::kTcp;
+    p.src = {IpAddress{u32()}, static_cast<Port>(u32())};
+    p.dst = {IpAddress{u32()}, static_cast<Port>(u32())};
+    if (p.protocol == Protocol::kTcp) {
+      p.flags.syn = rng.chance(0.2);
+      p.flags.ack = rng.chance(0.8);
+      p.flags.fin = rng.chance(0.1);
+      p.flags.rst = rng.chance(0.05);
+      p.flags.psh = rng.chance(0.5);
+      p.seq = u32();
+      p.ack = u32();
+      p.window = static_cast<std::uint16_t>(u32());
+      if (kind == 0) p.ts = {true, u32(), u32()};
+    }
+    p.payload = Payload{std::string(
+        static_cast<std::size_t>(rng.uniform_int(0, 300)),
+        static_cast<char>('a' + i % 26))};
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+TEST(PcapReader, FlatRecordsMatchParseFrameOnEveryFrame) {
+  // One walker fills both record kinds: the flat header record read()
+  // returns and the Packet parse_frame() builds over the same frame.
+  const std::vector<Packet> written = mixed_packets(0x9ca9'f1a7, 600);
+  sim::Simulation sim{6};
+  PacketCapture cap{sim};
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    sim.scheduler().schedule_after(
+        sim::Duration::micros(static_cast<std::int64_t>(7 * i + 3)),
+        [&, i] { cap.record(CaptureDirection::kOutbound, written[i]); });
+  }
+  sim.scheduler().run();
+  std::stringstream out;
+  PcapWriter::write(cap, out);
+  const std::string bytes = out.str();
+
   PcapReader::Result result;
   {
-    auto in = std::make_unique<std::stringstream>(three_record_pcap());
+    auto in = std::make_unique<std::stringstream>(bytes);
     result = PcapReader::read(*in);
   }  // the stream and its buffer are gone; the records must not care
   ASSERT_TRUE(result.ok());
-  const std::vector<Packet> written = three_packets();
   ASSERT_EQ(result.records.size(), written.size());
+
+  int kinds[3] = {0, 0, 0};
+  std::size_t off = 24;  // the first record header
   for (std::size_t i = 0; i < written.size(); ++i) {
     SCOPED_TRACE("record " + std::to_string(i));
-    const Packet& got = result.records[i].packet;
-    EXPECT_EQ(got.protocol, written[i].protocol);
-    EXPECT_EQ(got.src, written[i].src);
-    EXPECT_EQ(got.dst, written[i].dst);
-    EXPECT_EQ(got.ts, written[i].ts);
-    EXPECT_EQ(got.payload, written[i].payload);
-    EXPECT_EQ(got.payload.as_string(), written[i].payload.as_string());
+    std::uint32_t incl = 0;
+    for (int b = 3; b >= 0; --b) {
+      incl = (incl << 8) | static_cast<unsigned char>(bytes[off + 8 + b]);
+    }
+    const Payload frame{bytes.substr(off + 16, incl)};
+    off += 16 + incl;
+    const auto pkt = PcapReader::parse_frame(frame);
+    ASSERT_TRUE(pkt.has_value());
+    const PcapRecord& rec = result.records[i];
+    EXPECT_EQ(rec, PcapRecord::of(*pkt, rec.timestamp, pkt->payload.size()));
+    EXPECT_EQ(rec.payload_len, pkt->payload.size());
+    // And both agree with what was written.
+    const Packet& w = written[i];
+    EXPECT_EQ(rec, PcapRecord::of(w, cap.timestamp(i), w.payload.size()));
+    EXPECT_EQ(pkt->id, w.id);
+    EXPECT_EQ(pkt->window, w.window);
+    EXPECT_EQ(pkt->payload.as_string(), w.payload.as_string());
+    ++kinds[w.protocol == Protocol::kUdp ? 2 : w.ts.present ? 0 : 1];
   }
+  EXPECT_EQ(off, bytes.size());
+  EXPECT_GT(kinds[0], 100);  // TCP with timestamps
+  EXPECT_GT(kinds[1], 100);  // TCP without them
+  EXPECT_GT(kinds[2], 100);  // UDP
 }
 
 }  // namespace

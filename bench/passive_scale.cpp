@@ -132,7 +132,7 @@ Headline bench_headline(const std::vector<Observation>& stream, int flows,
   std::fflush(stdout);
   const auto t0 = Clock::now();
   for (const Observation& ob : stream) {
-    est.observe(ob.packet, ob.at, ob.packet.payload.size());
+    est.observe(ob.packet, ob.at);
   }
   h.wall_ms = ms_since(t0);
   h.samples = est.counters().samples;
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   passive::PassiveRttEstimator est2;
   for (const Observation& ob : stream) {
-    est2.observe(ob.packet, ob.at, ob.packet.payload.size());
+    est2.observe(ob.packet, ob.at);
   }
   const std::string r2 = est2.report_json("passive_scale");
   const bool identical = r1 == r2;

@@ -1,13 +1,14 @@
-// Performance harness for the experiment pipeline. Three sections:
+// Performance harness for the experiment pipeline. Four sections:
 //
 //   1. Full Figure-3 matrix, serial (jobs=1) vs parallel (--jobs, default
 //      all cores), with a byte-identity check between the result sets.
-//   2. Capture window extraction: linear scan (the old
-//      network_rtt_in_window behaviour) vs first_index_at_or_after.
+//   2. Engine overhead: a bare run_experiment loop vs run_matrix_checked
+//      with checkpointing off and on, in interleaved rounds.
 //   3. Scheduler event throughput: cancellable schedule_at path (pooled
 //      control blocks) vs fire-and-forget post_at path, a batched-vs-
 //      stepwise sub-bench, and the events/sec headline
 //      the kernel gate puts a floor on.
+//   4. One profiled matrix pass: the obs profiling-scope table.
 //
 // Emits BENCH_perf_matrix.json in the working directory, gates[] included,
 // and exits non-zero when a gate fails (the byte-identity checks, the
@@ -26,7 +27,6 @@
 
 #include "bench_util.h"
 #include "obs/prof.h"
-#include "net/capture.h"
 #include "sim/arena.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
@@ -257,82 +257,6 @@ CheckpointTimings bench_checkpoint(int runs) {
   return t;
 }
 
-struct CaptureTimings {
-  std::size_t records = 0;
-  std::size_t windows = 0;
-  double linear_ms = 0;
-  double indexed_ms = 0;
-  double speedup() const {
-    return indexed_ms > 0 ? linear_ms / indexed_ms : 0.0;
-  }
-};
-
-CaptureTimings bench_capture_scan() {
-  CaptureTimings t;
-  constexpr std::size_t kRecords = 40000;
-  constexpr std::size_t kWindows = 4000;
-  t.records = kRecords;
-  t.windows = kWindows;
-
-  // Populate a capture the way an experiment does: records appended as the
-  // simulation clock advances, one per simulated millisecond.
-  sim::Simulation sim;
-  net::PacketCapture capture{sim};
-  for (std::size_t i = 0; i < kRecords; ++i) {
-    sim.scheduler().post_at(
-        sim::TimePoint::epoch() + sim::Duration::millis(static_cast<double>(i)),
-        [&capture, i] {
-          net::Packet p;
-          p.id = i;
-          p.payload = std::vector<std::uint8_t>{0x42};
-          capture.record(i % 2 ? net::CaptureDirection::kInbound
-                               : net::CaptureDirection::kOutbound,
-                         p);
-        });
-  }
-  sim.scheduler().run();
-
-  // Late windows are the worst case for the linear scan (an experiment's
-  // run N re-scans all records of runs 1..N-1).
-  std::vector<sim::TimePoint> starts;
-  starts.reserve(kWindows);
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    const double at_ms =
-        static_cast<double>(kRecords) * 0.5 +
-        static_cast<double>(w % (kRecords / 2));
-    starts.push_back(sim::TimePoint::epoch() + sim::Duration::millis(at_ms));
-  }
-
-  std::size_t sum_linear = 0, sum_indexed = 0;
-  const auto l0 = Clock::now();
-  for (const auto from : starts) {
-    std::size_t i = 0;
-    while (i < capture.size() && capture.true_time(i) < from) ++i;
-    sum_linear += i;
-  }
-  const auto l1 = Clock::now();
-  t.linear_ms = ms_between(l0, l1);
-
-  const auto b0 = Clock::now();
-  for (const auto from : starts) {
-    sum_indexed += capture.first_index_at_or_after(from);
-  }
-  const auto b1 = Clock::now();
-  t.indexed_ms = ms_between(b0, b1);
-
-  std::printf("capture scan: %zu records, %zu window lookups\n", t.records,
-              t.windows);
-  std::printf("  linear scan        ... %8.2f ms\n", t.linear_ms);
-  std::printf("  binary search      ... %8.2f ms   (%.0fx)\n", t.indexed_ms,
-              t.speedup());
-  if (sum_linear != sum_indexed) {
-    std::printf("  !! index mismatch: linear=%zu indexed=%zu\n", sum_linear,
-                sum_indexed);
-    t.indexed_ms = -1;  // poison: the JSON shows something went wrong
-  }
-  return t;
-}
-
 struct SchedulerTimings {
   std::size_t events = 0;
   double handle_ns_per_event = 0;
@@ -465,8 +389,7 @@ std::vector<obs::prof::ProfEntry> bench_profile(int runs) {
 }
 
 benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
-                        const CheckpointTimings& k, const CaptureTimings& c,
-                        const SchedulerTimings& s,
+                        const CheckpointTimings& k, const SchedulerTimings& s,
                         const std::vector<obs::prof::ProfEntry>& profile) {
   using namespace benchutil;
   Json matrix = obj({
@@ -519,13 +442,6 @@ benchutil::Json to_json(unsigned hw, const MatrixTimings& m,
            {"enabled_delta_ms", num(k.enabled_delta_ms)},
            {"identical", flag(k.identical)},
        })},
-      {"capture_scan", obj({
-                           {"records", integer(c.records)},
-                           {"window_lookups", integer(c.windows)},
-                           {"linear_ms", num(c.linear_ms)},
-                           {"indexed_ms", num(c.indexed_ms)},
-                           {"speedup", num(c.speedup())},
-                       })},
       {"scheduler",
        obj({
            {"events", integer(s.events)},
@@ -555,8 +471,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
   const CheckpointTimings k = bench_checkpoint(opts.runs);
   std::printf("\n");
-  const CaptureTimings c = bench_capture_scan();
-  std::printf("\n");
   const SchedulerTimings s = bench_scheduler();
   std::printf("\n");
   const auto profile = bench_profile(opts.runs);
@@ -572,7 +486,7 @@ int main(int argc, char** argv) {
   using benchutil::at_least, benchutil::below, benchutil::either,
       benchutil::is_true;
   return benchutil::write_result(
-      "BENCH_perf_matrix.json", to_json(hw, m, k, c, s, profile),
+      "BENCH_perf_matrix.json", to_json(hw, m, k, s, profile),
       {
           is_true("matrix.identical"),
           is_true("checkpoint.identical"),

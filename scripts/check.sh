@@ -22,11 +22,13 @@
 #   scripts/check.sh --fast   # plain build + ctest only (skip the sanitizer
 #                             # builds, Release benches and gates)
 #
-# Each ctest call runs every registered test (all ten labels: tier1
-# faults perf obs kernel resilience campaign passive fingerprint paper);
-# only the TSan step picks the threaded subset. The `paper` tests run the
-# ten paper benches, so the ASan and UBSan steps build them too (the
-# `paper_benches` target in bench/CMakeLists.txt).
+# Each ctest call runs every registered test (all eleven labels: tier1
+# faults perf obs kernel resilience campaign passive fingerprint paper
+# examples); only the TSan step picks the threaded subset. The `paper`
+# tests run the ten paper benches and the `examples` tests the eight
+# examples, so the ASan and UBSan steps build them too (the
+# `paper_benches` target in bench/CMakeLists.txt and `example_programs`
+# in examples/CMakeLists.txt).
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
 # build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
@@ -59,7 +61,7 @@ cmake -B build -S . $(gen_for build)
 step "tier-1: build"
 cmake --build build -j
 
-step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive fingerprint paper)"
+step "ctest (every label: tier1 faults perf obs kernel resilience campaign passive fingerprint paper examples)"
 ctest --test-dir build --output-on-failure
 
 if [[ "$FAST" == 1 ]]; then
@@ -74,7 +76,7 @@ cmake -B build-asan -S . $(gen_for build-asan) -DBNM_SANITIZE=address
 
 step "asan: build tests"
 cmake --build build-asan -j --target bnm_tests bnm_fault_tests bnm_perf_tests bnm_obs_tests bnm_kernel_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests bnm_fingerprint_tests \
-  paper_benches
+  paper_benches example_programs
 
 step "asan: ctest"
 # Arena chunks are poisoned on reset() in this build, so a use of arena
@@ -88,7 +90,7 @@ cmake -B build-ubsan -S . $(gen_for build-ubsan) -DBNM_SANITIZE=undefined
 step "ubsan: build tests"
 cmake --build build-ubsan -j --target bnm_tests bnm_kernel_tests bnm_obs_tests \
   bnm_fault_tests bnm_resilience_tests bnm_campaign_tests bnm_passive_tests \
-  bnm_perf_tests bnm_fingerprint_tests paper_benches
+  bnm_perf_tests bnm_fingerprint_tests paper_benches example_programs
 
 step "ubsan: ctest"
 # Placement-new and launder in SmallCallback::emplace, the scheduler's

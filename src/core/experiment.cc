@@ -112,12 +112,11 @@ net::Port Experiment::probe_port() const {
   }
 }
 
-Experiment::WindowTimes Experiment::network_rtt_in_window(
-    sim::TimePoint from, sim::TimePoint to, net::Port port) const {
-  // Records are time-ordered: binary-search the window start and stop at the
-  // first record past the window instead of re-scanning the whole capture
-  // for every run (the scan was O(records x runs) per experiment).
-  const net::PacketCapture& capture = testbed_->client().capture();
+WindowTimes window_times(const net::PacketCapture& capture,
+                         sim::TimePoint from, sim::TimePoint to,
+                         net::Port port) {
+  // true_time is non-decreasing: binary-search the window start and stop at
+  // the first record past the window.
   BNM_PROF_SCOPE("experiment.window_scan");
   WindowTimes out;
   std::optional<sim::TimePoint> t_n_s;
@@ -125,8 +124,6 @@ Experiment::WindowTimes Experiment::network_rtt_in_window(
   const std::size_t n = capture.size();
   for (std::size_t i = capture.first_index_at_or_after(from);
        i < n && capture.true_time(i) <= to; ++i) {
-    // Column scan: true_time/direction are packed arrays; the heavyweight
-    // packet column is only dereferenced for rows inside the window.
     const net::Packet& p = capture.packet(i);
     const bool outbound =
         capture.direction(i) == net::CaptureDirection::kOutbound;
@@ -178,6 +175,7 @@ OverheadSeries Experiment::run() {
   sim::Scheduler& sched = testbed_->sim().scheduler();
   sim::Rng gap_rng = testbed_->sim().rng_for("experiment/gaps");
   const net::Port port = probe_port();
+  const net::PacketCapture& capture = testbed_->client().capture();
 
   // Sessions abandoned at the sample deadline are parked here instead of
   // being destroyed: their event loops may still hold queued callbacks, and
@@ -287,9 +285,9 @@ OverheadSeries Experiment::run() {
       OverheadSample s;
       const methods::MethodRunResult& r = **result;
       const auto w1 =
-          network_rtt_in_window(r.m1.true_send, r.m1.true_recv, port);
+          window_times(capture, r.m1.true_send, r.m1.true_recv, port);
       const auto w2 =
-          network_rtt_in_window(r.m2.true_send, r.m2.true_recv, port);
+          window_times(capture, r.m2.true_send, r.m2.true_recv, port);
       if (w1.net_rtt_ms && w2.net_rtt_ms) {
         s.browser_rtt1_ms = r.m1.browser_rtt().ms_f();
         s.browser_rtt2_ms = r.m2.browser_rtt().ms_f();

@@ -178,6 +178,20 @@ class CellAbortError : public std::runtime_error {
   std::string where_;
 };
 
+/// Eq. (1)'s network side for one measurement window, read off a capture.
+struct WindowTimes {
+  std::optional<double> net_rtt_ms;  ///< tN_r - tN_s; unset if not positive
+  int connections_opened = 0;        ///< outbound SYNs to the port
+};
+
+/// The one window rule: over the rows whose true_time lies in [from, to],
+/// tN_s is the timestamp of the first outbound data packet to `port` and
+/// tN_r that of the last inbound data packet from it. Counts outbound SYNs
+/// (not SYN-ACKs) to `port` as fresh connections.
+WindowTimes window_times(const net::PacketCapture& capture,
+                         sim::TimePoint from, sim::TimePoint to,
+                         net::Port port);
+
 class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);
@@ -195,12 +209,6 @@ class Experiment {
   Testbed& testbed() { return *testbed_; }
 
  private:
-  struct WindowTimes {
-    std::optional<double> net_rtt_ms;
-    int connections_opened = 0;
-  };
-  WindowTimes network_rtt_in_window(sim::TimePoint from, sim::TimePoint to,
-                                    net::Port probe_port) const;
   net::Port probe_port() const;
 
   ExperimentConfig config_;

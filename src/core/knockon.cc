@@ -103,27 +103,13 @@ std::vector<ThroughputSample> ThroughputExperiment::run() {
       sched.run();
 
       if (times.true_send && times.true_recv) {
-        // Packet-level duration: first request byte out to last response
-        // byte in, within the measurement window.
-        std::optional<sim::TimePoint> t_n_s, t_n_r;
-        const net::PacketCapture& cap = testbed_->client().capture();
-        for (std::size_t i = cap.first_index_at_or_after(*times.true_send);
-             i < cap.size() && cap.true_time(i) <= *times.true_recv; ++i) {
-          const net::Packet& pkt = cap.packet(i);
-          const bool outbound =
-              cap.direction(i) == net::CaptureDirection::kOutbound;
-          if (outbound && pkt.dst.port == probe_port && pkt.carries_data() &&
-              !t_n_s) {
-            t_n_s = cap.timestamp(i);
-          }
-          if (!outbound && pkt.src.port == probe_port &&
-              pkt.carries_data()) {
-            t_n_r = cap.timestamp(i);
-          }
-        }
-        if (t_n_s && t_n_r && *t_n_r > *t_n_s) {
+        // Packet-level duration: Eq. (1)'s window rule over the capture.
+        const WindowTimes w =
+            window_times(testbed_->client().capture(), *times.true_send,
+                         *times.true_recv, probe_port);
+        if (w.net_rtt_ms) {
           browser_ms.push_back((times.t_b_r - times.t_b_s).ms_f());
-          net_ms.push_back((*t_n_r - *t_n_s).ms_f());
+          net_ms.push_back(*w.net_rtt_ms);
         }
       }
 

@@ -1,17 +1,9 @@
 #include "net/capture.h"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
 #include <utility>
 
 namespace bnm::net {
-
-std::string CaptureRecord::to_string() const {
-  return timestamp.to_string() +
-         (direction == CaptureDirection::kOutbound ? " OUT " : " IN  ") +
-         packet.to_string();
-}
 
 PacketCapture::PacketCapture(sim::Simulation& sim, Config config)
     : sim_{sim}, config_{std::move(config)}, rng_{sim.rng_for(config_.name)} {}
@@ -23,24 +15,17 @@ void PacketCapture::record(CaptureDirection direction, const Packet& packet) {
   if (!config_.timestamp_jitter.is_zero()) {
     stamp += rng_.uniform_ms(0.0, config_.timestamp_jitter.ms_f());
   }
-  const std::size_t wire_len = packet.payload_size();
   timestamp_.push_back(stamp);
   true_time_.push_back(now);
   direction_.push_back(direction);
-  wire_len_.push_back(wire_len);
-  // Metadata copy + shared payload view — never a byte copy. snap_len
-  // truncation is a narrower view of the same buffer.
+  // Metadata copy + shared payload view — never a byte copy.
   packets_.push_back(packet);
-  if (config_.snap_len < wire_len) {
-    packets_.back().payload = packet.payload.first(config_.snap_len);
-  }
 }
 
 void PacketCapture::clear() {
   timestamp_.clear();
   true_time_.clear();
   direction_.clear();
-  wire_len_.clear();
   packets_.clear();
 }
 
@@ -48,92 +33,12 @@ void PacketCapture::reserve(std::size_t n) {
   timestamp_.reserve(n);
   true_time_.reserve(n);
   direction_.reserve(n);
-  wire_len_.reserve(n);
   packets_.reserve(n);
-}
-
-CaptureRecord PacketCapture::at(std::size_t i) const {
-  CaptureRecord rec;
-  rec.timestamp = timestamp_[i];
-  rec.true_time = true_time_[i];
-  rec.direction = direction_[i];
-  rec.packet = packets_[i];
-  rec.wire_payload_len = wire_len_[i];
-  return rec;
 }
 
 std::size_t PacketCapture::first_index_at_or_after(sim::TimePoint t) const {
   const auto it = std::lower_bound(true_time_.begin(), true_time_.end(), t);
   return static_cast<std::size_t>(it - true_time_.begin());
-}
-
-std::vector<CaptureRecord> PacketCapture::select(
-    const CaptureFilter& filter) const {
-  std::vector<CaptureRecord> out;
-  for (std::size_t i = 0; i < size(); ++i) {
-    CaptureRecord rec = at(i);
-    if (filter(rec)) out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-std::optional<CaptureRecord> PacketCapture::first(const CaptureFilter& filter,
-                                                  sim::TimePoint from) const {
-  for (std::size_t i = first_index_at_or_after(from); i < size(); ++i) {
-    CaptureRecord rec = at(i);
-    if (filter(rec)) return rec;
-  }
-  return std::nullopt;
-}
-
-std::optional<CaptureRecord> PacketCapture::last(
-    const CaptureFilter& filter) const {
-  for (std::size_t i = size(); i-- > 0;) {
-    CaptureRecord rec = at(i);
-    if (filter(rec)) return rec;
-  }
-  return std::nullopt;
-}
-
-CaptureFilter PacketCapture::outbound_data() {
-  return [](const CaptureRecord& r) {
-    return r.direction == CaptureDirection::kOutbound && r.carries_data();
-  };
-}
-
-CaptureFilter PacketCapture::inbound_data() {
-  return [](const CaptureRecord& r) {
-    return r.direction == CaptureDirection::kInbound && r.carries_data();
-  };
-}
-
-CaptureFilter PacketCapture::tcp_syn() {
-  return [](const CaptureRecord& r) {
-    return r.packet.protocol == Protocol::kTcp && r.packet.flags.syn;
-  };
-}
-
-CaptureFilter PacketCapture::to_port(Port port) {
-  return [port](const CaptureRecord& r) { return r.packet.dst.port == port; };
-}
-
-CaptureFilter PacketCapture::between(Endpoint a, Endpoint b) {
-  return [a, b](const CaptureRecord& r) {
-    return (r.packet.src == a && r.packet.dst == b) ||
-           (r.packet.src == b && r.packet.dst == a);
-  };
-}
-
-std::size_t PacketCapture::distinct_connections() const {
-  std::set<std::tuple<std::uint32_t, Port, std::uint32_t, Port, std::uint32_t>>
-      syns;
-  for (const Packet& p : packets_) {
-    if (p.protocol == Protocol::kTcp && p.flags.syn && !p.flags.ack) {
-      syns.emplace(p.src.ip.raw(), p.src.port, p.dst.ip.raw(), p.dst.port,
-                   p.seq);
-    }
-  }
-  return syns.size();
 }
 
 }  // namespace bnm::net

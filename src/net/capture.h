@@ -9,17 +9,15 @@
 // paper cites (software capturers are accurate to ~0.3 ms at best).
 //
 // Storage is structure-of-arrays: the scan-hot fields (true_time,
-// timestamp, direction, wire_payload_len) each live in their own dense
-// column, with the heavyweight Packet in a side column. Window extraction
-// (first_index_at_or_after + a linear sweep) touches only the packed
-// columns it needs, so a scan over a long capture stays cache-resident
-// instead of striding over full records. Columns are arena-backed when the
-// capture is built under an installed sim::Arena scope.
+// timestamp, direction) each live in their own dense column, with the
+// heavyweight Packet in a side column. Window extraction
+// (first_index_at_or_after + a linear sweep) binary-searches the packed
+// true_time column and then reads packet(i) for every row inside the
+// window. Columns are arena-backed when the capture is built under an
+// installed sim::Arena scope.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,33 +32,6 @@ enum class CaptureDirection : std::uint8_t {
   kInbound,   ///< wire -> host
 };
 
-/// One materialized capture row. PacketCapture stores these fields as
-/// separate columns (SoA) and assembles a CaptureRecord on demand via
-/// at(); prefer the per-column accessors — true_time(i), direction(i),
-/// wire_payload_len(i), packet(i) — when scanning, since at() copies the
-/// packet (a refcount bump on its payload, never a byte copy).
-struct CaptureRecord {
-  sim::TimePoint timestamp;  ///< capture clock (true time + jitter)
-  sim::TimePoint true_time;  ///< exact simulated instant (for calibration)
-  CaptureDirection direction = CaptureDirection::kOutbound;
-  /// The captured packet. Its payload is a zero-copy view sharing the
-  /// in-flight packet's buffer, possibly truncated to the tap's snap_len
-  /// (like a real tcpdump -s capture).
-  Packet packet;
-  /// Payload length of the packet on the wire (>= packet.payload_size()
-  /// when the tap truncates). Analysis should use this, not the stored
-  /// view's size, for byte accounting.
-  std::size_t wire_payload_len = 0;
-
-  /// Whether the on-wire packet carried data (snap-len-proof).
-  bool carries_data() const { return wire_payload_len > 0; }
-
-  std::string to_string() const;
-};
-
-/// Predicate over capture records (a micro "BPF filter").
-using CaptureFilter = std::function<bool(const CaptureRecord&)>;
-
 class PacketCapture {
  public:
   struct Config {
@@ -68,14 +39,7 @@ class PacketCapture {
     sim::Duration timestamp_jitter = sim::Duration::zero();
     std::string name = "pcap";
     bool enabled = true;
-    /// Payload bytes retained per record (tcpdump's -s). The default keeps
-    /// the whole payload; either way the tap stores a shared view — a
-    /// capture never deep-copies payload bytes, so a long capture costs
-    /// O(records), not O(bytes). 0 = headers + timestamps only, the
-    /// DlyLoc-style metadata-weight tap.
-    std::size_t snap_len = kNoSnapLen;
   };
-  static constexpr std::size_t kNoSnapLen = static_cast<std::size_t>(-1);
 
   explicit PacketCapture(sim::Simulation& sim)
       : PacketCapture(sim, Config{}) {}
@@ -90,16 +54,14 @@ class PacketCapture {
   /// recording never reallocates mid-run.
   void reserve(std::size_t n);
 
-  // ---- per-column accessors (the cache-dense scan path) ----
+  // ---- per-column accessors ----
   sim::TimePoint timestamp(std::size_t i) const { return timestamp_[i]; }
   sim::TimePoint true_time(std::size_t i) const { return true_time_[i]; }
   CaptureDirection direction(std::size_t i) const { return direction_[i]; }
-  std::size_t wire_payload_len(std::size_t i) const { return wire_len_[i]; }
-  bool carries_data(std::size_t i) const { return wire_len_[i] > 0; }
+  /// The captured packet: its payload is a shared view of the in-flight
+  /// packet's buffer, never a byte copy, so a long capture costs
+  /// O(records), not O(bytes).
   const Packet& packet(std::size_t i) const { return packets_[i]; }
-
-  /// Materialize row `i` as a CaptureRecord (copies the packet).
-  CaptureRecord at(std::size_t i) const;
 
   /// Index of the first record with true_time >= t (== size() if none).
   /// Records are appended at the current simulated instant, so true_time is
@@ -107,26 +69,6 @@ class PacketCapture {
   /// true_time column — window extraction over a long capture is
   /// O(log n + window) instead of a full scan.
   std::size_t first_index_at_or_after(sim::TimePoint t) const;
-
-  /// Records matching `filter`, in capture order.
-  std::vector<CaptureRecord> select(const CaptureFilter& filter) const;
-  /// First record at or after `from` matching `filter`.
-  std::optional<CaptureRecord> first(const CaptureFilter& filter,
-                                     sim::TimePoint from = {}) const;
-  /// Last matching record.
-  std::optional<CaptureRecord> last(const CaptureFilter& filter) const;
-
-  // Common filters.
-  static CaptureFilter outbound_data();
-  static CaptureFilter inbound_data();
-  static CaptureFilter tcp_syn();
-  static CaptureFilter to_port(Port port);
-  static CaptureFilter between(Endpoint a, Endpoint b);
-
-  /// Count of TCP connections initiated (SYN packets, either direction,
-  /// de-duplicated by 4-tuple+seq so retransmits count once). The Table 3
-  /// analysis uses this to show which browsers open fresh connections.
-  std::size_t distinct_connections() const;
 
  private:
   template <typename T>
@@ -136,11 +78,10 @@ class PacketCapture {
   Config config_;
   sim::Rng rng_;
   // SoA columns, index-aligned: row i of the capture is
-  // (timestamp_[i], true_time_[i], direction_[i], wire_len_[i], packets_[i]).
+  // (timestamp_[i], true_time_[i], direction_[i], packets_[i]).
   Column<sim::TimePoint> timestamp_;
   Column<sim::TimePoint> true_time_;
   Column<CaptureDirection> direction_;
-  Column<std::size_t> wire_len_;
   Column<Packet> packets_;
 };
 

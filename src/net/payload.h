@@ -4,8 +4,8 @@
 // Ownership model (see DESIGN.md "Payload buffers"):
 //   * The bytes inside a PayloadBuffer are immutable for as long as more
 //     than one Payload references them. Copying a Payload bumps a refcount;
-//     it never touches the bytes. Sub-views (TCP segmentation, capture
-//     snap-len truncation) alias the same buffer at an offset.
+//     it never touches the bytes. Sub-views (TCP segmentation) alias the
+//     same buffer at an offset.
 //   * Mutation goes through the explicit copy-on-write escape hatch
 //     `mutable_bytes()`: a uniquely-owned full view is mutated in place,
 //     anything shared is first cloned into a fresh buffer. Every other

@@ -30,11 +30,10 @@ struct PcapRecord {
   Protocol protocol = Protocol::kTcp;
   TcpFlags flags;
 
-  /// The header fields of `pkt` seen at `at`, carrying `payload_len` bytes.
-  static PcapRecord of(const Packet& pkt, sim::TimePoint at,
-                       std::size_t payload_len) {
+  /// The header fields of `pkt` seen at `at`.
+  static PcapRecord of(const Packet& pkt, sim::TimePoint at) {
     return {at,     pkt.src, pkt.dst, pkt.seq, pkt.ack,
-            pkt.ts, static_cast<std::uint32_t>(payload_len),
+            pkt.ts, static_cast<std::uint32_t>(pkt.payload.size()),
             pkt.protocol, pkt.flags};
   }
   bool operator==(const PcapRecord&) const = default;

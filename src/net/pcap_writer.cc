@@ -1,7 +1,5 @@
 #include "net/pcap_writer.h"
 
-#include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
@@ -48,11 +46,6 @@ std::uint16_t PcapWriter::internet_checksum(const std::uint8_t* data,
 }
 
 std::vector<std::uint8_t> PcapWriter::synthesize_frame(const Packet& packet) {
-  return synthesize_frame(packet, packet.payload.size());
-}
-
-std::vector<std::uint8_t> PcapWriter::synthesize_frame(
-    const Packet& packet, std::size_t wire_payload_len) {
   std::vector<std::uint8_t> f;
   f.reserve(kIpHeaderBytes + kTcpHeaderBytes + packet.payload.size());
 
@@ -61,7 +54,8 @@ std::vector<std::uint8_t> PcapWriter::synthesize_frame(
   const std::size_t tcp_header =
       kTcpHeaderBytes + (has_ts ? kTcpTimestampOptionBytes : 0);
   const std::size_t total =
-      kIpHeaderBytes + (tcp ? tcp_header : kUdpHeaderBytes) + wire_payload_len;
+      kIpHeaderBytes + (tcp ? tcp_header : kUdpHeaderBytes) +
+      packet.payload.size();
 
   // --- IPv4 header (20 bytes, no options) ---
   f.push_back(0x45);  // version 4, IHL 5
@@ -108,7 +102,8 @@ std::vector<std::uint8_t> PcapWriter::synthesize_frame(
     // --- UDP header (8 bytes) ---
     put_u16be(f, packet.src.port);
     put_u16be(f, packet.dst.port);
-    put_u16be(f, static_cast<std::uint16_t>(kUdpHeaderBytes + wire_payload_len));
+    put_u16be(f, static_cast<std::uint16_t>(kUdpHeaderBytes +
+                                            packet.payload.size()));
     put_u16be(f, 0);  // checksum (optional for IPv4)
   }
 
@@ -128,20 +123,14 @@ std::size_t PcapWriter::write(const PacketCapture& capture, std::ostream& out) {
   std::size_t written = 24;
 
   for (std::size_t i = 0; i < capture.size(); ++i) {
-    const Packet& pkt = capture.packet(i);
-    // wire_payload_len only differs from the stored payload when the
-    // capture snapped; hand-built records may leave it 0, so never let it
-    // understate what we actually hold.
-    const std::size_t wire_len =
-        std::max(capture.wire_payload_len(i), pkt.payload.size());
-    const std::vector<std::uint8_t> frame = synthesize_frame(pkt, wire_len);
-    const std::size_t orig_len =
-        frame.size() + (wire_len - pkt.payload.size());
+    const std::vector<std::uint8_t> frame =
+        synthesize_frame(capture.packet(i));
     const std::int64_t us = capture.timestamp(i).ns_since_epoch() / 1000;
     put_u32le(out, static_cast<std::uint32_t>(us / 1'000'000));
     put_u32le(out, static_cast<std::uint32_t>(us % 1'000'000));
+    // incl_len == orig_len: the tap keeps every payload byte.
     put_u32le(out, static_cast<std::uint32_t>(frame.size()));
-    put_u32le(out, static_cast<std::uint32_t>(orig_len));
+    put_u32le(out, static_cast<std::uint32_t>(frame.size()));
     out.write(reinterpret_cast<const char*>(frame.data()),
               static_cast<std::streamsize>(frame.size()));
     written += 16 + frame.size();

@@ -5,11 +5,6 @@
 // IPv4 and TCP/UDP headers are synthesized from packet metadata; the IPv4
 // header checksum is computed for real, transport checksums are left zero
 // (as many capture setups with checksum offload do).
-//
-// Records captured under a snap length are written with real pcap snaplen
-// semantics: the frame headers describe the original (wire) payload length
-// while only the truncated bytes are included, and the per-record header's
-// orig_len exceeds incl_len accordingly.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +34,6 @@ class PcapWriter {
   /// Synthesize the on-wire bytes (IPv4 + transport + payload) for one
   /// packet; exposed for tests.
   static std::vector<std::uint8_t> synthesize_frame(const Packet& packet);
-
-  /// As above, but the length fields in the IP/UDP headers describe
-  /// `wire_payload_len` bytes of payload even if `packet.payload` holds
-  /// fewer (a snap-truncated capture record).
-  static std::vector<std::uint8_t> synthesize_frame(
-      const Packet& packet, std::size_t wire_payload_len);
 
   /// RFC 1071 internet checksum over `data` (exposed for tests).
   static std::uint16_t internet_checksum(const std::uint8_t* data,

@@ -19,11 +19,13 @@ struct TrueExchange {
   double rtt_ms = 0;
 };
 
-/// Pair outbound data packets toward `server_port` with the next inbound
-/// data packet from it, on the capture's true_time column — the same filter
-/// discipline as core::OfflineAnalyzer, but over SoA columns. At a server
-/// tap the directions flip (the request arrives inbound), so the caller
-/// passes the direction the request travels in.
+/// Pair each outbound data packet toward `server_port` with the next
+/// inbound data packet from it, on the capture's true_time column: one
+/// exchange per request/response turn, which is the granularity the
+/// passive matcher samples at. (Eq. (1)'s window rule, core::window_times,
+/// instead spans one whole measurement window.) At a server tap the
+/// directions flip (the request arrives inbound), so the caller passes the
+/// direction the request travels in.
 std::vector<TrueExchange> true_exchanges(const net::PacketCapture& cap,
                                          net::Port server_port,
                                          net::CaptureDirection request_dir) {
@@ -31,8 +33,8 @@ std::vector<TrueExchange> true_exchanges(const net::PacketCapture& cap,
   bool pending = false;
   sim::TimePoint request_at;
   for (std::size_t i = 0; i < cap.size(); ++i) {
-    if (!cap.carries_data(i)) continue;
     const net::Packet& pkt = cap.packet(i);
+    if (!pkt.carries_data()) continue;
     if (cap.direction(i) == request_dir && pkt.dst.port == server_port) {
       if (!pending) {
         pending = true;

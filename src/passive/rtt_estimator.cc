@@ -137,9 +137,8 @@ const std::vector<obs::Counter>& counter_metrics() {
 
 }  // namespace
 
-void PassiveRttEstimator::observe(const net::Packet& pkt, sim::TimePoint at,
-                                  std::size_t wire_payload_len) {
-  observe_at(net::PcapRecord::of(pkt, at, wire_payload_len), next_index_);
+void PassiveRttEstimator::observe(const net::Packet& pkt, sim::TimePoint at) {
+  observe_at(net::PcapRecord::of(pkt, at), next_index_);
   ++next_index_;
 }
 
@@ -313,16 +312,12 @@ void PassiveRttEstimator::reserve_for(std::size_t observations,
 }
 
 void PassiveRttEstimator::consume(const net::PacketCapture& capture) {
-  const auto time_at = [&](std::size_t i) {
-    return config_.use_true_time ? capture.true_time(i) : capture.timestamp(i);
-  };
   reserve_for(capture.size(),
-              most_live_anchors(capture.size(), reach(), time_at));
+              most_live_anchors(capture.size(), reach(), [&](std::size_t i) {
+                return capture.timestamp(i);
+              }));
   for (std::size_t i = 0; i < capture.size(); ++i) {
-    const net::Packet& pkt = capture.packet(i);
-    observe_at(net::PcapRecord::of(pkt, time_at(i),
-                                   std::max(capture.wire_payload_len(i),
-                                            pkt.payload.size())),
+    observe_at(net::PcapRecord::of(capture.packet(i), capture.timestamp(i)),
                next_index_);
     ++next_index_;
   }

@@ -103,24 +103,15 @@ class PassiveRttEstimator {
     /// timeout), matched or not. A sweep costs nothing while every stored
     /// anchor is inside the window.
     sim::Duration anchor_window = sim::Duration::seconds(10);
-    /// consume(PacketCapture): match on the jitter-free true_time column
-    /// instead of the capture clock (ground-truth mode for calibration).
-    bool use_true_time = false;
   };
 
   PassiveRttEstimator() : PassiveRttEstimator(Config{}) {}
   explicit PassiveRttEstimator(Config config) : config_{config} {}
 
-  /// Feed one observation (live-tap incremental use). `wire_payload_len` is
-  /// the on-wire payload size (may exceed pkt.payload.size() under snap-len
-  /// truncation); it drives the retransmission detector's sequence math.
-  /// Costs one half-flow lookup and at most two anchor-table probes; it
-  /// allocates only when a table or the sample vector grows (geometrically).
-  void observe(const net::Packet& pkt, sim::TimePoint at,
-               std::size_t wire_payload_len);
-  void observe(const net::Packet& pkt, sim::TimePoint at) {
-    observe(pkt, at, pkt.payload.size());
-  }
+  /// Feed one observation (live-tap incremental use). Costs one half-flow
+  /// lookup and at most two anchor-table probes; it allocates only when a
+  /// table or the sample vector grows (geometrically).
+  void observe(const net::Packet& pkt, sim::TimePoint at);
 
   /// Scan a whole capture (any tap point, both directions interleaved).
   /// The anchor, slot and sample tables are sized once up front (see the

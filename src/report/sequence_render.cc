@@ -1,6 +1,7 @@
 #include "report/sequence_render.h"
 
 #include <cstdio>
+#include <optional>
 
 namespace bnm::report {
 
@@ -18,8 +19,8 @@ std::string SequenceRenderer::describe(const net::Packet& packet) const {
   return flags;
 }
 
-std::string SequenceRenderer::render(const net::PacketCapture& capture,
-                                     const net::CaptureFilter& filter) const {
+std::string SequenceRenderer::render(
+    const net::PacketCapture& capture) const {
   std::string out;
   char line[256];
   std::size_t shown = 0;
@@ -30,22 +31,21 @@ std::string SequenceRenderer::render(const net::PacketCapture& capture,
   out += line;
 
   for (std::size_t i = 0; i < capture.size(); ++i) {
-    const net::CaptureRecord rec = capture.at(i);
-    if (filter && !filter(rec)) continue;
-    if (options_.hide_pure_acks && rec.packet.is_pure_ack()) continue;
+    const net::Packet& packet = capture.packet(i);
+    if (options_.hide_pure_acks && packet.is_pure_ack()) continue;
     if (options_.limit > 0 && shown >= options_.limit) {
       out += "  ... (truncated)\n";
       break;
     }
-    if (!t0) t0 = rec.timestamp;
-    const double ms = options_.relative_time
-                          ? (rec.timestamp - *t0).ms_f()
-                          : rec.timestamp.ms_since_epoch_f();
+    const sim::TimePoint stamp = capture.timestamp(i);
+    if (!t0) t0 = stamp;
+    const double ms = options_.relative_time ? (stamp - *t0).ms_f()
+                                             : stamp.ms_since_epoch_f();
 
-    const std::string label = describe(rec.packet);
+    const std::string label = describe(packet);
     std::string arrow;
     const std::size_t w = options_.arrow_width;
-    if (rec.direction == net::CaptureDirection::kOutbound) {
+    if (capture.direction(i) == net::CaptureDirection::kOutbound) {
       // client ---- label ---->
       const std::size_t dashes = w > label.size() + 4 ? w - label.size() - 4 : 1;
       arrow = std::string(dashes / 2, '-') + " " + label + " " +

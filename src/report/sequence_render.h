@@ -28,9 +28,8 @@ class SequenceRenderer {
   explicit SequenceRenderer(Options options) : options_{options} {}
   SequenceRenderer() : SequenceRenderer(Options{}) {}
 
-  /// Render records matching `filter` (all records if empty filter).
-  std::string render(const net::PacketCapture& capture,
-                     const net::CaptureFilter& filter = nullptr) const;
+  /// Render the capture's records in capture order.
+  std::string render(const net::PacketCapture& capture) const;
 
  private:
   std::string describe(const net::Packet& packet) const;

@@ -67,48 +67,6 @@ TEST(PacketCapture, TimestampJitterBoundedAndNonNegative) {
   }
 }
 
-TEST(PacketCapture, FiltersSelectExpectedRecords) {
-  sim::Simulation sim{4};
-  PacketCapture cap{sim};
-  cap.record(CaptureDirection::kOutbound,
-             tcp_packet(kClient, kServer, {.syn = true}));
-  cap.record(CaptureDirection::kOutbound,
-             tcp_packet(kClient, kServer, {.ack = true, .psh = true}, "req"));
-  cap.record(CaptureDirection::kInbound,
-             tcp_packet(kServer, kClient, {.ack = true, .psh = true}, "resp"));
-  cap.record(CaptureDirection::kInbound,
-             tcp_packet(kServer, kClient, {.ack = true}));  // pure ack
-
-  EXPECT_EQ(cap.select(PacketCapture::outbound_data()).size(), 1u);
-  EXPECT_EQ(cap.select(PacketCapture::inbound_data()).size(), 1u);
-  EXPECT_EQ(cap.select(PacketCapture::tcp_syn()).size(), 1u);
-  EXPECT_EQ(cap.select(PacketCapture::to_port(80)).size(), 2u);
-  EXPECT_EQ(cap.select(PacketCapture::between(kClient, kServer)).size(), 4u);
-
-  const auto first = cap.first(PacketCapture::inbound_data());
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(to_string(first->packet.payload), "resp");
-  const auto last = cap.last(PacketCapture::to_port(80));
-  ASSERT_TRUE(last.has_value());
-  EXPECT_TRUE(last->packet.carries_data());
-}
-
-TEST(PacketCapture, DistinctConnectionsDeduplicatesRetransmits) {
-  sim::Simulation sim{5};
-  PacketCapture cap{sim};
-  Packet syn = tcp_packet(kClient, kServer, {.syn = true});
-  syn.seq = 1000;
-  cap.record(CaptureDirection::kOutbound, syn);
-  cap.record(CaptureDirection::kOutbound, syn);  // retransmission
-  Packet syn2 = syn;
-  syn2.src.port = 50001;
-  cap.record(CaptureDirection::kOutbound, syn2);
-  // SYN-ACK must not count as a new connection.
-  Packet synack = tcp_packet(kServer, kClient, {.syn = true, .ack = true});
-  cap.record(CaptureDirection::kInbound, synack);
-  EXPECT_EQ(cap.distinct_connections(), 2u);
-}
-
 TEST(PacketCapture, ClearEmpties) {
   sim::Simulation sim{6};
   PacketCapture cap{sim};

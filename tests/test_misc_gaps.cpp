@@ -34,11 +34,12 @@ TEST_F(StrayTcp, DataToUnknownConnectionGetsRst) {
   client->send_packet(stray);
   run_all();
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    if (r.direction == net::CaptureDirection::kInbound && r.packet.flags.rst) {
+    const net::Packet& p = client->capture().packet(i);
+    if (client->capture().direction(i) == net::CaptureDirection::kInbound &&
+        p.flags.rst) {
       got_rst = true;
       // RFC-style: RST acks the stray segment's payload.
-      EXPECT_EQ(r.packet.ack, 1000u + 5u);
+      EXPECT_EQ(p.ack, 1000u + 5u);
     }
   }
   EXPECT_TRUE(got_rst);
@@ -53,9 +54,9 @@ TEST_F(StrayTcp, RstIsNotAnsweredWithRst) {
   client->send_packet(rst);
   run_all();
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    EXPECT_NE(r.direction == net::CaptureDirection::kInbound &&
-                  r.packet.flags.rst,
+    EXPECT_NE(client->capture().direction(i) ==
+                      net::CaptureDirection::kInbound &&
+                  client->capture().packet(i).flags.rst,
               true)
         << "RST storm: an RST was answered with an RST";
   }

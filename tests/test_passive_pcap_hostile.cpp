@@ -201,7 +201,7 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
       ASSERT_TRUE(parsed.has_value()) << "round " << round << " record " << i;
       const Packet& pkt = *parsed;
       const Payload& p = pkt.payload;
-      ASSERT_EQ(rec, PcapRecord::of(pkt, rec.timestamp, p.size()))
+      ASSERT_EQ(rec, PcapRecord::of(pkt, rec.timestamp))
           << "round " << round << " record " << i;
       ASSERT_LE(start + p.size(), incl) << "round " << round;
       ASSERT_EQ(std::memcmp(p.data(), f + start, p.size()), 0)

@@ -236,9 +236,7 @@ TEST_F(PassiveDelackTest, CumulativeDelayedAckEchoesEarliestSegment) {
 
   // The passive matcher therefore anchors the sample at segment 1 and its
   // RTT contains the delayed-ACK wait.
-  PassiveRttEstimator::Config ec;
-  ec.use_true_time = true;
-  PassiveRttEstimator est{ec};
+  PassiveRttEstimator est;
   est.consume(cap);
   const auto& samples = est.samples();
   bool found = false;
@@ -296,9 +294,7 @@ TEST_F(PassiveWrapTest, TsvalWraparoundKeepsMatchingAndEchoing) {
   EXPECT_TRUE(high);
   EXPECT_TRUE(wrapped_low);  // the clock really crossed 2^32
 
-  PassiveRttEstimator::Config ec;
-  ec.use_true_time = true;
-  PassiveRttEstimator est{ec};
+  PassiveRttEstimator est;
   est.consume(cap);
   EXPECT_GE(est.counters().samples, 5u);
   for (const auto& s : est.samples()) {

@@ -294,11 +294,11 @@ TEST(PcapReader, FlatRecordsMatchParseFrameOnEveryFrame) {
     const auto pkt = PcapReader::parse_frame(frame);
     ASSERT_TRUE(pkt.has_value());
     const PcapRecord& rec = result.records[i];
-    EXPECT_EQ(rec, PcapRecord::of(*pkt, rec.timestamp, pkt->payload.size()));
+    EXPECT_EQ(rec, PcapRecord::of(*pkt, rec.timestamp));
     EXPECT_EQ(rec.payload_len, pkt->payload.size());
     // And both agree with what was written.
     const Packet& w = written[i];
-    EXPECT_EQ(rec, PcapRecord::of(w, cap.timestamp(i), w.payload.size()));
+    EXPECT_EQ(rec, PcapRecord::of(w, cap.timestamp(i)));
     EXPECT_EQ(pkt->id, w.id);
     EXPECT_EQ(pkt->window, w.window);
     EXPECT_EQ(pkt->payload.as_string(), w.payload.as_string());

@@ -101,10 +101,11 @@ TEST_F(TcpTest, LargeSendIsSegmentedByMss) {
   std::size_t data_segments = 0;
   std::size_t oversized = 0;
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    if (r.direction == CaptureDirection::kOutbound && r.packet.carries_data()) {
+    const Packet& p = client->capture().packet(i);
+    if (client->capture().direction(i) == CaptureDirection::kOutbound &&
+        p.carries_data()) {
       ++data_segments;
-      if (r.packet.payload.size() > 1460) ++oversized;
+      if (p.payload.size() > 1460) ++oversized;
     }
   }
   EXPECT_EQ(data_segments, 4u);
@@ -121,9 +122,10 @@ TEST_F(TcpTest, ResponseCarriesPiggybackAck) {
   // Find the server's echo segment: it must ACK the request bytes.
   bool found = false;
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    if (r.direction == CaptureDirection::kInbound && r.packet.carries_data()) {
-      EXPECT_TRUE(r.packet.flags.ack);
+    const Packet& p = client->capture().packet(i);
+    if (client->capture().direction(i) == CaptureDirection::kInbound &&
+        p.carries_data()) {
+      EXPECT_TRUE(p.flags.ack);
       found = true;
     }
   }

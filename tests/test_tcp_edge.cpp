@@ -52,9 +52,9 @@ TEST_F(TcpEdge, DelayedAckFiresForUnansweredData) {
   // A pure ACK for the data appeared at the client.
   bool pure_ack_seen = false;
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    if (r.direction == CaptureDirection::kInbound && r.packet.is_pure_ack() &&
-        r.packet.ack > 1) {
+    const Packet& p = client->capture().packet(i);
+    if (client->capture().direction(i) == CaptureDirection::kInbound &&
+        p.is_pure_ack() && p.ack > 1) {
       pure_ack_seen = true;
     }
   }
@@ -93,12 +93,13 @@ TEST(TcpReordering, ReassemblyDeliversInOrderUnderReorderingNetem) {
   std::uint32_t prev_seq = 0;
   bool first = true;
   for (std::size_t i = 0; i < tb.client().capture().size(); ++i) {
-    const auto r = tb.client().capture().at(i);
-    if (r.direction != CaptureDirection::kInbound || !r.packet.carries_data()) {
+    const Packet& p = tb.client().capture().packet(i);
+    if (tb.client().capture().direction(i) != CaptureDirection::kInbound ||
+        !p.carries_data()) {
       continue;
     }
-    if (!first && r.packet.seq < prev_seq) reordered = true;
-    prev_seq = r.packet.seq;
+    if (!first && p.seq < prev_seq) reordered = true;
+    prev_seq = p.seq;
     first = false;
   }
   EXPECT_TRUE(reordered);

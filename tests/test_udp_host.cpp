@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "net_fixture.h"
 
 namespace bnm::net {
@@ -99,10 +101,16 @@ TEST_F(NetemHostTest, CaptureSitsOutsideTheStackDelay) {
   auto cli = client->udp_open([](Endpoint, const Payload&) {});
   cli->send_to(server_ep(9001), to_bytes("x"));
   run_all();
-  const auto out = client->capture().first(PacketCapture::outbound_data());
-  const auto in = client->capture().first(PacketCapture::inbound_data());
+  const PacketCapture& cap = client->capture();
+  std::optional<sim::TimePoint> out, in;
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    if (!cap.packet(i).carries_data()) continue;
+    auto& first =
+        cap.direction(i) == CaptureDirection::kOutbound ? out : in;
+    if (!first) first = cap.timestamp(i);
+  }
   ASSERT_TRUE(out && in);
-  const double net_rtt = (in->timestamp - out->timestamp).ms_f();
+  const double net_rtt = (*in - *out).ms_f();
   EXPECT_GT(net_rtt, 50.0);
   EXPECT_LT(net_rtt, 50.5);
 }

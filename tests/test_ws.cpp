@@ -283,13 +283,13 @@ TEST_F(WsIntegration, ClientFramesAreMaskedServerFramesNot) {
   bool saw_masked_client_frame = false;
   bool saw_unmasked_server_frame = false;
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    const auto& pl = r.packet.payload;
+    const auto dir = client->capture().direction(i);
+    const auto& pl = client->capture().packet(i).payload;
     if (pl.empty() || pl[0] != 0x82) continue;  // FIN|binary frames only
-    if (r.direction == net::CaptureDirection::kOutbound && (pl[1] & 0x80)) {
+    if (dir == net::CaptureDirection::kOutbound && (pl[1] & 0x80)) {
       saw_masked_client_frame = true;
     }
-    if (r.direction == net::CaptureDirection::kInbound && !(pl[1] & 0x80)) {
+    if (dir == net::CaptureDirection::kInbound && !(pl[1] & 0x80)) {
       saw_unmasked_server_frame = true;
     }
   }
@@ -386,9 +386,10 @@ TEST_F(WsIntegration, FragmentedFramesVisibleOnTheWire) {
   // the outbound TCP payloads.
   bool saw_nonfin_binary = false, saw_fin_continuation = false;
   for (std::size_t i = 0; i < client->capture().size(); ++i) {
-    const auto r = client->capture().at(i);
-    if (r.direction != net::CaptureDirection::kOutbound) continue;
-    const auto& pl = r.packet.payload;
+    if (client->capture().direction(i) != net::CaptureDirection::kOutbound) {
+      continue;
+    }
+    const auto& pl = client->capture().packet(i).payload;
     if (pl.empty()) continue;
     if (pl[0] == 0x02) saw_nonfin_binary = true;     // binary, no FIN
     if (pl[0] == 0x80) saw_fin_continuation = true;  // FIN | continuation

@@ -1,7 +1,7 @@
 // Passive-matcher throughput: how many captured packets per second the
 // TSval<->TSecr matcher sustains, independent of the simulator.
 //
-// Four sections, emitted to BENCH_passive_scale.json with its gates[];
+// Five sections, emitted to BENCH_passive_scale.json with its gates[];
 // the bench exits non-zero when a gate fails:
 //
 //   1. Headline throughput: a pre-synthesized capture stream (default 64
@@ -21,8 +21,14 @@
 //      PcapWriter::write, then PcapReader::read, consume and report_json
 //      each timed, in packets/s. The offline report must equal the report
 //      of a live estimator consuming the tap ("offline.identical").
+//   5. Multi-window replay: a second, fixed stream whose data segments
+//      carry 200 payload bytes, spanning three anchor windows, with some
+//      segments retransmitted, replayed offline as in 4. Its anchors age
+//      out (the eviction sweep runs) and the retransmissions run the
+//      Karn's-rule sequence tracking, the two paths the headline stream
+//      never reaches. Gate "multiwindow.identical".
 //
-//   $ passive_scale [--flows=N] [--packets=N]
+//   $ passive_scale [--flows=N] [--packets=N]   (reshape the headline only)
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -105,6 +111,61 @@ std::vector<Observation> synthesize(int flows, int packets_per_flow) {
   return stream;
 }
 
+// The multi-window stream: kLongFlows flows of kLongPayload-byte data
+// segments, one every 4 ms for 30 s (three default 10 s anchor windows),
+// each ACKed 2 ms later. Every 50th segment is retransmitted 1 ms after it
+// was sent, and its ACK echoes the retransmission's TSval.
+constexpr int kLongFlows = 16;
+constexpr std::size_t kLongPayload = 200;
+constexpr std::int64_t kLongSpanNs = 30'000'000'000;
+
+std::vector<Observation> synthesize_multiwindow() {
+  constexpr std::int64_t kGapNs = 4'000'000;
+  constexpr int kRetransmitEvery = 50;
+  const net::Payload payload{std::string(kLongPayload, 'p')};
+  const net::Endpoint server{net::IpAddress{10, 0, 0, 2}, 80};
+  const auto tsval_at = [](std::int64_t ns) {
+    return static_cast<std::uint32_t>(1 + ns / 1'000'000);
+  };
+  std::vector<Observation> stream;
+  for (int f = 0; f < kLongFlows; ++f) {
+    const net::Endpoint cl = client_ep(f);
+    std::uint32_t seq = 1;
+    for (std::int64_t ns = f * 1000, r = 0; ns < kLongSpanNs;
+         ns += kGapNs, ++r) {
+      net::Packet data;
+      data.protocol = net::Protocol::kTcp;
+      data.src = cl;
+      data.dst = server;
+      data.seq = seq;
+      data.ack = 1;
+      data.flags.ack = true;
+      data.flags.psh = true;
+      data.ts = {true, tsval_at(ns), tsval_at(ns) - 1};
+      data.payload = payload;
+      stream.push_back({data, sim::TimePoint::from_ns(ns)});
+      std::uint32_t echo = data.ts.tsval;
+      if (r % kRetransmitEvery == kRetransmitEvery - 1) {
+        net::Packet again = data;
+        again.ts.tsval = echo = tsval_at(ns + 1'000'000);
+        stream.push_back({again, sim::TimePoint::from_ns(ns + 1'000'000)});
+      }
+      seq += static_cast<std::uint32_t>(kLongPayload);
+
+      net::Packet ack;
+      ack.protocol = net::Protocol::kTcp;
+      ack.src = server;
+      ack.dst = cl;
+      ack.seq = 1;
+      ack.ack = seq;
+      ack.flags.ack = true;
+      ack.ts = {true, tsval_at(ns + 2'000'000), echo};
+      stream.push_back({ack, sim::TimePoint::from_ns(ns + 2'000'000)});
+    }
+  }
+  return stream;
+}
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -148,7 +209,26 @@ struct Offline {
   double read_ms = 0;
   double consume_ms = 0;
   double report_ms = 0;
+  passive::PassiveCounters counters;  ///< of the offline estimator
   bool identical = false;
+
+  /// The fields of one replay section, in document order.
+  benchutil::Json to_json() const {
+    using benchutil::integer, benchutil::num;
+    return benchutil::obj({
+        {"packets", integer(packets)},
+        {"pcap_bytes", integer(pcap_bytes)},
+        {"read_ms", num(read_ms)},
+        {"read_packets_per_sec", num(per_sec(packets, read_ms))},
+        {"consume_ms", num(consume_ms)},
+        {"consume_packets_per_sec", num(per_sec(packets, consume_ms))},
+        {"report_ms", num(report_ms)},
+        {"report_packets_per_sec", num(per_sec(packets, report_ms))},
+        {"packets_per_sec",
+         num(per_sec(packets, read_ms + consume_ms + report_ms))},
+        {"identical", benchutil::flag(identical)},
+    });
+  }
 };
 
 /// The stream as a tap records it (time order, stable), in classic pcap
@@ -176,12 +256,14 @@ std::string tap_pcap(const std::vector<Observation>& stream,
   return std::move(out).str();
 }
 
-Offline bench_offline(const std::vector<Observation>& stream) {
+Offline bench_offline(const char* section,
+                      const std::vector<Observation>& stream) {
   Offline o;
   std::string live_report;
   std::string pcap = tap_pcap(stream, live_report);
   o.pcap_bytes = pcap.size();
-  std::printf("offline: replaying a %" PRIu64 "-byte pcap ... ", o.pcap_bytes);
+  std::printf("%s: replaying a %" PRIu64 "-byte pcap ... ", section,
+              o.pcap_bytes);
   std::fflush(stdout);
 
   std::istringstream in{std::move(pcap)};  // takes the bytes, no copy
@@ -195,6 +277,7 @@ Offline bench_offline(const std::vector<Observation>& stream) {
   t0 = Clock::now();
   const std::string report = est.report_json("passive_scale");
   o.report_ms = ms_since(t0);
+  o.counters = est.counters();
 
   o.packets = parsed.records.size();
   o.identical = parsed.ok() && o.packets == stream.size() &&
@@ -260,13 +343,34 @@ int main(int argc, char** argv) {
   benchutil::shape_check(h.duplicate_tsvals > 0,
                          "coarse-clock duplicate path exercised");
 
-  const Offline off = bench_offline(stream);
-  const double replay_ms = off.read_ms + off.consume_ms + off.report_ms;
+  const Offline off = bench_offline("offline", stream);
+
+  const std::vector<Observation> long_stream = synthesize_multiwindow();
+  const Offline multi = bench_offline("multiwindow", long_stream);
+  const double windows =
+      static_cast<double>(kLongSpanNs) /
+      static_cast<double>(
+          passive::PassiveRttEstimator::Config{}.anchor_window.ns());
+  benchutil::shape_check(multi.counters.evicted > 0,
+                         "multi-window replay evicts anchors");
+  benchutil::shape_check(multi.counters.retransmit_poisoned > 0 &&
+                             multi.counters.suppressed_samples > 0,
+                         "multi-window replay poisons retransmitted anchors");
+  using benchutil::integer, benchutil::num;
+  benchutil::Json multi_json = multi.to_json();
+  multi_json.add("flows", integer(kLongFlows));
+  multi_json.add("payload_bytes", integer(kLongPayload));
+  multi_json.add("anchor_windows", num(windows));
+  multi_json.add("samples", integer(multi.counters.samples));
+  multi_json.add("evicted", integer(multi.counters.evicted));
+  multi_json.add("retransmit_poisoned",
+                 integer(multi.counters.retransmit_poisoned));
+  multi_json.add("suppressed_samples",
+                 integer(multi.counters.suppressed_samples));
 
   // The throughput floor sits far below the millions of packets/s a
   // hash-map matcher manages in Release, but far above anything a
   // per-packet-allocation regression or an O(flows) scan would leave.
-  using benchutil::integer, benchutil::num;
   return benchutil::write_result(
       "BENCH_passive_scale.json",
       benchutil::obj({
@@ -281,25 +385,13 @@ int main(int argc, char** argv) {
           {"report_packets_per_sec", num(per_sec(h.packets, report_ms))},
           {"report_bytes", integer(r1.size())},
           {"identical_reports", benchutil::flag(identical)},
-          {"offline",
-           benchutil::obj({
-               {"packets", integer(off.packets)},
-               {"pcap_bytes", integer(off.pcap_bytes)},
-               {"read_ms", num(off.read_ms)},
-               {"read_packets_per_sec", num(per_sec(off.packets, off.read_ms))},
-               {"consume_ms", num(off.consume_ms)},
-               {"consume_packets_per_sec",
-                num(per_sec(off.packets, off.consume_ms))},
-               {"report_ms", num(off.report_ms)},
-               {"report_packets_per_sec",
-                num(per_sec(off.packets, off.report_ms))},
-               {"packets_per_sec", num(per_sec(off.packets, replay_ms))},
-               {"identical", benchutil::flag(off.identical)},
-           })},
+          {"offline", off.to_json()},
+          {"multiwindow", multi_json},
       }),
       {
           benchutil::is_true("identical_reports"),
           benchutil::is_true("offline.identical"),
+          benchutil::is_true("multiwindow.identical"),
           benchutil::at_least("packets_per_sec", 200000),
       });
 }

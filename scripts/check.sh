@@ -32,7 +32,9 @@
 #
 # Exits non-zero on the first failing step. Build trees: build/ (plain),
 # build-asan/ (ASan), build-ubsan/ (UBSan), build-tsan/ (TSan) and
-# build-release/ (perf); all incremental across invocations.
+# build-release/ (perf, compiled with warnings as errors:
+# CMAKE_COMPILE_WARNING_AS_ERROR, CMake >= 3.24); all incremental across
+# invocations.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -119,9 +121,12 @@ ctest --test-dir build-tsan --output-on-failure -L 'resilience|campaign|obs|kern
 ctest --test-dir build-tsan --output-on-failure \
   -R 'ParallelRunner|ThreadPool|CheckedRunner'
 
-step "perf: configure (Release)"
+step "perf: configure (Release, warnings as errors)"
+# -O3 inlines more than the plain build and so warns where it does not
+# (GCC's -Wrestrict on inlined std::string code); a new warning fails here.
 # shellcheck disable=SC2046
-cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release
+cmake -B build-release -S . $(gen_for build-release) -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 step "perf: build bench"
 cmake --build build-release -j --target perf_matrix obs_overhead \

@@ -384,8 +384,8 @@ BrowserProfile make_mobile_profile(MobilePlatform platform) {
   p.supports_flash = false;
   p.supports_java = false;
   p.supports_websocket = true;
-  p.flash_version = "-";
-  p.java_version = "-";
+  p.flash_version.assign(1, '-');
+  p.java_version.assign(1, '-');
 
   // Phone-class CPUs: 2-4x the desktop dispatch overheads of the engine's
   // desktop sibling.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <new>
 
 #include "obs/metrics.h"
@@ -102,27 +101,6 @@ Payload Payload::copy_of(const void* data, std::size_t len) {
   std::memcpy(buf->data(), data, len);
   count_buffer();
   return Payload{buf, 0, len};
-}
-
-Payload Payload::read_rest(std::istream& in) {
-  PayloadBuffer* buf = nullptr;
-  std::size_t size = 0;
-  while (in && in.peek() != std::istream::traits_type::eof()) {
-    const std::streamsize chunk = std::max<std::streamsize>(
-        {in.rdbuf()->in_avail(), static_cast<std::streamsize>(size), 4096});
-    PayloadBuffer* grown =
-        PayloadBuffer::create(size + static_cast<std::size_t>(chunk));
-    if (buf != nullptr) {
-      std::memcpy(grown->data(), buf->data(), size);
-      buf->deref();
-    }
-    buf = grown;
-    in.read(reinterpret_cast<char*>(buf->data() + size), chunk);
-    size += static_cast<std::size_t>(in.gcount());
-  }
-  if (buf == nullptr) return Payload{};  // peek() found a byte: size > 0
-  count_buffer();
-  return Payload{buf, 0, size};
 }
 
 Payload::Payload(const Payload& other)

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <new>
 #include <string>
@@ -132,9 +131,6 @@ class Payload {
   explicit Payload(const std::string& bytes);
   /// Deep-copy a raw byte range into a new buffer.
   static Payload copy_of(const void* data, std::size_t len);
-  /// The rest of `in`, read into one fresh uninitialised buffer: in one
-  /// read when in_avail() tells the whole rest, else in doubling chunks.
-  static Payload read_rest(std::istream& in);
 
   Payload(const Payload& other);
   Payload& operator=(const Payload& other);

@@ -1,6 +1,9 @@
 #include "net/pcap_reader.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <utility>
 
 #include "net/pcap_writer.h"
@@ -103,18 +106,75 @@ std::size_t parse_frame_at(const unsigned char* p, std::size_t len,
   return 0;  // other protocols not modelled
 }
 
-/// Records whose header and frame bytes are all present, counted over the
-/// record headers alone with read()'s own bounds checks: read() reserves
-/// this many once. `size` must cover the file header.
-std::size_t complete_records(const unsigned char* p, std::size_t size) {
-  std::size_t n = 0;
-  for (std::size_t off = kFileHeader; size - off >= kRecordHeader; ++n) {
-    const std::size_t incl_len = u32le(p + off + 8);
-    if (incl_len > size - off - kRecordHeader) break;
-    off += kRecordHeader + incl_len;
+/// Fewest bytes a record read() keeps can take: its header and an IPv4
+/// header carrying a UDP header.
+constexpr std::size_t kMinRecord =
+    kRecordHeader + kIpHeaderBytes + kUdpHeaderBytes;
+/// Records read before `records` is reserved: the bytes they took (about
+/// one window's worth in a capture of ~116-byte frames) tell the stream's
+/// density. Fewer would see mostly a capture's handshakes, which are
+/// smaller than its data segments, and reserve too much.
+constexpr std::size_t kDensitySample = 512;
+
+/// The bytes of a stream, seen through one window of kWindow bytes that
+/// slides over it: need(n) makes the next `n` bytes contiguous at data(),
+/// reading on from the stream buffer only when the window holds fewer.
+/// The window grows past kWindow only when it is full of bytes the stream
+/// delivered (a frame longer than the window), and then doubles, so its
+/// size never exceeds twice what was read: a length field the stream does
+/// not back costs no allocation.
+class StreamWindow {
+ public:
+  static constexpr std::size_t kWindow = 64 * 1024;
+
+  /// A stream that is not good() reads as empty.
+  explicit StreamWindow(std::istream& in)
+      : src_{in.good() ? in.rdbuf() : nullptr} {}
+
+  /// True when the next `n` bytes are at data(); false when the stream
+  /// ended first, and then size() bytes are left.
+  bool need(std::size_t n) { return size() >= n || read_on(n); }
+  const unsigned char* data() const { return buf_.get() + begin_; }
+  std::size_t size() const { return end_ - begin_; }
+  void skip(std::size_t n) { begin_ += n; }
+  /// Bytes of the stream before data().
+  std::size_t offset() const { return delivered_ - size(); }
+
+ private:
+  bool read_on(std::size_t n) {
+    while (size() < n && src_ != nullptr) {
+      if (begin_ > 0 && cap_ - begin_ < n) {  // slide what is left to the front
+        std::memmove(buf_.get(), data(), size());
+        end_ -= begin_;
+        begin_ = 0;
+      }
+      if (end_ == cap_) {  // full of delivered bytes: double
+        const std::size_t cap = cap_ == 0 ? kWindow : 2 * cap_;
+        auto grown = std::make_unique_for_overwrite<unsigned char[]>(cap);
+        if (end_ > 0) std::memcpy(grown.get(), buf_.get(), end_);
+        buf_ = std::move(grown);
+        cap_ = cap;
+      }
+      const std::streamsize got =
+          src_->sgetn(reinterpret_cast<char*>(buf_.get() + end_),
+                      static_cast<std::streamsize>(cap_ - end_));
+      if (got > 0) {
+        end_ += static_cast<std::size_t>(got);
+        delivered_ += static_cast<std::size_t>(got);
+      } else {
+        src_ = nullptr;
+      }
+    }
+    return size() >= n;
   }
-  return n;
-}
+
+  std::streambuf* src_;  ///< null once the stream ended
+  std::unique_ptr<unsigned char[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::size_t delivered_ = 0;
+};
 
 }  // namespace
 
@@ -141,41 +201,58 @@ PcapReader::Result PcapReader::read(std::istream& in) {
     result.error = error;
     return std::move(result);
   };
-  // One buffer for the whole stream, freed on return: records hold no
-  // reference to it.
-  const Payload stream = Payload::read_rest(in);
-  const unsigned char* p = stream.data();
-  const std::size_t size = stream.size();
+  // What the stream buffer says it holds, before the window takes any.
+  const std::streamsize avail = in.good() ? in.rdbuf()->in_avail() : 0;
+  const std::size_t rest =
+      avail > static_cast<std::streamsize>(kFileHeader)
+          ? static_cast<std::size_t>(avail) - kFileHeader
+          : 0;
+  StreamWindow window{in};
+  window.need(kFileHeader);
+  const unsigned char* p = window.data();
 
   // Big-endian or nanosecond variants are not produced by PcapWriter.
-  if (size >= 4 && u32le(p) != 0xa1b2c3d4) return fail(Error::kBadMagic);
-  if (size < kFileHeader) return fail(Error::kTruncated);
+  if (window.size() >= 4 && u32le(p) != 0xa1b2c3d4) {
+    return fail(Error::kBadMagic);
+  }
+  if (window.size() < kFileHeader) return fail(Error::kTruncated);
   result.link_type = u32le(p + 20);
   if (result.link_type != PcapWriter::kLinkTypeRaw) {
     return fail(Error::kUnsupportedLinkType);
   }
-  result.records.reserve(complete_records(p, size));
+  window.skip(kFileHeader);
 
-  // Every length is checked against the bytes at hand before it is used,
-  // so a hostile incl_len costs nothing. Fewer than 4 bytes at a record
-  // boundary (not even a timestamp) is a clean end of file. Each frame is
-  // parsed in place from the stream buffer, straight into its record.
-  for (std::size_t off = kFileHeader; size - off >= 4;) {
-    if (size - off < kRecordHeader) return fail(Error::kTruncated);
-    const std::size_t incl_len = u32le(p + off + 8);
-    if (incl_len > size - off - kRecordHeader) return fail(Error::kTruncated);
+  // Every length is checked against the bytes the stream delivered before
+  // it is used, so a hostile incl_len costs nothing. Fewer than 4 bytes at
+  // a record boundary (not even a timestamp) is a clean end of file. Each
+  // frame is parsed in place from the window, straight into its record.
+  for (;;) {
+    if (!window.need(kRecordHeader)) {
+      if (window.size() < 4) return result;
+      return fail(Error::kTruncated);
+    }
+    const std::size_t incl_len = u32le(window.data() + 8);
+    if (!window.need(kRecordHeader + incl_len)) return fail(Error::kTruncated);
+    const unsigned char* h = window.data();
     PcapRecord& rec = result.records.emplace_back();
-    if (parse_frame_at(p + off + kRecordHeader, incl_len, rec) == 0) {
+    if (parse_frame_at(h + kRecordHeader, incl_len, rec) == 0) {
       result.records.pop_back();
       return fail(Error::kBadIpHeader);
     }
-    const std::int64_t ts_sec = u32le(p + off);
-    const std::int64_t ts_usec = u32le(p + off + 4);
+    const std::int64_t ts_sec = u32le(h);
+    const std::int64_t ts_usec = u32le(h + 4);
     rec.timestamp =
         sim::TimePoint::from_ns(ts_sec * 1'000'000'000 + ts_usec * 1'000);
-    off += kRecordHeader + incl_len;
+    window.skip(kRecordHeader + incl_len);
+    if (result.records.size() == kDensitySample && rest > 0) {
+      // Reserve once for the rest at the density so far, an eighth more
+      // for a capture whose later records are smaller, and never more
+      // than the bytes could hold; a denser stream grows by doubling.
+      const std::size_t used = window.offset() - kFileHeader;
+      const std::size_t likely = rest * kDensitySample / used * 9 / 8;
+      result.records.reserve(std::min(likely, rest / kMinRecord));
+    }
   }
-  return result;
 }
 
 PcapReader::Result PcapReader::read_file(const std::string& path) {

@@ -59,17 +59,22 @@ class PcapReader {
   /// Parse a whole pcap stream into flat header records; timestamps
   /// become TimePoints relative to the epoch. A record keeps no payload
   /// bytes and no reference to the stream (`payload_len` counts the
-  /// transport payload the frame holds), so records outlive the stream and
-  /// the stream's buffer is freed on return. For full packets, payload
-  /// bytes included, run parse_frame() over a record's frame. Lengths are
-  /// bounds-checked against the bytes read before use.
+  /// transport payload the frame holds), so records outlive the stream.
+  /// For full packets, payload bytes included, run parse_frame() over a
+  /// record's frame. Lengths are bounds-checked against the bytes read
+  /// before use.
   ///
-  /// Cost: the rest of the stream is read into one buffer, and a pre-walk
-  /// over the record headers, with the same bounds checks, counts the
-  /// complete records so `records` is reserved once. Each frame is then
-  /// parsed in place from the buffer straight into its record: no
-  /// allocation and no reference count per record. On an error, `records`
-  /// holds the records before the failing one.
+  /// Cost: the stream is read through one 64 KiB window, filled with
+  /// `rdbuf()->sgetn`, and each frame is parsed in place from the window
+  /// straight into its record: no stream-sized buffer, no allocation and
+  /// no reference count per record. Only a frame longer than the window
+  /// grows it, by doubling once it is full of delivered bytes. When
+  /// `rdbuf()->in_avail()` tells the bytes left, `records` is reserved
+  /// once, after the first 512 records, for the rest at their density
+  /// plus an eighth (never more than the bytes could hold), so it stays
+  /// near the size it needs; otherwise it grows as it fills. On an error,
+  /// `records` holds the records before the failing one, and the stream
+  /// is left wherever the window stopped reading.
   static Result read(std::istream& in);
   /// read() over a file; an unopenable file is kTruncated.
   static Result read_file(const std::string& path);

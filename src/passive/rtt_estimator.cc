@@ -350,18 +350,20 @@ std::string PassiveRttEstimator::report_json(const std::string& label) const {
   using obs::json::integer_to;
 
   // Group samples by half-flow once: each flow's endpoint strings, its
-  // "from > to" label and the text its samples open with are rendered once.
+  // "from > to" label and the text its samples open with are rendered once,
+  // and its RTT list is sized once from its sample count.
   struct Flow {
     std::string label;
     std::string head;  ///< ',' and a sample object up to its anchor_ns value
     std::vector<double> rtts;
+    std::size_t samples = 0;
   };
   std::vector<Flow> flows;
   std::vector<std::uint32_t> flow_of(flows_.size(), kNoFlow);  // half-flow
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    std::uint32_t& f = flow_of[sample_flows_[i]];
+  for (const std::uint32_t hf_index : sample_flows_) {
+    std::uint32_t& f = flow_of[hf_index];
     if (f == kNoFlow) {  // endpoint strings are digits, dots and a colon
-      const HalfFlow& hf = flows_[sample_flows_[i]];
+      const HalfFlow& hf = flows_[hf_index];
       const std::string from = hf.src.to_string();
       const std::string to = hf.dst.to_string();
       f = static_cast<std::uint32_t>(flows.size());
@@ -370,7 +372,12 @@ std::string PassiveRttEstimator::report_json(const std::string& label) const {
                            "\",\"anchor_ns\":",
                        {}});
     }
-    flows[f].rtts.push_back(static_cast<double>(samples_[i].rtt.ns()));
+    ++flows[f].samples;
+  }
+  for (Flow& f : flows) f.rtts.reserve(f.samples);
+  for (std::size_t i = 0; i < samples_.size(); ++i) {
+    flows[flow_of[sample_flows_[i]]].rtts.push_back(
+        static_cast<double>(samples_[i].rtt.ns()));
   }
   // Flow summaries are ordered by label string, so the serialization never
   // depends on first-sight order ("10.0.0.10:80" < "10.0.0.9:80").
@@ -417,21 +424,26 @@ std::string PassiveRttEstimator::report_json(const std::string& label) const {
     out += '}';
   }
 
-  // A sample is its flow's head (without the comma when first) and a tail
-  // rendered on the stack: two appends per sample.
+  // A sample is its flow's head (without the comma when first) and a tail,
+  // both rendered into one stack buffer: one append per sample.
   out += "],\"samples\":[";
   for (std::size_t i = 0; i < samples_.size(); ++i) {
     const PassiveSample& s = samples_[i];
-    out.append(flows[flow_of[sample_flows_[i]]].head, i == 0 ? 1 : 0);
-    char tail[96];  // three integers of at most 20 chars and 40 of literals
-    char* p = put_integer(tail, s.anchor_at.ns_since_epoch());
+    const std::string& head = flows[flow_of[sample_flows_[i]]].head;
+    const std::size_t skip = i == 0 ? 1 : 0;
+    // A head holds two endpoints of at most 21 chars and 32 of literals; a
+    // tail three integers of at most 20 chars and 40 of literals.
+    char text[256];
+    char* p = text + head.size() - skip;
+    std::memcpy(text, head.data() + skip, head.size() - skip);
+    p = put_integer(p, s.anchor_at.ns_since_epoch());
     p = put_literal(p, ",\"rtt_ns\":");
     p = put_integer(p, s.rtt.ns());
     p = put_literal(p, ",\"tsval\":");
     p = put_integer(p, s.tsval);
     p = s.first_on_flow ? put_literal(p, ",\"first\":true}")
                         : put_literal(p, ",\"first\":false}");
-    out.append(tail, p);
+    out.append(text, p);
   }
   out += "]}";
   return out;

@@ -43,18 +43,20 @@ std::string SequenceRenderer::render(
                                              : stamp.ms_since_epoch_f();
 
     const std::string label = describe(packet);
-    std::string arrow;
+    // client ---- label ----> or <---- label ---- server
+    const bool outbound =
+        capture.direction(i) == net::CaptureDirection::kOutbound;
     const std::size_t w = options_.arrow_width;
-    if (capture.direction(i) == net::CaptureDirection::kOutbound) {
-      // client ---- label ---->
-      const std::size_t dashes = w > label.size() + 4 ? w - label.size() - 4 : 1;
-      arrow = std::string(dashes / 2, '-') + " " + label + " " +
-              std::string(dashes - dashes / 2, '-') + ">";
-    } else {
-      const std::size_t dashes = w > label.size() + 4 ? w - label.size() - 4 : 1;
-      arrow = "<" + std::string(dashes / 2, '-') + " " + label + " " +
-              std::string(dashes - dashes / 2, '-');
-    }
+    const std::size_t dashes = w > label.size() + 4 ? w - label.size() - 4 : 1;
+    std::string arrow;
+    arrow.reserve(dashes + label.size() + 3);
+    if (!outbound) arrow += '<';
+    arrow.append(dashes / 2, '-');
+    arrow += ' ';
+    arrow += label;
+    arrow += ' ';
+    arrow.append(dashes - dashes / 2, '-');
+    if (outbound) arrow += '>';
     char ts[32];
     std::snprintf(ts, sizeof ts, "+%.3fms", ms);
     std::snprintf(line, sizeof line, "%-12s %-7s %-*s %s\n", ts, "client",

@@ -42,7 +42,12 @@ std::string Duration::to_string() const {
 }
 
 std::string TimePoint::to_string() const {
-  return "+" + Duration::nanos(ns_).to_string();
+  const std::string offset = Duration::nanos(ns_).to_string();
+  std::string out;
+  out.reserve(1 + offset.size());
+  out += '+';
+  out += offset;
+  return out;
 }
 
 }  // namespace bnm::sim

@@ -3,15 +3,20 @@
 // heap allocations; a Scheduler built on a thread that already ran one
 // reuses its storage; whole paper repetitions and campaign clients stay
 // inside a pinned global-heap budget (paper repetitions inside a pinned
-// arena budget too); and the passive matcher's consume() sizes its tables
-// once, so its allocation count does not grow with the capture. Lives in
+// arena budget too); the passive matcher's consume() sizes its tables
+// once, so its allocation count does not grow with the capture; and the
+// pcap reader allocates no stream-sized buffer, nor anything a record
+// header's length field asks for without the bytes behind it. Lives in
 // the bnm_kernel_tests binary (ctest label `kernel`) because it replaces
 // the global operator new, which must not perturb the tier1 executable.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,10 +25,14 @@
 #include "core/campaign.h"
 #include "core/experiment.h"
 #include "core/parallel_runner.h"
+#include "net/capture.h"
 #include "net/pcap_reader.h"
+#include "net/pcap_writer.h"
 #include "passive/rtt_estimator.h"
+#include "pcap_streams.h"
 #include "sim/arena.h"
 #include "sim/scheduler.h"
+#include "sim/simulation.h"
 
 static std::atomic<std::uint64_t> g_allocs{0};
 static std::atomic<std::uint64_t> g_alloc_bytes{0};
@@ -33,9 +42,21 @@ static std::atomic<std::uint64_t> g_alloc_bytes{0};
 // global replacement, so silence the false positive for this TU.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
+// The sizes of the first kSizeLogLength allocations made while
+// g_size_log_on is set, for tests that compare what was asked for.
+constexpr std::size_t kSizeLogLength = 64;
+static std::size_t g_size_log[kSizeLogLength];
+static std::atomic<std::size_t> g_size_log_used{0};
+static std::atomic<bool> g_size_log_on{false};
+
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (g_size_log_on.load(std::memory_order_relaxed)) {
+    const std::size_t i =
+        g_size_log_used.fetch_add(1, std::memory_order_relaxed);
+    if (i < kSizeLogLength) g_size_log[i] = n;
+  }
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -363,6 +384,134 @@ TEST(KernelAlloc, PassiveConsumeSizesAnchorTablesByTheWindow) {
   EXPECT_EQ(a_longer.bytes - a_shorter.bytes,
             (longer.size() - shorter.size()) *
                 (sizeof(bnm::passive::PassiveSample) + sizeof(std::uint32_t)));
+}
+
+/// `n` packets of a tap between 8 clients and one server, 1 ms apart, in
+/// classic pcap bytes: data segments with 100 payload bytes and the
+/// server's ACKs, all with RFC 7323 timestamps (the e2e replay's shape).
+std::string ping_pong_pcap(int n) {
+  using bnm::net::IpAddress;
+  bnm::sim::Simulation sim{1};
+  bnm::net::PacketCapture tap{sim};
+  tap.reserve(static_cast<std::size_t>(n));
+  const bnm::net::Payload data{std::string(100, 'd')};
+  for (int k = 0; k < n; ++k) {
+    sim.scheduler().run_until(
+        bnm::sim::TimePoint::from_ns(std::int64_t{k} * 1'000'000));
+    const auto f = static_cast<std::uint8_t>(k / 2 % 8);
+    const bnm::net::Endpoint client{IpAddress{10, 0, 1, f},
+                                    static_cast<bnm::net::Port>(40000 + f)};
+    const bnm::net::Endpoint server{IpAddress{10, 0, 0, 2}, 80};
+    bnm::net::Packet p;
+    p.protocol = bnm::net::Protocol::kTcp;
+    p.flags.ack = true;
+    p.ts = {true, static_cast<std::uint32_t>(k + 1),
+            static_cast<std::uint32_t>(k)};
+    p.src = k % 2 == 0 ? client : server;
+    p.dst = k % 2 == 0 ? server : client;
+    if (k % 2 == 0) p.payload = data;
+    tap.record(bnm::net::CaptureDirection::kOutbound, p);
+  }
+  std::ostringstream out;
+  bnm::net::PcapWriter::write(tap, out);
+  return std::move(out).str();
+}
+
+struct ReadAllocs {
+  std::vector<std::size_t> sizes;  ///< every allocation but the records'
+  std::size_t record_allocs = 0;   ///< allocations of capacity() records
+};
+
+/// The heap allocations of one PcapReader::read of `pcap` from a string
+/// stream (built before counting), with the records' final storage (one
+/// allocation of capacity() records, reserved once the stream's density
+/// is known) told apart from the rest.
+ReadAllocs allocs_for_read(const std::string& pcap, std::size_t want_records) {
+  std::istringstream in{pcap};
+  g_size_log_used.store(0, std::memory_order_relaxed);
+  g_size_log_on.store(true, std::memory_order_relaxed);
+  const bnm::net::PcapReader::Result result = bnm::net::PcapReader::read(in);
+  g_size_log_on.store(false, std::memory_order_relaxed);
+  ReadAllocs a;
+  EXPECT_TRUE(result.ok());
+  EXPECT_EQ(result.records.size(), want_records);
+  const std::size_t used = g_size_log_used.load(std::memory_order_relaxed);
+  EXPECT_LE(used, kSizeLogLength);
+  // Reserved near what the records need (at their density, plus an eighth
+  // on this uniform capture), not for the most the bytes could hold.
+  EXPECT_LE(result.records.capacity(), want_records * 5 / 4);
+  const std::size_t records_bytes =
+      result.records.capacity() * sizeof(bnm::net::PcapRecord);
+  for (std::size_t i = 0; i < std::min(used, kSizeLogLength); ++i) {
+    if (g_size_log[i] == records_bytes) {
+      ++a.record_allocs;
+    } else {
+      a.sizes.push_back(g_size_log[i]);
+    }
+  }
+  std::sort(a.sizes.begin(), a.sizes.end());
+  return a;
+}
+
+std::string sizes_text(const std::vector<std::size_t>& sizes) {
+  std::string text;
+  for (const std::size_t n : sizes) {
+    text += ' ';
+    text += std::to_string(n);
+  }
+  return text.empty() ? " none" : text;
+}
+
+// Reading a capture 12.8x longer asks for the same allocations, of the same
+// sizes, apart from the records' final storage: the reader's window is one
+// fixed-size buffer, the records vector grows the same way in both until
+// its one reservation, and no buffer grows with the stream. The
+// stream-sized copy the reader used to make would show here as one
+// allocation 12.8x larger.
+TEST(KernelAlloc, PcapReadAllocatesNoStreamBuffer) {
+  const std::string small = ping_pong_pcap(1'000);
+  const std::string large = ping_pong_pcap(12'800);
+  allocs_for_read(small, 1'000);  // warm
+  const ReadAllocs a_small = allocs_for_read(small, 1'000);
+  const ReadAllocs a_large = allocs_for_read(large, 12'800);
+  std::printf("pcap read: 1k records (%zu bytes): records x%zu, others:%s; "
+              "12.8k records (%zu bytes): records x%zu, others:%s\n",
+              small.size(), a_small.record_allocs,
+              sizes_text(a_small.sizes).c_str(), large.size(),
+              a_large.record_allocs, sizes_text(a_large.sizes).c_str());
+  EXPECT_EQ(a_small.record_allocs, 1u);
+  EXPECT_EQ(a_large.record_allocs, 1u);
+  EXPECT_EQ(a_small.sizes, a_large.sizes);
+}
+
+// A record header claiming a 4 GiB frame (incl_len 0xFFFFFFF0) in a 200-byte
+// stream is truncation, and the reader's allocations stay bounded by what
+// the stream delivered, whether the stream tells its size or not.
+TEST(KernelAlloc, PcapHostileInclLenAllocatesUnderAMebibyte) {
+  std::string bytes;
+  const auto le32 = [&bytes](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes += static_cast<char>(v >> (8 * i));
+  };
+  for (const std::uint32_t v :
+       {0xa1b2c3d4u, 0x00040002u, 0u, 0u, 65535u,
+        bnm::net::PcapWriter::kLinkTypeRaw, 0u, 0u, 0xFFFFFFF0u, 0xFFFFFFF0u}) {
+    le32(v);
+  }
+  bytes.resize(200, '\x45');
+  for (const bool trickled : {false, true}) {
+    const std::uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+    const bnm::net::PcapReader::Result result =
+        trickled ? bnm::test::read_trickled(bytes)
+                 : bnm::test::read_whole(bytes);
+    const std::uint64_t used =
+        g_alloc_bytes.load(std::memory_order_relaxed) - before;
+    std::printf("hostile incl_len, %s stream: %llu heap bytes\n",
+                trickled ? "pipe-like" : "whole",
+                static_cast<unsigned long long>(used));
+    EXPECT_EQ(result.error, bnm::net::PcapReader::Error::kTruncated);
+    EXPECT_TRUE(result.records.empty());
+    EXPECT_LT(used, 1u << 20);
+  }
 }
 
 }  // namespace

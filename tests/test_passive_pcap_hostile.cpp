@@ -1,7 +1,8 @@
 // Hostile input for PcapReader::read: a real capture (TCP with RFC 7323
 // timestamp options, plus UDP) put through a fixed-seed series of byte
 // flips, incl_len rewrites, TCP option-length corruptions and truncations.
-// Every read must end in ok() or one of the named errors, and every flat
+// Every read must end in ok() or one of the named errors, read the same
+// through a pipe-like stream as from the whole string, and every flat
 // record of an ok() read must equal the header fields parse_frame() finds
 // in its frame, whose payload lies inside that frame and whose timestamp,
 // if any, lies inside its own TCP options. The ASan and UBSan builds run
@@ -20,6 +21,7 @@
 #include "net/pcap_reader.h"
 #include "net/pcap_writer.h"
 #include "net_fixture.h"
+#include "pcap_streams.h"
 #include "sim/random.h"
 
 namespace bnm::net {
@@ -100,8 +102,8 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
   const std::string original = capture_pcap();
   const std::vector<std::size_t> original_records = record_offsets(original);
   {
-    std::stringstream in{original};
-    const auto clean = PcapReader::read(in);
+    const auto clean = test::read_whole(original);
+    ASSERT_TRUE(test::same_result(clean, test::read_trickled(original)));
     ASSERT_TRUE(clean.ok());
     ASSERT_EQ(clean.records.size(), original_records.size());
     int udp = 0, ts = 0;
@@ -170,8 +172,11 @@ TEST_F(PcapHostileTest, SeededMutationsNeverReadOutsideTheStream) {
       }
     }
 
-    std::stringstream in{bytes};
-    const auto result = PcapReader::read(in);
+    const auto result = test::read_whole(bytes);
+    // A pipe that delivers a few bytes at a time and never tells how many
+    // are left reads the same.
+    ASSERT_TRUE(test::same_result(result, test::read_trickled(bytes)))
+        << "round " << round;
     ASSERT_GE(static_cast<int>(result.error),
               static_cast<int>(PcapReader::Error::kNone));
     ASSERT_LE(static_cast<int>(result.error),

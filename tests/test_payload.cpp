@@ -3,10 +3,7 @@
 // capture tap's shared payload views.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
-#include <sstream>
-#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -108,42 +105,6 @@ class PayloadTcpTest : public TwoHostFixture {};
 // bytes the server's application sees live in the same buffer the client
 // adopted in send() — every hop (link, switch, capture, reassembly) held a
 // view, never a copy.
-/// Hands out its bytes 1000 at a time and never tells how many are left
-/// beyond those, as a pipe would: read_rest must grow its buffer.
-class TrickleBuf : public std::streambuf {
- public:
-  explicit TrickleBuf(std::string bytes) : bytes_{std::move(bytes)} {}
-
- protected:
-  int_type underflow() override {
-    if (at_ >= bytes_.size()) return traits_type::eof();
-    const std::size_t n = std::min<std::size_t>(1000, bytes_.size() - at_);
-    char* p = bytes_.data() + at_;
-    setg(p, p, p + n);
-    at_ += n;
-    return traits_type::to_int_type(*p);
-  }
-
- private:
-  std::string bytes_;
-  std::size_t at_ = 0;
-};
-
-TEST(PayloadTest, ReadRestTakesEveryByteOfAStream) {
-  std::string bytes(20000, '\0');
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    bytes[i] = static_cast<char>(i * 7);
-  }
-  std::istringstream whole{bytes};
-  whole.ignore(3);
-  EXPECT_EQ(Payload::read_rest(whole).as_string(), bytes.substr(3));
-  TrickleBuf trickle{bytes};
-  std::istream in{&trickle};
-  EXPECT_EQ(Payload::read_rest(in).as_string(), bytes);
-  std::istringstream empty;
-  EXPECT_TRUE(Payload::read_rest(empty).empty());
-}
-
 TEST_F(PayloadTcpTest, ReassemblyDeliversViewsOfTheSendersBuffer) {
   std::vector<Payload> delivered;
   server->tcp_listen(9000, [&](std::shared_ptr<TcpConnection> conn) {

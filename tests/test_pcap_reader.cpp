@@ -6,6 +6,7 @@
 #include "net/capture.h"
 #include "net/pcap_reader.h"
 #include "net/pcap_writer.h"
+#include "pcap_streams.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
 
@@ -308,6 +309,99 @@ TEST(PcapReader, FlatRecordsMatchParseFrameOnEveryFrame) {
   EXPECT_GT(kinds[0], 100);  // TCP with timestamps
   EXPECT_GT(kinds[1], 100);  // TCP without them
   EXPECT_GT(kinds[2], 100);  // UDP
+}
+
+/// `packets` recorded 7 us apart by a tap, in classic pcap bytes.
+std::string pcap_of(const std::vector<Packet>& packets) {
+  sim::Simulation sim{7};
+  PacketCapture cap{sim};
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    sim.scheduler().schedule_after(
+        sim::Duration::micros(static_cast<std::int64_t>(7 * i + 3)),
+        [&, i] { cap.record(CaptureDirection::kOutbound, packets[i]); });
+  }
+  sim.scheduler().run();
+  std::stringstream out;
+  PcapWriter::write(cap, out);
+  return out.str();
+}
+
+TEST(PcapReader, PipeLikeStreamReadsLikeAWholeStream) {
+  // A stream that hands out 1-7 bytes per underflow and reports nothing in
+  // in_avail() gives the reader no size to reserve by and no batch longer
+  // than a record header; it must still return the same Result as the
+  // whole string, on a capture several windows long and on every prefix
+  // of a short one (errors and the records before them included).
+  const std::string many = pcap_of(mixed_packets(0x7e1c'0b5e, 1500));
+  ASSERT_GT(many.size(), 3u * 64 * 1024);
+  test::TrickleBuf probe{many};
+  EXPECT_EQ(probe.in_avail(), 0);
+  const auto whole = test::read_whole(many);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole.records.size(), 1500u);
+  EXPECT_TRUE(test::same_result(whole, test::read_trickled(many)));
+
+  const std::string few = three_record_pcap();
+  for (std::size_t len = 0; len <= few.size(); ++len) {
+    const std::string prefix = few.substr(0, len);
+    EXPECT_TRUE(
+        test::same_result(test::read_whole(prefix), test::read_trickled(prefix)))
+        << "prefix length " << len;
+  }
+}
+
+TEST(PcapReader, ReadsFromWhereTheStreamStands) {
+  // Bytes already taken from the stream are not the reader's: it starts at
+  // the stream's position. A stream with nothing left is a truncated file.
+  const std::string pcap = three_record_pcap();
+  std::istringstream offset{"xyz" + pcap};
+  offset.ignore(3);
+  EXPECT_TRUE(test::same_result(PcapReader::read(offset),
+                                test::read_whole(pcap)));
+  std::istringstream empty;
+  EXPECT_EQ(PcapReader::read(empty).error, PcapReader::Error::kTruncated);
+  EXPECT_EQ(test::read_trickled("").error, PcapReader::Error::kTruncated);
+}
+
+TEST(PcapReader, FrameLargerThanTheWindowParses) {
+  // A record whose incl_len (200 000 bytes) exceeds the reader's 64 KiB
+  // window, between two ordinary ones: its IPv4 packet is followed by
+  // padding (as on a link with trailers), so the record holds the packet's
+  // header fields and the window grows to take the whole frame.
+  const std::vector<Packet> packets = three_packets();
+  const std::string plain = pcap_of(packets);
+  const std::vector<std::size_t> ends = [&] {
+    std::vector<std::size_t> e;
+    for (std::size_t off = 24; off < plain.size();) {
+      std::uint32_t incl = 0;
+      for (int i = 3; i >= 0; --i) {
+        incl = (incl << 8) | static_cast<unsigned char>(plain[off + 8 + i]);
+      }
+      off += 16 + incl;
+      e.push_back(off);
+    }
+    return e;
+  }();
+  ASSERT_EQ(ends.size(), 3u);
+  constexpr std::uint32_t kPadded = 200'000;
+  const std::size_t second = ends[0];  // the UDP record's header
+  std::string big = plain.substr(0, second + 8) + le32(kPadded) +
+                    le32(kPadded) + plain.substr(second + 16, ends[1] - second - 16);
+  big.resize(big.size() + kPadded - (ends[1] - second - 16), '\xa5');
+  big += plain.substr(ends[1]);
+
+  const auto want = test::read_whole(plain);
+  ASSERT_TRUE(want.ok());
+  const auto got = test::read_whole(big);
+  EXPECT_TRUE(test::same_result(got, want));
+  EXPECT_TRUE(test::same_result(test::read_trickled(big), want));
+  EXPECT_EQ(got.records[1].payload_len, 5u);  // "probe"
+
+  // Cut inside the padded frame: truncation, the first record kept.
+  const auto cut = test::read_whole(big.substr(0, second + 16 + 100'000));
+  EXPECT_EQ(cut.error, PcapReader::Error::kTruncated);
+  ASSERT_EQ(cut.records.size(), 1u);
+  EXPECT_EQ(cut.records[0], want.records[0]);
 }
 
 }  // namespace
